@@ -9,12 +9,16 @@ and it parallelizes by handing out disjoint counter ranges.
 This is the standard Random123 algorithm; the test suite checks the block
 function word for word against numpy's independent implementation.
 
-Counter-word convention used by callers in this package:
-    word 0: position within a stream (attempt number, block index)
-    word 1: draw index
-    word 2: unused (zero)
-    word 3: stream id, keeping unrelated consumers off each other's lanes
-The key is (seed, 0).
+Counter-word convention used by callers in this package: block j of
+stream s is counter (j, 0, 0, s) under key (seed, 0), so every consumer
+reads one stream over contiguous counters, and the stream id in word 3
+keeps unrelated consumers off each other's blocks.  Stream ids:
+    0        sampler, rejection candidates
+    1        sampler, tail-mixture side choice
+    2 - 5    verification sweeps (monotonicity, certificate, bounds,
+             derivative)
+    6, 7     sampler, left and right tail candidates
+    11 - 13  acceptance suite
 """
 
 from __future__ import annotations
@@ -32,18 +36,37 @@ _SHIFT32 = np.uint64(32)
 _SHIFT11 = np.uint64(11)
 _INV_2_53 = 1.0 / 9007199254740992.0
 
+# Blocks generated per philox4x64 call by stream consumers; bounds their
+# working set whatever the number of values asked for.
+CHUNK_BLOCKS = 4096
 
-def _mulhilo(mult: np.uint64, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Full 128-bit product of a 64-bit constant with each array element."""
+# 32-bit halves of the round multipliers, split once.
+_M0_HI, _M0_LO = PHILOX_M0 >> _SHIFT32, PHILOX_M0 & _MASK32
+_M1_HI, _M1_LO = PHILOX_M1 >> _SHIFT32, PHILOX_M1 & _MASK32
+
+
+def _mulhilo(
+    mult: np.uint64, m_hi: np.uint64, m_lo: np.uint64, x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Full 128-bit product of a 64-bit constant with each array element.
+
+    m_hi and m_lo are the 32-bit halves of mult.  Temporaries are updated
+    in place, which saves an allocation per step.
+    """
     lo = mult * x
-    m_hi = mult >> _SHIFT32
-    m_lo = mult & _MASK32
     x_hi = x >> _SHIFT32
     x_lo = x & _MASK32
-    carry = (m_lo * x_lo) >> _SHIFT32
-    mid1 = m_hi * x_lo + carry
-    mid2 = m_lo * x_hi + (mid1 & _MASK32)
-    hi = m_hi * x_hi + (mid1 >> _SHIFT32) + (mid2 >> _SHIFT32)
+    carry = m_lo * x_lo
+    carry >>= _SHIFT32
+    mid1 = m_hi * x_lo
+    mid1 += carry
+    mid2 = m_lo * x_hi
+    mid2 += mid1 & _MASK32
+    mid1 >>= _SHIFT32
+    mid2 >>= _SHIFT32
+    hi = m_hi * x_hi
+    hi += mid1
+    hi += mid2
     return hi, lo
 
 
@@ -64,8 +87,8 @@ def philox4x64(
     key0 = k0 & _MASK64
     key1 = k1 & _MASK64
     for _ in range(10):
-        hi0, lo0 = _mulhilo(PHILOX_M0, c0)
-        hi1, lo1 = _mulhilo(PHILOX_M1, c2)
+        hi0, lo0 = _mulhilo(PHILOX_M0, _M0_HI, _M0_LO, c0)
+        hi1, lo1 = _mulhilo(PHILOX_M1, _M1_HI, _M1_LO, c2)
         c0 = hi1 ^ c1 ^ np.uint64(key0)
         c1 = lo1
         c2 = hi0 ^ c3 ^ np.uint64(key1)
@@ -98,6 +121,18 @@ def philox4x64_block(
     return c0, c1, c2, c3
 
 
+def stream_blocks(seed: int, stream: int, start: int, count: int) -> np.ndarray:
+    """Words of blocks start .. start + count - 1 of a stream, shape (count, 4).
+
+    Row j holds the four output words of counter (start + j, 0, 0, stream)
+    under key (seed, 0).
+    """
+    c0 = np.arange(start, start + count, dtype=np.uint64)
+    zeros = np.zeros(count, dtype=np.uint64)
+    c3 = np.full(count, stream, dtype=np.uint64)
+    return np.stack(philox4x64(c0, zeros, zeros, c3, seed, 0), axis=1)
+
+
 def uniform_open_closed(words: np.ndarray) -> np.ndarray:
     """Map uint64 words to doubles in (0, 1]; safe inside log()."""
     return ((words >> _SHIFT11).astype(np.float64) + 1.0) * _INV_2_53
@@ -117,24 +152,21 @@ class CounterStream:
 
     def __init__(self, seed: int, stream: int) -> None:
         self._key0 = seed & _MASK64
-        self._stream = np.uint64(stream & _MASK64)
+        self._stream = stream & _MASK64
         self._block = 0
         self._buffer = np.empty(0, dtype=np.uint64)
 
     def take(self, n: int) -> np.ndarray:
         if n < 0:
             raise ValueError(f"cannot take {n} values")
-        while self._buffer.size < n:
-            count = (n - self._buffer.size + 3) // 4
-            blocks = np.arange(
-                self._block, self._block + count, dtype=np.uint64
-            )
-            zeros = np.zeros(count, dtype=np.uint64)
-            stream = np.full(count, self._stream, dtype=np.uint64)
-            words = philox4x64(blocks, zeros, zeros, stream, self._key0, 0)
+        parts = [self._buffer]
+        have = self._buffer.size
+        while have < n:
+            count = min(CHUNK_BLOCKS, (n - have + 3) // 4)
+            words = stream_blocks(self._key0, self._stream, self._block, count)
+            parts.append(words.reshape(-1))
             self._block += count
-            self._buffer = np.concatenate(
-                [self._buffer, np.stack(words, axis=1).reshape(-1)]
-            )
-        out, self._buffer = self._buffer[:n], self._buffer[n:]
+            have += words.size
+        buffer = np.concatenate(parts)
+        out, self._buffer = buffer[:n], buffer[n:]
         return uniform_closed_open(out)

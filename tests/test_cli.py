@@ -1,8 +1,9 @@
 """CLI behavior: exit codes, output formats, determinism, console script."""
 
 import json
-import shutil
+import os
 import subprocess
+import sys
 
 import pytest
 
@@ -385,25 +386,28 @@ def test_parser_builds():
     assert args.sigma == 2.0
 
 
-def test_console_script_help():
-    exe = shutil.which("trunc-centroid")
-    assert exe is not None, "console script not installed"
-    proc = subprocess.run(
-        [exe, "--help"], capture_output=True, text=True, timeout=60
+def _console_script(*args: str) -> subprocess.CompletedProcess:
+    # The console script's entry point, run as `python -m trunc_centroid`
+    # in a fresh process so that no install is needed; the package is
+    # found through the same sys.path as this test run.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    return subprocess.run(
+        [sys.executable, "-m", "trunc_centroid", *args],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=env,
     )
+
+
+def test_console_script_help():
+    proc = _console_script("--help")
     assert proc.returncode == 0
     assert "centroid" in proc.stdout
 
 
 def test_console_script_centroid():
-    exe = shutil.which("trunc-centroid")
-    assert exe is not None
-    proc = subprocess.run(
-        [exe, "centroid", *REF, "--format", "json"],
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+    proc = _console_script("centroid", *REF, "--format", "json")
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     expected = centroid_exterior(REF_PARAMS, REF_HOLE, 0.0).value

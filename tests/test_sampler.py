@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from trunc_centroid import philox, sampler
 from trunc_centroid.centroid import centroid_exterior
 from trunc_centroid.errors import DeepTruncationError, ParameterError
 from trunc_centroid.model import ExcludedInterval, GaussianParams
+from trunc_centroid.philox import philox4x64_block, stream_blocks
 from trunc_centroid.sampler import (
     MIXTURE_MASS_THRESHOLD,
     monte_carlo_centroid,
@@ -45,7 +47,7 @@ def test_seed_is_taken_mod_2_64():
 
 def test_prefix_stability_across_batch_sizes():
     # Draw i is a pure function of (seed, i): growing the batch must not
-    # disturb earlier lanes.  Exercises the counter-per-draw discipline.
+    # disturb earlier draws.
     small = sample_exterior(REF_PARAMS, REF_HOLE, 0.0, 200, seed=9)
     large = sample_exterior(REF_PARAMS, REF_HOLE, 0.0, 4000, seed=9)
     assert np.array_equal(small.values, large.values[:200])
@@ -155,3 +157,168 @@ def test_statistical_consistency_across_seeds():
             if abs(estimate.mean - closed) < 4.0 * estimate.std_error:
                 hits += 1
     assert hits / runs >= 0.99
+
+
+# ------------------------------------------------ stream layout and contract
+
+# Hole of exterior mass 0.0601 under N(0, 1): rejection at its slowest.
+SLOW_REJECTION_HOLE = ExcludedInterval(-1.88, 1.88)
+# Exterior mass 0.0076, 82% of it on the left: the tail mixture.
+MIXTURE_HOLE = ExcludedInterval(-2.5, 3.0)
+# Stream ids of the sampler, part of the seed-to-samples contract.
+REJECTION_STREAM, SIDE_STREAM, LEFT_TAIL_STREAM, RIGHT_TAIL_STREAM = 0, 1, 6, 7
+
+
+def _uniforms(word):
+    """(0, 1] and [0, 1) doubles of one word, as the sampler maps them."""
+    return ((word >> 11) + 1) * 2.0**-53, (word >> 11) * 2.0**-53
+
+
+def _block(seed, stream, j):
+    return philox4x64_block((j, 0, 0, stream), (seed, 0))
+
+
+def _reference_rejection(params, hole, seed, blocks):
+    """Accepted candidates of stream 0 and their 1-based positions."""
+    accepted, positions = [], []
+    position = 0
+    for j in range(blocks):
+        words = _block(seed, REJECTION_STREAM, j)
+        for pair in (0, 1):
+            radius = math.sqrt(-2.0 * math.log(_uniforms(words[2 * pair])[0]))
+            angle = 2.0 * math.pi * _uniforms(words[2 * pair + 1])[1]
+            for z in (radius * math.cos(angle), radius * math.sin(angle)):
+                position += 1
+                x = params.mu + params.sigma * z
+                if x <= hole.lower or x >= hole.upper:
+                    accepted.append(x)
+                    positions.append(position)
+    return accepted, positions
+
+
+def _reference_tail(seed, stream, edge, count):
+    """First count accepted Marsaglia candidates of a tail stream."""
+    out = []
+    j = 0
+    while len(out) < count:
+        words = _block(seed, stream, j)
+        for pair in (0, 1):
+            y = math.sqrt(edge * edge - 2.0 * math.log(_uniforms(words[2 * pair])[0]))
+            if _uniforms(words[2 * pair + 1])[1] * y <= edge:
+                out.append(y)
+        j += 1
+    return out[:count]
+
+
+@pytest.mark.parametrize(
+    "stream", [REJECTION_STREAM, SIDE_STREAM, LEFT_TAIL_STREAM, RIGHT_TAIL_STREAM]
+)
+def test_stream_blocks_are_contiguous_philox_counters(stream):
+    # Block j of stream s is counter (j, 0, 0, s) under key (seed, 0).
+    seed = 0xDEADBEEF12345678
+    words = stream_blocks(seed, stream, 3, 4)
+    for row, j in enumerate(range(3, 7)):
+        assert tuple(int(w) for w in words[row]) == _block(seed, stream, j)
+
+
+def test_rejection_consumes_stream_zero_in_order():
+    # Candidates are (cos, sin) of pair (w0, w1), then of pair (w2, w3),
+    # block after block; draw i is the i-th accepted one.
+    accepted, positions = _reference_rejection(REF_PARAMS, REF_HOLE, 19, 12)
+    assert len(accepted) >= 6
+    batch = sample_exterior(REF_PARAMS, REF_HOLE, 0.0, len(accepted), seed=19)
+    np.testing.assert_allclose(batch.values, accepted, rtol=1e-13, atol=0.0)
+
+
+def test_acceptance_rate_counts_candidates_through_nth_acceptance():
+    accepted, positions = _reference_rejection(REF_PARAMS, REF_HOLE, 19, 12)
+    for n in range(1, len(accepted) + 1):
+        batch = sample_exterior(REF_PARAMS, REF_HOLE, 0.0, n, seed=19)
+        assert batch.acceptance_rate == n / positions[n - 1]
+
+
+def test_mixture_consumes_side_and_tail_streams_in_order():
+    seed = 8
+    n = 40
+    a, b = MIXTURE_HOLE.lower, MIXTURE_HOLE.upper
+    left_share = std_cdf(a) / (std_cdf(a) + std_tail(b))
+    side = [
+        _uniforms(w)[1] < left_share
+        for j in range((n + 3) // 4)
+        for w in _block(seed, SIDE_STREAM, j)
+    ][:n]
+    lefts = iter(_reference_tail(seed, LEFT_TAIL_STREAM, -a, sum(side)))
+    rights = iter(_reference_tail(seed, RIGHT_TAIL_STREAM, b, n - sum(side)))
+    expected = [-next(lefts) if go_left else next(rights) for go_left in side]
+    assert 0 < sum(side) < n
+    batch = sample_exterior(STD, MIXTURE_HOLE, 0.0, n, seed=seed)
+    np.testing.assert_allclose(batch.values, expected, rtol=1e-13, atol=0.0)
+    assert batch.acceptance_rate == 1.0
+
+
+def test_rejection_prefix_stable_across_chunks(monkeypatch):
+    # About 1000 acceptances per 4096-block chunk at mass 0.06, so the
+    # long batch takes seven chunks and the short ones end inside them.
+    hole = SLOW_REJECTION_HOLE
+    assert 0.05 < std_cdf(hole.lower) + std_tail(hole.upper) < 0.07
+    full = sample_exterior(STD, hole, 0.0, 5000, seed=4)
+    assert not _in_hole(full.values, hole)
+    for n in (1, 999, 2500):
+        part = sample_exterior(STD, hole, 0.0, n, seed=4)
+        assert np.array_equal(part.values, full.values[:n])
+    # Tiny chunks change every chunk boundary but no value.
+    monkeypatch.setattr(sampler, "CHUNK_BLOCKS", 3)
+    small = sample_exterior(STD, hole, 0.0, 300, seed=4)
+    assert np.array_equal(small.values, full.values[:300])
+    assert small.acceptance_rate == sample_exterior(
+        STD, hole, 0.0, 300, seed=4
+    ).acceptance_rate
+
+
+def test_mixture_prefix_stable_across_chunks(monkeypatch):
+    # 20 000 draws take two chunks of side words and three of left-tail
+    # candidates.
+    full = sample_exterior(STD, MIXTURE_HOLE, 0.0, 20_000, seed=6)
+    assert not _in_hole(full.values, MIXTURE_HOLE)
+    for n in (1, 4097, 17_000):
+        part = sample_exterior(STD, MIXTURE_HOLE, 0.0, n, seed=6)
+        assert np.array_equal(part.values, full.values[:n])
+    monkeypatch.setattr(sampler, "CHUNK_BLOCKS", 5)
+    monkeypatch.setattr(philox, "CHUNK_BLOCKS", 5)
+    small = sample_exterior(STD, MIXTURE_HOLE, 0.0, 2000, seed=6)
+    assert np.array_equal(small.values, full.values[:2000])
+
+
+@pytest.mark.parametrize(
+    "hole, side",
+    [(ExcludedInterval(-40.0, 3.0), "right"), (ExcludedInterval(-3.0, 40.0), "left")],
+)
+def test_one_sided_mixture(hole, side):
+    # The far edge's tail mass underflows to zero, so one side gets no
+    # draws at all.
+    batch = sample_exterior(STD, hole, 0.0, 4000, seed=2)
+    if side == "right":
+        assert np.all(batch.values >= hole.upper)
+    else:
+        assert np.all(batch.values <= hole.lower)
+    estimate = monte_carlo_centroid(batch)
+    closed = centroid_exterior(STD, hole, 0.0).value
+    assert abs(estimate.mean - closed) < 4.0 * estimate.std_error
+
+
+def test_deep_mixture_stays_outside_and_agrees():
+    hole = ExcludedInterval(-20.0, 20.0)
+    batch = sample_exterior(STD, hole, 0.0, 20_000, seed=12)
+    assert np.all(np.abs(batch.values) >= 20.0)
+    assert 0.45 < float(np.mean(batch.values < 0.0)) < 0.55
+    estimate = monte_carlo_centroid(batch)
+    closed = centroid_exterior(STD, hole, 0.0).value
+    assert abs(estimate.mean - closed) < 4.0 * estimate.std_error
+
+
+def test_rejection_guard_refuses_hopeless_mass(monkeypatch):
+    # Forced onto rejection, a 1.5e-23 exterior would never fill; the
+    # candidate cap ends it with ParameterError instead.
+    monkeypatch.setattr(sampler, "MIXTURE_MASS_THRESHOLD", 0.0)
+    with pytest.raises(ParameterError, match="too small for this strategy"):
+        sample_exterior(STD, ExcludedInterval(-10.0, 10.0), 0.0, 4, seed=1)
