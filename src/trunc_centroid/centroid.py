@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import DomainError, IntervalError
 from .model import CentroidResult, ExcludedInterval, GaussianParams, Method, ShiftComparison, StandardizedProblem
 from .special import (
@@ -73,6 +75,32 @@ def standardize(
     )
 
 
+def _offset_from(f_ru, f_rl, mass):
+    """Direct-path centroid offset from the densities at ru, rl and the mass.
+
+    This and the two helpers below hold the closed-form arithmetic once for
+    the scalar functions and the array sweeps: they take values already
+    evaluated, as floats or as numpy arrays, and return the same bits
+    either way.
+    """
+    return (f_ru - f_rl) / mass
+
+
+def _certificate_from(x1, x2, f1, f2, m):
+    """slope_certificate from std_pdf(x1), std_pdf(x2) and m."""
+    d = f1 - f2
+    # numpy's ** squares by multiplication, which differs from libm's pow
+    # in the last bit on about one input in 1200; float_power calls pow.
+    square = np.float_power(d, 2.0) if isinstance(d, np.ndarray) else d**2
+    return (x1 * f1 - x2 * f2) * m + m * m - square
+
+
+def _quotient_slope_from(ru, rl, f_ru, f_rl, m):
+    """_slope_quotient_form from the densities at ru, rl and the mass m."""
+    ratio = _offset_from(f_ru, f_rl, m)
+    return 1.0 + (ru * f_ru - rl * f_rl) / m - ratio * ratio
+
+
 def _offset_mass_flags(
     shift: float, lower: float, upper: float
 ) -> tuple[float, float, list[str]]:
@@ -84,7 +112,7 @@ def _offset_mass_flags(
     rl = lower - shift
     mass = std_tail(ru) + std_cdf(rl)
     if mass >= DEEP_MASS_FLOOR:
-        offset = (std_pdf(ru) - std_pdf(rl)) / mass
+        offset = _offset_from(std_pdf(ru), std_pdf(rl), mass)
         flags = [LOW_SUPPORT_MASS] if mass < LOW_MASS_FLOOR else []
         return offset, mass, flags
 
@@ -147,10 +175,8 @@ def slope_certificate(x1: float, x2: float) -> float:
     """
     x1 = _check_finite(x1, "x1")
     x2 = _check_finite(x2, "x2")
-    f1 = std_pdf(x1)
-    f2 = std_pdf(x2)
     m = std_tail(x1) + std_cdf(x2)
-    return (x1 * f1 - x2 * f2) * m + m * m - (f1 - f2) ** 2
+    return _certificate_from(x1, x2, std_pdf(x1), std_pdf(x2), m)
 
 
 def std_exterior_centroid_slope(shift: float, lower: float, upper: float) -> float:
@@ -197,11 +223,9 @@ def _slope_quotient_form(shift: float, lower: float, upper: float) -> float:
     """
     ru = upper - shift
     rl = lower - shift
-    f_ru = std_pdf(ru)
-    f_rl = std_pdf(rl)
-    m = std_tail(ru) + std_cdf(rl)
-    ratio = (f_ru - f_rl) / m
-    return 1.0 + (ru * f_ru - rl * f_rl) / m - ratio * ratio
+    return _quotient_slope_from(
+        ru, rl, std_pdf(ru), std_pdf(rl), std_tail(ru) + std_cdf(rl)
+    )
 
 
 def shift_comparison(

@@ -23,11 +23,19 @@ monotonicity argument:
 
 Both right-hand sides are evaluated in the cancellation-free form
 (sqrt(x*x + 4) -/+ x) / 4 so the bound itself never loses digits.
+
+std_pdf_array, std_tail_array and std_cdf_array evaluate the density and
+the tails over numpy arrays, element for element the same bits as the
+scalar functions: they call math.exp and math.erfc on each element,
+because numpy's exp differs from math.exp in the last bit on some inputs
+and numpy has no erfc.  They skip the finiteness check.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -55,6 +63,27 @@ def std_pdf(x: float) -> float:
     """
     x = _finite(x)
     return INV_SQRT_2PI * math.exp(-0.5 * (x * x))
+
+
+def _elementwise(fn, x: np.ndarray) -> np.ndarray:
+    """fn applied to every element of x, in an array of x's shape."""
+    x = np.asarray(x, dtype=float)
+    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+def std_pdf_array(x: np.ndarray) -> np.ndarray:
+    """std_pdf at every element of x."""
+    return INV_SQRT_2PI * _elementwise(math.exp, -0.5 * (x * x))
+
+
+def std_cdf_array(x: np.ndarray) -> np.ndarray:
+    """std_cdf at every element of x."""
+    return 0.5 * _elementwise(math.erfc, -x * INV_SQRT2)
+
+
+def std_tail_array(x: np.ndarray) -> np.ndarray:
+    """std_tail at every element of x."""
+    return 0.5 * _elementwise(math.erfc, x * INV_SQRT2)
 
 
 def std_cdf(x: float) -> float:

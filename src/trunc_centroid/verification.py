@@ -5,11 +5,21 @@ evaluates one family of strict inequalities, and returns a report instead
 of raising: a sweep is an experiment, and the acceptance suite decides
 what its output means.
 
-Margins below 1e-280 sit beneath anything double precision can vouch
-for, so those points are set aside as "untestable-strict" rather than
-counted as passes or failures.  Reports are deterministic for a given
-(spec, seed) and independent of how many worker threads ran the sweep;
-the TRUNC_CENTROID_THREADS environment variable caps parallelism.
+A point is set aside as "untestable-strict", rather than counted as a
+pass or a failure, when double precision cannot vouch for its strict
+inequality: its margin is not finite or below 1e-280 in magnitude, or it
+divides by a density below the smallest normal double, whose few
+significant digits cannot carry the comparison (the Mills-ratio checks).
+Reports are deterministic for a given (spec, seed).
+
+Each sweep computes its margins as numpy arrays with the arithmetic of
+the scalar functions, so every margin has the bits the scalar call would
+give.  exp and erfc run element by element through the math module
+(special.std_*_array), and on a grid they run on the 1-D axes only and
+are broadcast over the plane.  Points whose centroid or slope needs the
+log-space branch go to the scalar functions one at a time.  Only the rows
+a report keeps (violations, untestable points, the minimum margin) become
+CheckRecords.
 
 CSV rendering uses the fixed column set
 
@@ -22,33 +32,32 @@ of the base and shifted configurations plus both centroids).
 
 from __future__ import annotations
 
+import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
+import sys
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Any, Iterable, NamedTuple
+
+import numpy as np
 
 from .centroid import (
-    _slope_quotient_form,
+    DEEP_MASS_FLOOR,
+    _SLOPE_DIRECT_FLOOR,
+    _certificate_from,
+    _offset_from,
+    _quotient_slope_from,
     centroid_exterior,
-    slope_certificate,
     std_exterior_centroid,
     std_exterior_centroid_slope,
 )
 from .errors import ParameterError
 from .model import ExcludedInterval, GaussianParams
 from .philox import CounterStream
-from .special import (
-    mills_lower_bound_cdf,
-    mills_lower_bound_tail,
-    std_cdf,
-    std_pdf,
-    std_tail,
-)
+from .special import std_cdf_array, std_pdf, std_pdf_array, std_tail_array
 
 UNTESTABLE_FLOOR = 1e-280
-THREADS_ENV_VAR = "TRUNC_CENTROID_THREADS"
-_CHUNK = 64
+# Dividing by a density below this (a subnormal) leaves too few digits.
+_DENSITY_FLOOR = sys.float_info.min
 
 # Reference example: base density N(1, 4) with hole (-1, 4), shifted by 2.
 REFERENCE_PARAMS = GaussianParams(mu=1.0, sigma=2.0)
@@ -131,121 +140,120 @@ DEFAULT_DERIVATIVE_SPEC = SweepSpec(
 )
 
 
-def _grid(rng: tuple[float, float, float]) -> list[float]:
+def _grid(rng: tuple[float, float, float]) -> np.ndarray:
     lo, hi, step = rng
     count = int(math.floor((hi - lo) / step + 1e-9))
-    return [lo + k * step for k in range(count + 1)]
+    return np.array([lo + k * step for k in range(count + 1)], dtype=float)
 
 
-def _sort_key(record: CheckRecord):
-    def k(v: float):
-        return (1, 0.0) if math.isnan(v) else (0, v)
+class _Check(NamedTuple):
+    """One check of a sweep, over arrays that broadcast together.
 
-    return (record.check, k(record.x1), k(record.x2), k(record.h))
+    Its rows are the points `where` selects, taken in C order, which is
+    the order the sweep enumerates them.  A column given as a Python float
+    (nan for a column the check does not use) is that float in every row.
+    `doubtful` marks points that are untestable whatever their margin.
+    """
 
-
-class _Collector:
-    """Accumulates one sweep chunk's counts, violations, and minimum."""
-
-    def __init__(self) -> None:
-        self.checks_run = 0
-        self.violations: list[CheckRecord] = []
-        self.untestable: list[CheckRecord] = []
-        self.min_record: CheckRecord | None = None
-
-    def add(
-        self,
-        check: str,
-        x1: float,
-        x2: float,
-        h: float,
-        lhs: float,
-        rhs: float,
-        margin: float,
-    ) -> None:
-        self.checks_run += 1
-        record = CheckRecord(check, x1, x2, h, lhs, rhs, margin)
-        if abs(margin) < UNTESTABLE_FLOOR:
-            self.untestable.append(record)
-            return
-        if margin <= 0.0:
-            self.violations.append(record)
-        current = self.min_record
-        if (
-            current is None
-            or margin < current.margin
-            or (margin == current.margin and _sort_key(record) < _sort_key(current))
-        ):
-            self.min_record = record
+    name: str
+    where: Any
+    x1: Any
+    x2: Any
+    h: Any
+    lhs: Any
+    rhs: Any
+    margin: Any
+    doubtful: Any = False
 
 
-def thread_count() -> int:
-    """Worker cap from TRUNC_CENTROID_THREADS; defaults to 1."""
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ParameterError(
-            f"{THREADS_ENV_VAR} must be an integer >= 1, got {raw!r}"
-        ) from None
-    if value < 1:
-        raise ParameterError(f"{THREADS_ENV_VAR} must be >= 1, got {value}")
-    return value
+def _records(check: _Check, shape, mask) -> list[CheckRecord]:
+    """Records of the points `mask` selects, sorted by x1, then x2, then h.
+
+    nan sorts last, and points that tie keep their sweep order.
+    """
+    at = np.unravel_index(np.flatnonzero(mask), shape)
+    columns = check[2:8]  # x1, x2, h, lhs, rhs, margin
+    values = [np.broadcast_to(c, shape)[at] for c in columns]
+    order = np.lexsort(values[2::-1])
+    cells = []
+    for c, v in zip(columns, values):
+        if isinstance(c, float):
+            cells.append(itertools.repeat(c))
+        else:
+            # One nan object keeps equal reports equal under ==.
+            cells.append([math.nan if x != x else x for x in v[order].tolist()])
+    return list(map(CheckRecord, itertools.repeat(check.name), *cells))
 
 
-def _sweep(
-    name: str, items: Sequence, worker: Callable[[Sequence], _Collector]
-) -> VerificationReport:
-    chunks = [items[i : i + _CHUNK] for i in range(0, len(items), _CHUNK)]
-    workers = thread_count()
-    if workers == 1 or len(chunks) <= 1:
-        collected = [worker(chunk) for chunk in chunks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            collected = list(pool.map(worker, chunks))
-    checks_run = sum(c.checks_run for c in collected)
-    violations = sorted(
-        (r for c in collected for r in c.violations), key=_sort_key
-    )
-    untestable = sorted(
-        (r for c in collected for r in c.untestable), key=_sort_key
-    )
-    min_record = None
-    for c in collected:
-        r = c.min_record
-        if r is None:
-            continue
-        if (
-            min_record is None
-            or r.margin < min_record.margin
-            or (r.margin == min_record.margin and _sort_key(r) < _sort_key(min_record))
-        ):
-            min_record = r
+def _report(name: str, checks: Iterable[_Check]) -> VerificationReport:
+    """Counts, sorted violations and untestable rows, and the minimum margin.
+
+    Rows sort by check name, then as _records sorts them.  The minimum is
+    the first row in that order among the testable rows of least margin.
+    """
+    checks_run = 0
+    violations: list[CheckRecord] = []
+    untestable: list[CheckRecord] = []
+    lowest: list[CheckRecord] = []
+    low = math.inf
+    for check in sorted(checks, key=lambda c: c.name):
+        shape = np.broadcast_shapes(*(np.shape(a) for a in check[1:]))
+        where = np.broadcast_to(check.where, shape)
+        margin = np.broadcast_to(check.margin, shape)
+        unsure = (
+            ~np.isfinite(margin) | (np.abs(margin) < UNTESTABLE_FLOOR) | check.doubtful
+        )
+        testable = where & ~unsure
+        checks_run += int(np.count_nonzero(where))
+        untestable += _records(check, shape, where & unsure)
+        violations += _records(check, shape, testable & (margin <= 0.0))
+        if testable.any():
+            m = np.min(margin, where=testable, initial=math.inf)
+            if m < low:
+                low, lowest = m, []
+            if m == low:
+                lowest += _records(check, shape, testable & (margin == m))
+    best = lowest[0] if lowest else None
     return VerificationReport(
         name=name,
         checks_run=checks_run,
         violations=tuple(violations),
         untestable=tuple(untestable),
-        min_margin=math.nan if min_record is None else min_record.margin,
-        min_margin_record=min_record,
+        min_margin=math.nan if best is None else best.margin,
+        min_margin_record=best,
     )
 
 
-def _uniform(stream: CounterStream, lo: float, hi: float, n: int):
-    return [lo + u * (hi - lo) for u in stream.take(n)]
+def _scalar_at(values, points, fn, *args):
+    """values, with fn(*args) computed one point at a time where `points` holds."""
+    if not points.any():
+        return values
+    values = np.broadcast_to(values, points.shape).copy()
+    picked = [np.broadcast_to(a, points.shape)[points].tolist() for a in args]
+    values[points] = [fn(*p) for p in zip(*picked)]
+    return values
 
 
-def _hole_pairs_random(spec: SweepSpec, stream: CounterStream) -> list[tuple[float, float]]:
+def _centroids(shift, lower, upper, where):
+    """std_exterior_centroid over broadcast arrays, bit for bit at `where`."""
+    ru = upper - shift
+    rl = lower - shift
+    mass = std_tail_array(ru) + std_cdf_array(rl)
+    psi = shift + _offset_from(std_pdf_array(ru), std_pdf_array(rl), mass)
+    deep = where & (mass < DEEP_MASS_FLOOR)
+    return _scalar_at(psi, deep, std_exterior_centroid, shift, lower, upper)
+
+
+def _uniform(stream: CounterStream, lo: float, hi: float, n: int) -> np.ndarray:
+    return lo + stream.take(n) * (hi - lo)
+
+
+def _hole_pairs_random(spec: SweepSpec, stream: CounterStream):
     raw_l = _uniform(stream, spec.l_range[0], spec.l_range[1], spec.n_random)
     raw_u = _uniform(stream, spec.u_range[0], spec.u_range[1], spec.n_random)
-    pairs = []
-    for l, u in zip(raw_l, raw_u):
-        lo, hi = min(l, u), max(l, u)
-        if hi > lo:
-            pairs.append((lo, hi))
-    return pairs
+    lower, upper = np.minimum(raw_l, raw_u), np.maximum(raw_l, raw_u)
+    keep = upper > lower
+    return lower[keep], upper[keep]
 
 
 def verify_monotonicity(spec: SweepSpec = DEFAULT_MONOTONICITY_SPEC) -> VerificationReport:
@@ -257,41 +265,32 @@ def verify_monotonicity(spec: SweepSpec = DEFAULT_MONOTONICITY_SPEC) -> Verifica
     unshifted one through shift_comparison.
     """
     if spec.mode == "grid":
-        ls = _grid(spec.l_range)
-        us = _grid(spec.u_range)
+        l = _grid(spec.l_range)[:, None, None]
+        u = _grid(spec.u_range)[None, :, None]
         hs = _grid(spec.h_range)
-        items = [
-            (l, u, hs[i], hs[i + 1])
-            for l in ls
-            for u in us
-            if u > l
-            for i in range(len(hs) - 1)
-        ]
+        h1, h2 = hs[:-1], hs[1:]
+        where = u > l
     else:
         stream = CounterStream(spec.seed, stream=2)
-        pairs = _hole_pairs_random(spec, stream)
-        raw_h1 = _uniform(stream, spec.h_range[0], spec.h_range[1], len(pairs))
-        raw_h2 = _uniform(stream, spec.h_range[0], spec.h_range[1], len(pairs))
-        items = [
-            (l, u, min(h1, h2), max(h1, h2))
-            for (l, u), h1, h2 in zip(pairs, raw_h1, raw_h2)
-            if h1 != h2
-        ]
+        l, u = _hole_pairs_random(spec, stream)
+        raw_h1 = _uniform(stream, spec.h_range[0], spec.h_range[1], l.size)
+        raw_h2 = _uniform(stream, spec.h_range[0], spec.h_range[1], l.size)
+        h1, h2 = np.minimum(raw_h1, raw_h2), np.maximum(raw_h1, raw_h2)
+        where = raw_h1 != raw_h2
 
-    def worker(chunk) -> _Collector:
-        out = _Collector()
-        for l, u, h1, h2 in chunk:
-            psi1 = std_exterior_centroid(h1, l, u)
-            psi2 = std_exterior_centroid(h2, l, u)
-            out.add("monotonicity", l, u, h2, psi2, psi1, psi2 - psi1)
-            if h2 != 0.0:
-                psi0 = std_exterior_centroid(0.0, l, u)
-                delta = psi2 - psi0
-                signed = delta if h2 > 0.0 else -delta
-                out.add("shift_sign", l, u, h2, delta, 0.0, signed)
-        return out
-
-    return _sweep("monotonicity", items, worker)
+    with np.errstate(all="ignore"):
+        psi1 = _centroids(h1, l, u, where)
+        psi2 = _centroids(h2, l, u, where)
+        moved = where & (h2 != 0.0)
+        delta = psi2 - _centroids(0.0, l, u, moved)
+        signed = np.where(h2 > 0.0, delta, -delta)
+        return _report(
+            "monotonicity",
+            [
+                _Check("monotonicity", where, l, u, h2, psi2, psi1, psi2 - psi1),
+                _Check("shift_sign", moved, l, u, h2, delta, 0.0, signed),
+            ],
+        )
 
 
 def verify_certificate_positive(
@@ -303,23 +302,20 @@ def verify_certificate_positive(
     is no ordering constraint between them.
     """
     if spec.mode == "grid":
-        xs1 = _grid(spec.l_range)
-        xs2 = _grid(spec.u_range)
-        items = [(x1, x2) for x1 in xs1 for x2 in xs2]
+        x1 = _grid(spec.l_range)[:, None]
+        x2 = _grid(spec.u_range)[None, :]
     else:
         stream = CounterStream(spec.seed, stream=3)
-        raw1 = _uniform(stream, spec.l_range[0], spec.l_range[1], spec.n_random)
-        raw2 = _uniform(stream, spec.u_range[0], spec.u_range[1], spec.n_random)
-        items = list(zip(raw1, raw2))
+        x1 = _uniform(stream, spec.l_range[0], spec.l_range[1], spec.n_random)
+        x2 = _uniform(stream, spec.u_range[0], spec.u_range[1], spec.n_random)
 
-    def worker(chunk) -> _Collector:
-        out = _Collector()
-        for x1, x2 in chunk:
-            value = slope_certificate(x1, x2)
-            out.add("certificate_positive", x1, x2, math.nan, value, 0.0, value)
-        return out
-
-    return _sweep("certificate_positive", items, worker)
+    with np.errstate(all="ignore"):
+        m = std_tail_array(x1) + std_cdf_array(x2)
+        value = _certificate_from(x1, x2, std_pdf_array(x1), std_pdf_array(x2), m)
+        return _report(
+            "certificate_positive",
+            [_Check("certificate_positive", True, x1, x2, math.nan, value, 0.0, value)],
+        )
 
 
 def verify_bounds(spec: SweepSpec = DEFAULT_BOUNDS_SPEC) -> VerificationReport:
@@ -331,75 +327,52 @@ def verify_bounds(spec: SweepSpec = DEFAULT_BOUNDS_SPEC) -> VerificationReport:
     if spec.mode == "grid":
         xs1 = _grid(spec.l_range)
         xs2 = _grid(spec.u_range)
+        # The summed form runs over the plane xs1 x xs2.
+        col, row = np.s_[:, None], np.s_[None, :]
     else:
         stream = CounterStream(spec.seed, stream=4)
         xs1 = _uniform(stream, spec.l_range[0], spec.l_range[1], spec.n_random)
         xs2 = _uniform(stream, spec.u_range[0], spec.u_range[1], spec.n_random)
+        # The summed form runs over the pairs (xs1[i], xs2[i]).
+        col = row = np.s_[:]
 
-    single = [(x,) for x in xs1]
+    x = xs1
+    nan = math.nan
+    with np.errstate(all="ignore"):
+        f = std_pdf_array(x)
+        tail = std_tail_array(x)
+        cdf = std_cdf_array(x)
+        root = np.sqrt(x * x + 4.0)
+        faint = f < _DENSITY_FLOOR
+        checks = []
+        # The right-hand sides are mills_lower_bound_tail and _cdf.
+        lhs = tail / (2.0 * f)
+        rhs = (root - x) / 4.0
+        checks.append(
+            _Check("tail_ratio_bound", True, x, nan, nan, lhs, rhs, lhs - rhs, faint)
+        )
+        lhs = cdf / (2.0 * f)
+        rhs = (root + x) / 4.0
+        checks.append(
+            _Check("cdf_ratio_bound", True, x, nan, nan, lhs, rhs, lhs - rhs, faint)
+        )
+        lhs = 2.0 * tail + x * f
+        rhs = root * f
+        checks.append(
+            _Check("tail_linear_bound", True, x, nan, nan, lhs, rhs, lhs - rhs)
+        )
+        lhs = 2.0 * cdf - x * f
+        checks.append(
+            _Check("cdf_linear_bound", True, x, nan, nan, lhs, rhs, lhs - rhs)
+        )
 
-    def worker_single(chunk) -> _Collector:
-        out = _Collector()
-        for (x,) in chunk:
-            f = std_pdf(x)
-            lhs = std_tail(x) / (2.0 * f)
-            rhs = mills_lower_bound_tail(x)
-            out.add("tail_ratio_bound", x, math.nan, math.nan, lhs, rhs, lhs - rhs)
-            lhs = std_cdf(x) / (2.0 * f)
-            rhs = mills_lower_bound_cdf(x)
-            out.add("cdf_ratio_bound", x, math.nan, math.nan, lhs, rhs, lhs - rhs)
-            root = math.sqrt(x * x + 4.0)
-            lhs = 2.0 * std_tail(x) + x * f
-            rhs = root * f
-            out.add("tail_linear_bound", x, math.nan, math.nan, lhs, rhs, lhs - rhs)
-            lhs = 2.0 * std_cdf(x) - x * f
-            out.add("cdf_linear_bound", x, math.nan, math.nan, lhs, rhs, lhs - rhs)
-        return out
-
-    report_single = _sweep("bounds", single, worker_single)
-
-    if spec.mode == "grid":
-        pairs = [(x1, x2) for x1 in xs1 for x2 in xs2]
-    else:
-        pairs = list(zip(xs1, xs2))
-
-    def worker_summed(chunk) -> _Collector:
-        out = _Collector()
-        for x1, x2 in chunk:
-            f1 = std_pdf(x1)
-            f2 = std_pdf(x2)
-            lhs = 2.0 * (std_tail(x1) + std_cdf(x2)) + (x1 * f1 - x2 * f2)
-            rhs = math.sqrt(x1 * x1 + 4.0) * f1 + math.sqrt(x2 * x2 + 4.0) * f2
-            out.add("summed_bound", x1, x2, math.nan, lhs, rhs, lhs - rhs)
-        return out
-
-    report_summed = _sweep("bounds", pairs, worker_summed)
-
-    best = min(
-        (
-            r.min_margin_record
-            for r in (report_single, report_summed)
-            if r.min_margin_record is not None
-        ),
-        key=lambda r: (r.margin, _sort_key(r)),
-        default=None,
-    )
-    return VerificationReport(
-        name="bounds",
-        checks_run=report_single.checks_run + report_summed.checks_run,
-        violations=tuple(
-            sorted(
-                report_single.violations + report_summed.violations, key=_sort_key
-            )
-        ),
-        untestable=tuple(
-            sorted(
-                report_single.untestable + report_summed.untestable, key=_sort_key
-            )
-        ),
-        min_margin=math.nan if best is None else best.margin,
-        min_margin_record=best,
-    )
+        x1, f1, tail1, root1 = (a[col] for a in (x, f, tail, root))
+        x2 = xs2[row]
+        f2 = std_pdf_array(x2)
+        lhs = 2.0 * (tail1 + std_cdf_array(x2)) + (x1 * f1 - x2 * f2)
+        rhs = root1 * f1 + np.sqrt(x2 * x2 + 4.0) * f2
+        checks.append(_Check("summed_bound", True, x1, x2, nan, lhs, rhs, lhs - rhs))
+        return _report("bounds", checks)
 
 
 def verify_derivative(spec: SweepSpec = DEFAULT_DERIVATIVE_SPEC) -> VerificationReport:
@@ -408,46 +381,50 @@ def verify_derivative(spec: SweepSpec = DEFAULT_DERIVATIVE_SPEC) -> Verification
     Rows: x1 = hole lower, x2 = hole upper, h = shift.  The derivative_fd
     margin is 1e-6 minus the relative error; derivative_forms margin is
     the scaled 1e-10 agreement slack; derivative_positive is the value.
+
+    Raises ZeroDivisionError where the support mass underflows to 0, as
+    the quotient-rule form divides by it.
     """
     eps = 1e-5
     if spec.mode == "grid":
-        ls = _grid(spec.l_range)
-        us = _grid(spec.u_range)
-        hs = _grid(spec.h_range)
-        items = [(l, u, h) for l in ls for u in us if u > l for h in hs]
+        l = _grid(spec.l_range)[:, None, None]
+        u = _grid(spec.u_range)[None, :, None]
+        h = _grid(spec.h_range)
+        where = u > l
     else:
         stream = CounterStream(spec.seed, stream=5)
-        pairs = _hole_pairs_random(spec, stream)
-        raw_h = _uniform(stream, spec.h_range[0], spec.h_range[1], len(pairs))
-        items = [(l, u, h) for (l, u), h in zip(pairs, raw_h)]
+        l, u = _hole_pairs_random(spec, stream)
+        h = _uniform(stream, spec.h_range[0], spec.h_range[1], l.size)
+        where = np.ones(l.shape, dtype=bool)
 
-    def worker(chunk) -> _Collector:
-        out = _Collector()
-        for l, u, h in chunk:
-            analytic = std_exterior_centroid_slope(h, l, u)
-            out.add("derivative_positive", l, u, h, analytic, 0.0, analytic)
-            quotient = _slope_quotient_form(h, l, u)
-            scale = max(1.0, abs(analytic), abs(quotient))
-            gap = abs(analytic - quotient)
-            out.add(
-                "derivative_forms",
-                l,
-                u,
-                h,
-                analytic,
-                quotient,
-                1e-10 * scale - gap,
-            )
-            if abs(analytic) > 1e-8:
-                fd = (
-                    std_exterior_centroid(h + eps, l, u)
-                    - std_exterior_centroid(h - eps, l, u)
-                ) / (2.0 * eps)
-                rel_err = abs(analytic - fd) / max(abs(fd), 1e-300)
-                out.add("derivative_fd", l, u, h, analytic, fd, 1e-6 - rel_err)
-        return out
-
-    return _sweep("derivative", items, worker)
+    with np.errstate(all="ignore"):
+        ru = u - h
+        rl = l - h
+        f_ru = std_pdf_array(ru)
+        f_rl = std_pdf_array(rl)
+        m = std_tail_array(ru) + std_cdf_array(rl)
+        if np.any(where & (m == 0.0)):
+            raise ZeroDivisionError("float division by zero")
+        analytic = _certificate_from(ru, rl, f_ru, f_rl, m) / (m * m)
+        deep = where & (m < _SLOPE_DIRECT_FLOOR)
+        analytic = _scalar_at(analytic, deep, std_exterior_centroid_slope, h, l, u)
+        quotient = _quotient_slope_from(ru, rl, f_ru, f_rl, m)
+        # fmax skips nan as the builtin max(1.0, ...) does.
+        scale = np.fmax(np.fmax(1.0, np.abs(analytic)), np.abs(quotient))
+        forms = 1e-10 * scale - np.abs(analytic - quotient)
+        steep = where & (np.abs(analytic) > 1e-8)
+        fd = (
+            _centroids(h + eps, l, u, steep) - _centroids(h - eps, l, u, steep)
+        ) / (2.0 * eps)
+        rel_err = np.abs(analytic - fd) / np.maximum(np.abs(fd), 1e-300)
+        return _report(
+            "derivative",
+            [
+                _Check("derivative_positive", where, l, u, h, analytic, 0.0, analytic),
+                _Check("derivative_forms", where, l, u, h, analytic, quotient, forms),
+                _Check("derivative_fd", steep, l, u, h, analytic, fd, 1e-6 - rel_err),
+            ],
+        )
 
 
 def render_report_csv(reports: Iterable[VerificationReport]) -> str:

@@ -322,6 +322,36 @@ def test_verify_csv_format(capsys):
     assert lines[-1].startswith("certificate_positive:min_margin,")
 
 
+def test_verify_wide_bounds_exits_zero(capsys):
+    argv = [
+        "verify",
+        "--check",
+        "bounds",
+        "--mode",
+        "random",
+        "--seed",
+        "3",
+        "--n-random",
+        "500",
+        "--l-range",
+        "-60",
+        "60",
+        "1",
+        "--u-range",
+        "-60",
+        "60",
+        "1",
+        "--format",
+        "json",
+    ]
+    assert run(argv) == 0
+    report = json.loads(capsys.readouterr().out)["reports"][0]
+    assert report["checks_run"] == 500 * 5
+    assert report["passed"] is True
+    assert report["violations"] == []
+    assert report["untestable"]
+
+
 # -------------------------------------------------------------------- sample
 
 

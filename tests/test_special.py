@@ -5,7 +5,9 @@ independent arbitrary-precision erfc and rounded to nearest double.
 """
 
 import math
+import random
 
+import numpy as np
 import pytest
 
 from trunc_centroid.errors import DomainError
@@ -17,8 +19,11 @@ from trunc_centroid.special import (
     mills_lower_bound_tail,
     mills_ratio,
     std_cdf,
+    std_cdf_array,
     std_pdf,
+    std_pdf_array,
     std_tail,
+    std_tail_array,
 )
 
 GRID = [x * 0.25 for x in range(-32, 33)]
@@ -177,3 +182,20 @@ def test_nonfinite_inputs_rejected(func):
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(DomainError):
             func(bad)
+
+
+def test_array_twins_match_scalars_bit_for_bit():
+    rng = random.Random(20)
+    # Moderate values, the subnormal range near |x| = 38, and past underflow.
+    xs = [rng.uniform(-10.0, 10.0) for _ in range(3000)]
+    xs += [rng.choice((-1.0, 1.0)) * rng.uniform(37.0, 39.5) for _ in range(3000)]
+    xs += [0.0, -0.0, 60.0, -60.0, 1e-160, 1e10]
+    grid = np.array(xs).reshape(6, 1001)
+    for array_fn, scalar_fn in (
+        (std_pdf_array, std_pdf),
+        (std_tail_array, std_tail),
+        (std_cdf_array, std_cdf),
+    ):
+        got = array_fn(grid)
+        assert got.shape == grid.shape
+        assert got.ravel().tolist() == [scalar_fn(x) for x in xs]

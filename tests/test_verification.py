@@ -13,18 +13,24 @@ from trunc_centroid.verification import (
     REFERENCE_PARAMS,
     REFERENCE_SHIFT,
     SweepSpec,
-    THREADS_ENV_VAR,
     VerificationReport,
     reference_example_rows,
     render_reference_figure,
     render_report_csv,
-    thread_count,
     verify_bounds,
     verify_certificate_positive,
     verify_derivative,
     verify_monotonicity,
     write_reference_figure,
     write_report_csv,
+)
+
+WIDE_RANDOM = dict(
+    l_range=(-60.0, 60.0, 1.0),
+    u_range=(-60.0, 60.0, 1.0),
+    h_range=(-30.0, 30.0, 1.0),
+    mode="random",
+    n_random=500,
 )
 
 COARSE_PLANE = SweepSpec(
@@ -95,29 +101,28 @@ def test_derivative_default_grid_clean():
     assert report.min_margin > 0.0
 
 
-def test_reports_invariant_under_thread_count(monkeypatch):
-    monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
-    serial = verify_bounds(COARSE_PLANE)
-    serial_mono = verify_monotonicity()
-    monkeypatch.setenv(THREADS_ENV_VAR, "4")
-    assert thread_count() == 4
-    threaded = verify_bounds(COARSE_PLANE)
-    threaded_mono = verify_monotonicity()
-    assert serial == threaded
-    assert serial_mono == threaded_mono
+def test_bounds_wide_range_sets_faint_densities_aside():
+    # Past |x| ~ 37.6 the density is subnormal or 0; the ratio checks there
+    # are untestable, not violations or a division by zero.
+    spec = SweepSpec(**WIDE_RANDOM, seed=3)
+    report = verify_bounds(spec)
+    assert report.checks_run == 500 * 5
+    assert type(report.checks_run) is int
+    assert report.violations == ()
+    assert report.untestable
+    checks = {r.check for r in report.untestable}
+    assert {"tail_ratio_bound", "cdf_ratio_bound"} <= checks
+    faint = [r for r in report.untestable if r.check.endswith("ratio_bound")]
+    assert all(abs(r.x1) > 37.5 for r in faint)
+    assert report.min_margin > 0.0
+    assert verify_bounds(spec) == report
 
 
-def test_thread_count_env_validation(monkeypatch):
-    monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
-    assert thread_count() == 1
-    monkeypatch.setenv(THREADS_ENV_VAR, "3")
-    assert thread_count() == 3
-    monkeypatch.setenv(THREADS_ENV_VAR, "zero")
-    with pytest.raises(ParameterError):
-        thread_count()
-    monkeypatch.setenv(THREADS_ENV_VAR, "0")
-    with pytest.raises(ParameterError):
-        thread_count()
+def test_derivative_wide_range_zero_mass_raises():
+    # The quotient-rule form divides by the support mass, which is exactly
+    # 0 for some of these holes.
+    with pytest.raises(ZeroDivisionError):
+        verify_derivative(SweepSpec(**WIDE_RANDOM, seed=3))
 
 
 @pytest.mark.parametrize(
