@@ -5,7 +5,14 @@ hole; the library computes E[X | X in S] for X ~ N(mu + shift, sigma^2)
 three ways (stable closed form, adaptive-quadrature oracle, seeded Monte
 Carlo), certifies the strict inequalities behind the claim that the
 centroid grows with the shift, and ships a CLI over all of it.
+
+Importing the package does not import numpy: the closed form, the
+quadrature oracle and the reference figure need only the math module.
+The sampler and verification names are loaded, with numpy, on first
+access.
 """
+
+import importlib
 
 from .centroid import (
     centroid_exterior,
@@ -23,6 +30,7 @@ from .errors import (
     ToleranceNotMetError,
     TruncCentroidError,
 )
+from .figure import write_reference_figure
 from .model import (
     CentroidResult,
     ExcludedInterval,
@@ -37,12 +45,6 @@ from .quadrature import (
     exterior_first_moment,
     exterior_mass,
 )
-from .sampler import (
-    MonteCarloEstimate,
-    SampleBatch,
-    monte_carlo_centroid,
-    sample_exterior,
-)
 from .special import (
     log_std_cdf,
     log_std_pdf,
@@ -54,17 +56,25 @@ from .special import (
     std_pdf,
     std_tail,
 )
-from .verification import (
-    CheckRecord,
-    SweepSpec,
-    VerificationReport,
-    verify_bounds,
-    verify_certificate_positive,
-    verify_derivative,
-    verify_monotonicity,
-    write_reference_figure,
-    write_report_csv,
-)
+
+# The names of __all__ not imported above live in modules that import
+# numpy; __getattr__ imports them on first access and keeps them here.
+_NUMPY_MODULES = ("sampler", "verification")
+
+
+def __getattr__(name: str):
+    if name in __all__:
+        for module in _NUMPY_MODULES:
+            mod = importlib.import_module(f".{module}", __name__)
+            if hasattr(mod, name):
+                globals()[name] = value = getattr(mod, name)
+                return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | set(__all__))
+
 
 __version__ = "0.1.0"
 

@@ -24,8 +24,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .errors import DomainError, IntervalError
 from .model import CentroidResult, ExcludedInterval, GaussianParams, Method, ShiftComparison, StandardizedProblem
 from .special import (
@@ -89,9 +87,15 @@ def _offset_from(f_ru, f_rl, mass):
 def _certificate_from(x1, x2, f1, f2, m):
     """slope_certificate from std_pdf(x1), std_pdf(x2) and m."""
     d = f1 - f2
-    # numpy's ** squares by multiplication, which differs from libm's pow
-    # in the last bit on about one input in 1200; float_power calls pow.
-    square = np.float_power(d, 2.0) if isinstance(d, np.ndarray) else d**2
+    if isinstance(d, float):  # numpy.float64 included
+        square = d**2
+    else:
+        # numpy's ** squares by multiplication, which differs from libm's
+        # pow in the last bit on about one input in 1200; float_power
+        # calls pow.
+        import numpy as np
+
+        square = np.float_power(d, 2.0)
     return (x1 * f1 - x2 * f2) * m + m * m - square
 
 

@@ -11,6 +11,9 @@ Subcommands
 Exit codes: 0 success, 1 domain/computation error (sigma <= 0, bad hole,
 deep truncation for oracle or sampler), 2 usage error.
 
+JSON output is strict: a non-finite float (an unused CSV cell, an
+untestable ratio, the Monte Carlo support mass) is written as null.
+
 --sigma is the scale (standard deviation), never the variance: the
 reference example with variance 4 is spelled --sigma 2.
 
@@ -28,23 +31,13 @@ import sys
 
 from .centroid import centroid_exterior, shift_comparison
 from .errors import TruncCentroidError
+from .figure import render_reference_figure, write_reference_figure
 from .model import ExcludedInterval, GaussianParams
 from .quadrature import QuadratureConfig, centroid_quadrature
-from .sampler import monte_carlo_centroid, sample_exterior
-from .verification import (
-    DEFAULT_BOUNDS_SPEC,
-    DEFAULT_CERTIFICATE_SPEC,
-    DEFAULT_DERIVATIVE_SPEC,
-    DEFAULT_MONOTONICITY_SPEC,
-    SweepSpec,
-    render_reference_figure,
-    render_report_csv,
-    verify_bounds,
-    verify_certificate_positive,
-    verify_derivative,
-    verify_monotonicity,
-    write_reference_figure,
-)
+
+# sampler and verification import numpy, so the commands that need them
+# import them when they run and the closed-form commands never load it.
+_CHECKS = ("monotonicity", "certificate", "bounds", "derivative")
 
 
 class _UsageError(Exception):
@@ -127,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="inequality sweeps")
     p.add_argument(
         "--check",
-        choices=("monotonicity", "certificate", "bounds", "derivative", "all"),
+        choices=(*_CHECKS, "all"),
         default="all",
     )
     p.add_argument("--mode", choices=("grid", "random"), default="grid")
@@ -161,6 +154,13 @@ def _emit(text: str, output: str) -> None:
     else:
         with open(output, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+
+
+def _json(payload: dict, indent: int | None = 2) -> str:
+    # Strict JSON: NaN and Infinity become null.  Parsing the lenient text
+    # back lets the json module find every non-finite float, however nested.
+    plain = json.loads(json.dumps(payload), parse_constant=lambda _: None)
+    return json.dumps(plain, indent=indent, allow_nan=False) + "\n"
 
 
 def _result_dict(result, extra: dict | None = None) -> dict:
@@ -203,6 +203,8 @@ def _centroid_results(args) -> tuple[list[dict], dict]:
                 _result_dict(centroid_quadrature(params, hole, args.shift, cfg))
             )
         else:
+            from .sampler import monte_carlo_centroid, sample_exterior
+
             batch = sample_exterior(params, hole, args.shift, args.n, args.seed)
             estimate = monte_carlo_centroid(batch)
             results.append(
@@ -245,7 +247,7 @@ def _cmd_centroid(args) -> int:
             "results": results,
             "discrepancies": discrepancies,
         }
-        _emit(json.dumps(payload, indent=2) + "\n", args.output)
+        _emit(_json(payload), args.output)
     elif args.fmt == "csv":
         lines = ["method,value,support_mass,std_error,n,warnings"]
         for r in results:
@@ -299,7 +301,7 @@ def _cmd_compare(args) -> int:
             "shift": comparison.shift,
             "delta": comparison.delta,
         }
-        _emit(json.dumps(payload, indent=2) + "\n", args.output)
+        _emit(_json(payload), args.output)
     elif args.fmt == "csv":
         lines = [
             "quantity,value,support_mass,warnings",
@@ -337,24 +339,24 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-_CHECKS = {
-    "monotonicity": (verify_monotonicity, DEFAULT_MONOTONICITY_SPEC),
-    "certificate": (verify_certificate_positive, DEFAULT_CERTIFICATE_SPEC),
-    "bounds": (verify_bounds, DEFAULT_BOUNDS_SPEC),
-    "derivative": (verify_derivative, DEFAULT_DERIVATIVE_SPEC),
-}
-
-
 def _cmd_verify(args) -> int:
     if args.mode == "random" and args.seed is None:
         raise _UsageError("--mode random requires --seed")
     if args.mode == "random" and args.n_random < 1:
         raise _UsageError("--n-random must be >= 1")
-    names = list(_CHECKS) if args.check == "all" else [args.check]
+    from . import verification as v
+
+    checks = {
+        "monotonicity": (v.verify_monotonicity, v.DEFAULT_MONOTONICITY_SPEC),
+        "certificate": (v.verify_certificate_positive, v.DEFAULT_CERTIFICATE_SPEC),
+        "bounds": (v.verify_bounds, v.DEFAULT_BOUNDS_SPEC),
+        "derivative": (v.verify_derivative, v.DEFAULT_DERIVATIVE_SPEC),
+    }
+    names = _CHECKS if args.check == "all" else [args.check]
     reports = []
     for name in names:
-        runner, default_spec = _CHECKS[name]
-        spec = SweepSpec(
+        runner, default_spec = checks[name]
+        spec = v.SweepSpec(
             l_range=tuple(args.l_range) if args.l_range else default_spec.l_range,
             u_range=tuple(args.u_range) if args.u_range else default_spec.u_range,
             h_range=tuple(args.h_range) if args.h_range else default_spec.h_range,
@@ -389,9 +391,9 @@ def _cmd_verify(args) -> int:
                 for r in reports
             ],
         }
-        _emit(json.dumps(payload, indent=2) + "\n", args.output)
+        _emit(_json(payload), args.output)
     elif args.fmt == "csv":
-        _emit(render_report_csv(reports), args.output)
+        _emit(v.render_report_csv(reports), args.output)
     else:
         lines = []
         for r in reports:
@@ -407,6 +409,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    from .sampler import monte_carlo_centroid, sample_exterior
+
     if args.n < 2:
         raise _UsageError("--n must be >= 2")
     params = GaussianParams(args.mu, args.sigma)
@@ -432,7 +436,7 @@ def _cmd_sample(args) -> int:
             },
             "acceptance_rate": batch.acceptance_rate,
         }
-        _emit(json.dumps(payload, indent=2) + "\n", args.output)
+        _emit(_json(payload), args.output)
     elif args.fmt == "csv":
         _emit(
             "mean,std_error,n,acceptance_rate,seed\n"
@@ -464,17 +468,13 @@ def _cmd_figure(args) -> int:
         return 0
     base, shifted = write_reference_figure(args.output)
     if args.fmt == "json":
-        sys.stdout.write(
-            json.dumps(
-                {
-                    "command": "figure",
-                    "output": args.output,
-                    "centroid_base": base,
-                    "centroid_shifted": shifted,
-                }
-            )
-            + "\n"
-        )
+        payload = {
+            "command": "figure",
+            "output": args.output,
+            "centroid_base": base,
+            "centroid_shifted": shifted,
+        }
+        sys.stdout.write(_json(payload, indent=None))
     else:
         sys.stdout.write(
             f"wrote {args.output}: base={_g17(base)} shifted={_g17(shifted)}\n"

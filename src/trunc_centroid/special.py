@@ -28,16 +28,20 @@ std_pdf_array, std_tail_array and std_cdf_array evaluate the density and
 the tails over numpy arrays, element for element the same bits as the
 scalar functions: they call math.exp and math.erfc on each element,
 because numpy's exp differs from math.exp in the last bit on some inputs
-and numpy has no erfc.  They skip the finiteness check.
+and numpy has no erfc.  They skip the finiteness check.  They import
+numpy on their first call; the scalar functions need only math, so the
+closed form runs without numpy.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -67,6 +71,8 @@ def std_pdf(x: float) -> float:
 
 def _elementwise(fn, x: np.ndarray) -> np.ndarray:
     """fn applied to every element of x, in an array of x's shape."""
+    import numpy as np
+
     x = np.asarray(x, dtype=float)
     return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
 

@@ -322,34 +322,66 @@ def test_verify_csv_format(capsys):
     assert lines[-1].startswith("certificate_positive:min_margin,")
 
 
+WIDE_BOUNDS = [
+    "verify",
+    "--check",
+    "bounds",
+    "--mode",
+    "random",
+    "--seed",
+    "3",
+    "--n-random",
+    "500",
+    "--l-range",
+    "-60",
+    "60",
+    "1",
+    "--u-range",
+    "-60",
+    "60",
+    "1",
+    "--format",
+    "json",
+]
+
+
 def test_verify_wide_bounds_exits_zero(capsys):
-    argv = [
-        "verify",
-        "--check",
-        "bounds",
-        "--mode",
-        "random",
-        "--seed",
-        "3",
-        "--n-random",
-        "500",
-        "--l-range",
-        "-60",
-        "60",
-        "1",
-        "--u-range",
-        "-60",
-        "60",
-        "1",
-        "--format",
-        "json",
-    ]
-    assert run(argv) == 0
+    assert run(WIDE_BOUNDS) == 0
     report = json.loads(capsys.readouterr().out)["reports"][0]
     assert report["checks_run"] == 500 * 5
     assert report["passed"] is True
     assert report["violations"] == []
     assert report["untestable"]
+
+
+def _strict_json(text: str):
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["centroid", *REF, "--method", "all", "--n=1000", "--seed=7", "--format", "json"],
+        ["verify", "--check", "bounds", "--format", "json"]
+        + ["--l-range", "-1", "1", "1", "--u-range", "-1", "1", "1"],
+        WIDE_BOUNDS,
+    ],
+    ids=["centroid_all", "verify_small", "verify_wide"],
+)
+def test_json_output_is_strict(argv, capsys):
+    # NaN and Infinity are not JSON; non-finite floats are written as null.
+    assert run(argv) == 0
+    payload = _strict_json(capsys.readouterr().out)
+    if argv[0] == "centroid":
+        assert payload["results"][2]["support_mass"] is None
+    else:
+        report = payload["reports"][0]
+        assert report["min_margin_at"]["h"] is None  # the bounds use no shift
+        if argv is WIDE_BOUNDS:
+            assert any(row["margin"] is None for row in report["untestable"])
 
 
 # -------------------------------------------------------------------- sample

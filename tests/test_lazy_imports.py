@@ -1,0 +1,94 @@
+"""numpy is imported only by the commands and names that compute arrays."""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import trunc_centroid as tc
+from trunc_centroid import sampler, verification
+
+REF = ["--mu=1", "--sigma=2", "--lower=-1", "--upper=4", "--shift=2"]
+
+# Runs each argv through cli.run in one fresh process and prints, per step,
+# the exit code and whether numpy has been imported by then.
+_PROBE = """
+import contextlib, io, json, sys
+import trunc_centroid
+steps = [["import trunc_centroid", 0, "numpy" in sys.modules]]
+missing = sorted(set(trunc_centroid.__all__) - set(dir(trunc_centroid)))
+steps.append([f"dir() misses {missing}", 0 if not missing else 1, "numpy" in sys.modules])
+from trunc_centroid.cli import run
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = run(argv)
+    steps.append([argv, code, "numpy" in sys.modules])
+print(json.dumps(steps))
+"""
+
+
+def _probe(*argvs: list[str]) -> list:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE, json.dumps(argvs)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_closed_form_commands_do_not_import_numpy(tmp_path):
+    figure = str(tmp_path / "figure.csv")
+    steps = _probe(
+        *(
+            ["centroid", *REF, "--method", method, "--format", fmt]
+            for method in ("closed_form", "quadrature")
+            for fmt in ("json", "csv", "text")
+        ),
+        ["compare", *REF, "--format", "json"],
+        ["figure"],
+        ["figure", "--output", figure, "--format", "json"],
+        ["figure", "--output", figure],
+        ["--help"],
+    )
+    for step, code, numpy_loaded in steps:
+        assert code == 0, step
+        assert not numpy_loaded, step
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", *REF, "--n=100", "--seed=1"],
+        ["verify", "--check", "monotonicity"],
+        ["centroid", *REF, "--method", "all", "--n=100", "--seed=1"],
+    ],
+    ids=["sample", "verify", "method_all"],
+)
+def test_array_commands_import_numpy(argv):
+    _, code, numpy_loaded = _probe(argv)[-1]
+    assert code == 0
+    assert numpy_loaded
+
+
+def test_lazy_names_resolve():
+    for name in tc.__all__:
+        assert getattr(tc, name) is not None, name
+    assert tc.sample_exterior is sampler.sample_exterior
+    assert tc.MonteCarloEstimate is sampler.MonteCarloEstimate
+    assert tc.SweepSpec is verification.SweepSpec
+    assert tc.write_report_csv is verification.write_report_csv
+    assert tc.write_reference_figure is verification.write_reference_figure
+    namespace = {}
+    exec("from trunc_centroid import *", namespace)
+    assert set(tc.__all__) <= namespace.keys()
+    assert set(tc.__all__) <= set(dir(tc))
+    with pytest.raises(AttributeError):
+        tc.no_such_name
+    with pytest.raises(ImportError):
+        exec("from trunc_centroid import no_such_name", {})
