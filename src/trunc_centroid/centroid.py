@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError, IntervalError
+from .model import LOW_MASS_FLOOR, LOW_SUPPORT_MASS  # re-exported here
 from .model import CentroidResult, ExcludedInterval, GaussianParams, Method, ShiftComparison, StandardizedProblem
 from .special import (
     log_std_cdf,
@@ -37,13 +38,10 @@ from .special import (
 
 # Below this the direct denominator is useless and the log branch takes over.
 DEEP_MASS_FLOOR = 1e-300
-# Below this the direct path still works but deserves a condition flag.
-LOW_MASS_FLOOR = 1e-12
 # Below this, squaring the denominator for the slope would underflow.
 _SLOPE_DIRECT_FLOOR = 1e-150
 
 DEEP_TRUNCATION = "deep_truncation"
-LOW_SUPPORT_MASS = "low_support_mass"
 
 
 def _check_finite(value: float, name: str) -> float:

@@ -24,6 +24,11 @@ class Method(str, enum.Enum):
     MONTE_CARLO = "monte_carlo"
 
 
+# Exterior mass below which a result carries the LOW_SUPPORT_MASS flag.
+LOW_MASS_FLOOR = 1e-12
+LOW_SUPPORT_MASS = "low_support_mass"
+
+
 def _require_finite(value: float, name: str) -> float:
     value = float(value)
     if not math.isfinite(value):
@@ -102,6 +107,8 @@ class CentroidResult:
     method: Method
     support_mass: float
     warnings: tuple[str, ...] = field(default_factory=tuple)
+    # Certified bound on |value - exact centroid|, where the method has one.
+    abs_error_bound: float | None = None
 
 
 @dataclass(frozen=True)

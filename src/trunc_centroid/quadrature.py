@@ -2,22 +2,35 @@
 
 This module answers the same question as the closed form but by direct
 numerical integration of the defining ratio: first moment over mass on
-the exterior support.  It never calls the closed-form machinery; the
-only primitive shared with that path is the standard-normal density.
+the exterior support.  It never calls the closed-form machinery.
 
-Integrals run over finite windows [loc - c*sigma, lower] and
-[upper, loc + c*sigma] with c = tail_cutoff_sigmas.  What the windows
-cut off is covered by analytic remainder bounds (classical tail
-comparisons, used only to certify smallness, never added to the value):
+It works in standardized coordinates t = (x - loc) / sigma, loc = mu +
+shift.  Each exterior ray, clipped to the window [-c, c] with c =
+tail_cutoff_sigmas, is one adaptive Gauss-Kronrod 7-15 pass over the pair
+(phi(t), t * phi(t)): a panel evaluates phi once per node and forms the
+K15/G7 estimates of both integrals (the error estimator is QUADPACK's
+rescaled |K15 - G7| ** 1.5), and the panel with the largest summed error
+is bisected until the ray's mass error and moment error each meet
+max(abs_tol, rel_tol * |value|).  So abs_tol and rel_tol apply to the
+standardized integrals, and max_subdivisions counts the splits of one ray.
+The result maps back once: mass m and centroid loc + sigma * r, r = T / m
+with T the standardized first moment.
 
-    mass beyond c sigmas        <= 2 * std_pdf(c) / c
-    |moment| beyond c sigmas    <= 2 * std_pdf(c) * (|loc| / c + sigma)
+The window's cut-off, both tails together, is bounded by constants (used
+only to certify smallness, never added to the value):
 
-Each window is integrated by adaptive Gauss-Kronrod 7-15 panels with
-worst-panel bisection.  Node and weight values are the classical 15-point
-Kronrod set; the error estimator is the standard rescaled
-|K15 - G7| ** 1.5 formula, which sharpens the raw difference on smooth
-integrands such as these.
+    mass beyond c <= 2 * phi(c) / c        |moment| beyond c <= 2 * phi(c)
+
+With Dm and DT the summed error estimates plus these remainders,
+centroid_quadrature's abs_error_bound bounds |value - exact centroid| by
+
+    sigma * (DT + |r| * Dm) / (m - Dm) + eps * (|value| + sigma * |r|
+        + (1 + S) * (|loc| + sigma * max(|a|, |b|)))
+
+with a, b the standardized hole edges clamped to [-c, c] and S = sum of
+phi(e) * |e - r| / m over e = a, b, the ratio's sensitivity to them.  The
+first term carries the integration error through the ratio (infinite when
+Dm >= m), the second the rounding of loc, of the edges and of the map back.
 """
 
 from __future__ import annotations
@@ -25,44 +38,36 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from operator import add, mul
 
 from .errors import DeepTruncationError, DomainError, ParameterError, ToleranceNotMetError
+from .model import LOW_MASS_FLOOR, LOW_SUPPORT_MASS
 from .model import CentroidResult, ExcludedInterval, GaussianParams, Method
-from .special import std_pdf
+from .special import INV_SQRT_2PI, std_pdf
 
 # 15-point Kronrod abscissae on [0, 1); even indices interleave the
 # 7-point Gauss rule whose nodes are xgk[1], xgk[3], xgk[5] and 0.
 _XGK = (
-    0.9914553711208126,
-    0.9491079123427585,
-    0.8648644233597691,
-    0.7415311855993944,
-    0.5860872354676911,
-    0.4058451513773972,
-    0.2077849550078985,
-    0.0,
+    0.9914553711208126, 0.9491079123427585, 0.8648644233597691,
+    0.7415311855993944, 0.5860872354676911, 0.4058451513773972,
+    0.2077849550078985, 0.0,
 )
 _WGK = (
-    0.022935322010529224,
-    0.06309209262997855,
-    0.10479001032225018,
-    0.14065325971552592,
-    0.1690047266392679,
-    0.19035057806478542,
-    0.2044329400752989,
-    0.20948214108472782,
+    0.022935322010529224, 0.06309209262997855, 0.10479001032225018,
+    0.14065325971552592, 0.1690047266392679, 0.19035057806478542,
+    0.2044329400752989, 0.20948214108472782,
 )
 _WG = (
-    0.12948496616886969,
-    0.2797053914892766,
-    0.3818300505051189,
+    0.12948496616886969, 0.2797053914892766, 0.3818300505051189,
     0.4179591836734694,
 )
+
+# The 15 nodes on [-1, 1] in ascending order.
+_NODES = tuple(-x for x in _XGK[:7]) + _XGK[7:] + _XGK[6::-1]
 
 _EPS = 2.220446049250313e-16
 # Oracle refuses configurations whose support mass sits at underflow scale.
 ORACLE_MASS_FLOOR = 1e-290
-_LOW_MASS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -87,128 +92,111 @@ class QuadratureConfig:
             )
 
 
-def _kronrod_panel(func, a: float, b: float) -> tuple[float, float]:
-    """One 7-15 panel on [a, b]: (integral estimate, error estimate)."""
-    center = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    fc = func(center)
-    resk = _WGK[7] * fc
-    resg = _WG[3] * fc
-    resabs = _WGK[7] * abs(fc)
-    pairs = []
-    for j in range(7):
-        dx = half * _XGK[j]
-        f_lo = func(center - dx)
-        f_hi = func(center + dx)
-        pairs.append((f_lo, f_hi))
-        resk += _WGK[j] * (f_lo + f_hi)
-        resabs += _WGK[j] * (abs(f_lo) + abs(f_hi))
-    for g, j in enumerate((1, 3, 5)):
-        resg += _WG[g] * (pairs[j][0] + pairs[j][1])
-    reskh = 0.5 * resk
-    resasc = _WGK[7] * abs(fc - reskh)
-    for j in range(7):
-        resasc += _WGK[j] * (abs(pairs[j][0] - reskh) + abs(pairs[j][1] - reskh))
-    value = resk * half
-    resabs *= half
-    resasc *= half
+def _rule(ys: list, half: float) -> tuple[float, float]:
+    """K15 integral and QUADPACK error estimate from the 15 node values.
+
+    Mirror nodes are summed in pairs, so a panel mirrored about 0 gives the
+    same error and, for an odd integrand, exactly the opposite value.
+    """
+    lo = ys[:7]
+    hi = ys[:7:-1]
+    pairs = list(map(add, lo, hi))
+    resk = _WGK[7] * ys[7] + sum(map(mul, _WGK, pairs))
+    resg = _WG[3] * ys[7] + _WG[0] * pairs[1] + _WG[1] * pairs[3] + _WG[2] * pairs[5]
+    mean = 0.5 * resk
+    resabs = _WGK[7] * abs(ys[7])
+    resasc = _WGK[7] * abs(ys[7] - mean)
+    for w, y_lo, y_hi in zip(_WGK, lo, hi):
+        resabs += w * (abs(y_lo) + abs(y_hi))
+        resasc += w * (abs(y_lo - mean) + abs(y_hi - mean))
     err = abs((resk - resg) * half)
+    resasc *= half
     if resasc != 0.0 and err != 0.0:
         err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    if resabs > 0.0:
-        err = max(err, 50.0 * _EPS * resabs)
-    return value, err
+    return resk * half, max(err, 50.0 * _EPS * resabs * half)
 
 
-def _integrate(func, a: float, b: float, cfg: QuadratureConfig) -> tuple[float, float]:
-    """Adaptive integral of func over [a, b] with worst-panel bisection."""
+def _kronrod_panel(func, a: float, b: float) -> tuple[float, float, float, float]:
+    """One 7-15 panel on [a, b] for the pair f(t) and t * f(t).
+
+    func maps the list of 15 nodes to the list of f values, so f is
+    evaluated once per node.  Returns (integral of f, integral of t * f,
+    error of the first, error of the second).
+    """
+    center = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    ts = [center + half * x for x in _NODES]
+    fs = func(ts)
+    value, err = _rule(fs, half)
+    moment, moment_err = _rule(list(map(mul, ts, fs)), half)
+    return value, moment, err, moment_err
+
+
+def _phi(ts: list) -> list:
+    """Standard normal density at each t, with the bits of special.std_pdf."""
+    return [INV_SQRT_2PI * math.exp(-0.5 * (t * t)) for t in ts]
+
+
+def _integrate(func, a: float, b: float, cfg: QuadratureConfig) -> tuple[float, ...]:
+    """Adaptive pass over [a, b] for the pair (func(t), t * func(t)).
+
+    Returns (integral of func, integral of t * func, their error
+    estimates).  The panel with the largest summed error is bisected until
+    both errors meet max(abs_tol, rel_tol * |value|).
+    """
     if not b > a:
-        return 0.0, 0.0
-    value, err = _kronrod_panel(func, a, b)
-    panels = [(-err, 0, a, b, value, err)]
-    total_value = value
-    total_err = err
+        return 0.0, 0.0, 0.0, 0.0
+    first = _kronrod_panel(func, a, b)
+    panels = [(-(first[2] + first[3]), 0, a, b, first)]
+    value, moment, err, moment_err = first
     splits = 0
-    while total_err > max(cfg.abs_tol, cfg.rel_tol * abs(total_value)):
+    while err > max(cfg.abs_tol, cfg.rel_tol * abs(value)) or moment_err > max(
+        cfg.abs_tol, cfg.rel_tol * abs(moment)
+    ):
         if splits >= cfg.max_subdivisions:
             raise ToleranceNotMetError(
                 f"subdivision budget {cfg.max_subdivisions} exhausted on "
-                f"[{a!r}, {b!r}]: error estimate {total_err:.3e}"
+                f"[{a!r}, {b!r}]: error estimates {err:.3e}, {moment_err:.3e}"
             )
-        _, _, pa, pb, pvalue, perr = heapq.heappop(panels)
+        _, _, pa, pb, old = heapq.heappop(panels)
         mid = 0.5 * (pa + pb)
         if not pa < mid < pb:
             raise ToleranceNotMetError(
                 f"panel [{pa!r}, {pb!r}] cannot be split further"
             )
         splits += 1
-        lv, le = _kronrod_panel(func, pa, mid)
-        rv, re = _kronrod_panel(func, mid, pb)
-        heapq.heappush(panels, (-le, 2 * splits - 1, pa, mid, lv, le))
-        heapq.heappush(panels, (-re, 2 * splits, mid, pb, rv, re))
-        total_value += lv + rv - pvalue
-        total_err += le + re - perr
-    total_value = math.fsum(entry[4] for entry in panels)
-    total_err = math.fsum(entry[5] for entry in panels)
-    return total_value, total_err
+        left = _kronrod_panel(func, pa, mid)
+        right = _kronrod_panel(func, mid, pb)
+        heapq.heappush(panels, (-(left[2] + left[3]), 2 * splits - 1, pa, mid, left))
+        heapq.heappush(panels, (-(right[2] + right[3]), 2 * splits, mid, pb, right))
+        value += left[0] + right[0] - old[0]
+        moment += left[1] + right[1] - old[1]
+        err += left[2] + right[2] - old[2]
+        moment_err += left[3] + right[3] - old[3]
+    return tuple(math.fsum(entry[4][k] for entry in panels) for k in range(4))
 
 
-def _check_shift(shift: float) -> float:
-    shift = float(shift)
-    if not math.isfinite(shift):
-        raise DomainError(f"shift must be finite, got {shift!r}")
-    return shift
+def _remainders(cut: float) -> tuple[float, float]:
+    """Bounds on the standardized mass and |moment| beyond +-cut."""
+    tail = 2.0 * std_pdf(cut)
+    return tail / cut, tail
 
 
-def _ray_integrals(
-    params: GaussianParams,
-    hole: ExcludedInterval,
-    shift: float,
-    cfg: QuadratureConfig,
-    with_moment: bool,
-) -> dict:
-    """Windowed mass (and optionally moment) of each exterior ray."""
-    shift = _check_shift(shift)
+def _rays(params: GaussianParams, hole: ExcludedInterval, shift: float, cfg: QuadratureConfig):
+    """loc, the standardized hole edges clamped to [-c, c], then
+    _integrate's result for the left and for the right ray."""
     loc = params.mu + shift
-    sigma = params.sigma
+    if not math.isfinite(loc):
+        raise DomainError(f"mu + shift must be finite, got {loc!r}")
     cut = cfg.tail_cutoff_sigmas
-    window_lo = loc - cut * sigma
-    window_hi = loc + cut * sigma
-
-    mass_remainder = 2.0 * std_pdf(cut) / cut
-    if mass_remainder >= cfg.abs_tol:
+    moment_remainder = _remainders(cut)[1]
+    if moment_remainder >= cfg.abs_tol:
         raise ToleranceNotMetError(
-            f"tail remainder bound {mass_remainder:.3e} at cutoff "
+            f"tail remainder bound {moment_remainder:.3e} at cutoff "
             f"{cut} sigmas exceeds abs_tol {cfg.abs_tol:.3e}"
         )
-
-    inv_sigma = 1.0 / sigma
-
-    def density(x: float) -> float:
-        return std_pdf((x - loc) * inv_sigma) * inv_sigma
-
-    left = (window_lo, min(hole.lower, window_hi))
-    right = (max(hole.upper, window_lo), window_hi)
-    out = {}
-    out["left_mass"], out["left_mass_err"] = _integrate(density, *left, cfg)
-    out["right_mass"], out["right_mass_err"] = _integrate(density, *right, cfg)
-    out["mass_remainder"] = mass_remainder
-
-    if with_moment:
-        moment_remainder = 2.0 * std_pdf(cut) * (abs(loc) / cut + sigma)
-        if moment_remainder >= cfg.abs_tol:
-            raise ToleranceNotMetError(
-                f"moment remainder bound {moment_remainder:.3e} at cutoff "
-                f"{cut} sigmas exceeds abs_tol {cfg.abs_tol:.3e}"
-            )
-
-        def weighted(x: float) -> float:
-            return x * density(x)
-
-        out["left_moment"], out["left_moment_err"] = _integrate(weighted, *left, cfg)
-        out["right_moment"], out["right_moment_err"] = _integrate(weighted, *right, cfg)
-        out["moment_remainder"] = moment_remainder
-    return out
+    a, b = (min(max((x - loc) / params.sigma, -cut), cut) for x in (hole.lower, hole.upper))
+    return loc, (a, b), _integrate(_phi, -cut, a, cfg), _integrate(_phi, b, cut, cfg)
 
 
 def exterior_mass(
@@ -218,8 +206,8 @@ def exterior_mass(
     cfg: QuadratureConfig = QuadratureConfig(),
 ) -> float:
     """Probability that the shifted Gaussian lands outside the hole."""
-    pieces = _ray_integrals(params, hole, shift, cfg, with_moment=False)
-    return pieces["left_mass"] + pieces["right_mass"]
+    _, _, left, right = _rays(params, hole, shift, cfg)
+    return left[0] + right[0]
 
 
 def exterior_first_moment(
@@ -229,8 +217,8 @@ def exterior_first_moment(
     cfg: QuadratureConfig = QuadratureConfig(),
 ) -> float:
     """Unnormalized first moment of the shifted Gaussian outside the hole."""
-    pieces = _ray_integrals(params, hole, shift, cfg, with_moment=True)
-    return pieces["left_moment"] + pieces["right_moment"]
+    loc, _, left, right = _rays(params, hole, shift, cfg)
+    return loc * (left[0] + right[0]) + params.sigma * (left[1] + right[1])
 
 
 def centroid_quadrature(
@@ -239,19 +227,31 @@ def centroid_quadrature(
     shift: float,
     cfg: QuadratureConfig = QuadratureConfig(),
 ) -> CentroidResult:
-    """Centroid as a ratio of two independently integrated quantities."""
-    pieces = _ray_integrals(params, hole, shift, cfg, with_moment=True)
-    mass = pieces["left_mass"] + pieces["right_mass"]
+    """Centroid as the ratio of the integrated moment and mass."""
+    loc, edges, left, right = _rays(params, hole, shift, cfg)
+    mass = left[0] + right[0]
     if mass <= ORACLE_MASS_FLOOR:
         raise DeepTruncationError(
             f"support mass {mass:.3e} is at underflow scale; the quadrature "
             f"oracle declines (the closed form still applies)"
         )
-    moment = pieces["left_moment"] + pieces["right_moment"]
-    warnings = ("low_support_mass",) if mass < _LOW_MASS else ()
+    sigma = params.sigma
+    ratio = (left[1] + right[1]) / mass
+    value = loc + sigma * ratio
+    mass_remainder, moment_remainder = _remainders(cfg.tail_cutoff_sigmas)
+    d_mass = left[2] + right[2] + mass_remainder
+    d_moment = left[3] + right[3] + moment_remainder
+    bound = math.inf
+    if mass > d_mass:
+        spread = (d_moment + abs(ratio) * d_mass) / (mass - d_mass)
+        sensitivity = sum(f * abs(e - ratio) for f, e in zip(_phi(edges), edges)) / mass
+        inputs = abs(loc) + sigma * max(map(abs, edges))
+        rounding = abs(value) + sigma * abs(ratio) + (1.0 + sensitivity) * inputs
+        bound = sigma * spread + _EPS * rounding
     return CentroidResult(
-        value=moment / mass,
+        value=value,
         method=Method.QUADRATURE,
         support_mass=mass,
-        warnings=warnings,
+        warnings=(LOW_SUPPORT_MASS,) if mass < LOW_MASS_FLOOR else (),
+        abs_error_bound=bound,
     )

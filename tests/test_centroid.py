@@ -27,7 +27,7 @@ from trunc_centroid.centroid import (
 )
 from trunc_centroid.errors import DomainError, IntervalError, ParameterError
 from trunc_centroid.model import ExcludedInterval, GaussianParams, Method
-from trunc_centroid.quadrature import QuadratureConfig, _ray_integrals, centroid_quadrature
+from trunc_centroid.quadrature import QuadratureConfig, _rays, centroid_quadrature
 from trunc_centroid.special import std_cdf_array, std_pdf_array, std_tail_array
 
 REF_PARAMS = GaussianParams(mu=1.0, sigma=2.0)
@@ -251,24 +251,21 @@ def test_centroid_between_tail_means():
         (GaussianParams(-2.0, 0.7), ExcludedInterval(-3.0, -1.0), 1.2),
     ]
     for params, hole, shift in configs:
-        pieces = _ray_integrals(params, hole, shift, CFG, True)
-        left_mean = pieces["left_moment"] / pieces["left_mass"]
-        right_mean = pieces["right_moment"] / pieces["right_mass"]
+        loc, _, left, right = _rays(params, hole, shift, CFG)
+        left_mean = loc + params.sigma * left[1] / left[0]
+        right_mean = loc + params.sigma * right[1] / right[0]
         value = centroid_exterior(params, hole, shift).value
         assert min(left_mean, right_mean) - 1e-12 <= value
         assert value <= max(left_mean, right_mean) + 1e-12
 
 
 def test_tail_means_reference_values():
-    pieces = _ray_integrals(
-        GaussianParams(0.0, 1.0), ExcludedInterval(-1.0, 1.5), 0.0, CFG, True
+    # Standard params: the standardized ray means are the means themselves.
+    _, _, left, right = _rays(
+        GaussianParams(0.0, 1.0), ExcludedInterval(-1.0, 1.5), 0.0, CFG
     )
-    assert math.isclose(
-        pieces["left_moment"] / pieces["left_mass"], -1.5251352761609812, rel_tol=1e-11
-    )
-    assert math.isclose(
-        pieces["right_moment"] / pieces["right_mass"], 1.9386771666225432, rel_tol=1e-11
-    )
+    assert math.isclose(left[1] / left[0], -1.5251352761609812, rel_tol=1e-11)
+    assert math.isclose(right[1] / right[0], 1.9386771666225432, rel_tol=1e-11)
 
 
 def test_array_helpers_match_scalar_functions():

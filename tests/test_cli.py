@@ -103,6 +103,20 @@ def test_unattainable_tolerance_exit_code(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("sigma", ["1e200", "1e308"])
+def test_quadrature_at_extreme_scale_exits_zero(sigma, capsys):
+    # The oracle integrates in units of sigma: no remainder scaled by sigma
+    # and no window edge that overflows.
+    argv = ["--mu=0", f"--sigma={sigma}", "--lower=-1", "--upper=1"]
+    assert run(["centroid", *argv, "--method", "quadrature", "--format", "json"]) == 0
+    result = json.loads(capsys.readouterr().out)["results"][0]
+    assert set(result) == {"method", "value", "support_mass", "warnings"}
+    closed = centroid_exterior(
+        GaussianParams(0.0, float(sigma)), ExcludedInterval(-1.0, 1.0), 0.0
+    )
+    assert result["value"] == closed.value == 0.0
+
+
 def test_negative_scientific_notation_with_equals(capsys):
     assert run(["centroid", *REF, "--shift=-1e-3"]) == 0
     capsys.readouterr()

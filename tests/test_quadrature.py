@@ -11,8 +11,11 @@ import math
 
 import pytest
 
+from trunc_centroid import centroid, model, quadrature
+from trunc_centroid.centroid import centroid_exterior
 from trunc_centroid.errors import (
     DeepTruncationError,
+    DomainError,
     ParameterError,
     ToleranceNotMetError,
 )
@@ -22,7 +25,9 @@ from trunc_centroid.quadrature import (
     _WGK,
     _integrate,
     _kronrod_panel,
-    _ray_integrals,
+    _phi,
+    _rays,
+    _remainders,
     QuadratureConfig,
     centroid_quadrature,
     exterior_first_moment,
@@ -40,39 +45,60 @@ def test_weights_sum_to_interval_length():
 
 
 def test_panel_exact_on_polynomials():
-    # Kronrod 15 integrates degree <= 22 exactly; check a few.
+    # Kronrod 15 integrates degree <= 22 exactly; check a few.  The panel
+    # also integrates t * f, one degree higher.
     for degree in (3, 8, 13, 20):
-        value, err = _kronrod_panel(lambda x: x**degree, 0.0, 1.0)
+        value, moment, _, _ = _kronrod_panel(
+            lambda ts: [t**degree for t in ts], 0.0, 1.0
+        )
         assert math.isclose(value, 1.0 / (degree + 1), rel_tol=1e-13)
-    value, _ = _kronrod_panel(lambda x: 4.0 * x**3 - 2.0 * x, -1.0, 2.0)
+        assert math.isclose(moment, 1.0 / (degree + 2), rel_tol=1e-13)
+    value, moment, _, _ = _kronrod_panel(
+        lambda ts: [4.0 * t**3 - 2.0 * t for t in ts], -1.0, 2.0
+    )
     assert math.isclose(value, (2.0**4 - 1.0) - (4.0 - 1.0), rel_tol=1e-13)
+    expected_moment = 0.8 * (2.0**5 + 1.0) - (2.0 / 3.0) * (2.0**3 + 1.0)
+    assert math.isclose(moment, expected_moment, rel_tol=1e-13)
+
+
+def test_panel_mirror_is_exact():
+    # Node values are summed in mirror pairs: a panel reflected about 0
+    # gives the same mass and error and exactly the opposite moment.
+    for a, b in ((0.3, 2.9), (1.0, 12.0), (-0.7, 4.1)):
+        right = _kronrod_panel(_phi, a, b)
+        left = _kronrod_panel(_phi, -b, -a)
+        assert left == (right[0], -right[1], right[2], right[3])
 
 
 def test_integrate_known_gaussian_masses():
-    value, err = _integrate(std_pdf, -1.0, 1.0, CFG)
+    value, moment, err, moment_err = _integrate(_phi, -1.0, 1.0, CFG)
     assert math.isclose(value, 1.0 - 0.3173105078629141, rel_tol=1e-13)
     assert err <= max(CFG.abs_tol, CFG.rel_tol * abs(value))
-    value, err = _integrate(std_pdf, -12.0, -1.0, CFG)
+    assert moment == 0.0 and moment_err <= CFG.abs_tol
+    value, moment, _, _ = _integrate(_phi, -12.0, -1.0, CFG)
     assert math.isclose(value, 0.15865525393145705, rel_tol=1e-12)
+    # the integral of t * phi(t) from -12 to -1 is phi(12) - phi(1)
+    assert math.isclose(moment, std_pdf(12.0) - std_pdf(1.0), rel_tol=1e-12)
 
 
 def test_integrate_error_estimate_is_honest():
     # Halving the tolerances moves the value by less than the reported error.
     tight = QuadratureConfig(abs_tol=5e-14, rel_tol=5e-13)
-    coarse_value, coarse_err = _integrate(std_pdf, -12.0, -1.0, CFG)
-    tight_value, _ = _integrate(std_pdf, -12.0, -1.0, tight)
-    assert abs(coarse_value - tight_value) <= coarse_err
+    coarse = _integrate(_phi, -12.0, -1.0, CFG)
+    tight_pass = _integrate(_phi, -12.0, -1.0, tight)
+    assert abs(coarse[0] - tight_pass[0]) <= coarse[2]
+    assert abs(coarse[1] - tight_pass[1]) <= coarse[3]
 
 
 def test_integrate_empty_interval():
-    assert _integrate(std_pdf, 1.0, 1.0, CFG) == (0.0, 0.0)
-    assert _integrate(std_pdf, 2.0, 1.0, CFG) == (0.0, 0.0)
+    assert _integrate(_phi, 1.0, 1.0, CFG) == (0.0, 0.0, 0.0, 0.0)
+    assert _integrate(_phi, 2.0, 1.0, CFG) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_integrate_budget_exhaustion():
     cfg = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-12, max_subdivisions=1)
     with pytest.raises(ToleranceNotMetError):
-        _integrate(lambda x: abs(x - 0.123456) ** 0.5, -4.0, 9.0, cfg)
+        _integrate(lambda ts: [abs(t - 0.123456) ** 0.5 for t in ts], -4.0, 9.0, cfg)
 
 
 def test_exterior_mass_symmetric_hole():
@@ -180,14 +206,17 @@ def test_hole_edge_outside_window_is_not_missed():
 
 
 def test_ray_integrals_split_and_errors():
-    pieces = _ray_integrals(
-        GaussianParams(1.0, 2.0), ExcludedInterval(-1.0, 4.0), 0.0, CFG, True
+    # Each ray's pass is standardized: (mass, moment, mass_err, moment_err)
+    # with t = (x - loc) / sigma, loc = 1 and sigma = 2 here.
+    loc, _, left, right = _rays(
+        GaussianParams(1.0, 2.0), ExcludedInterval(-1.0, 4.0), 0.0, CFG
     )
-    assert math.isclose(pieces["left_mass"], 0.15865525393145705, rel_tol=1e-12)
-    assert math.isclose(pieces["right_mass"], 0.06680720126885807, rel_tol=1e-12)
-    assert pieces["left_mass_err"] <= CFG.abs_tol
-    assert pieces["mass_remainder"] < CFG.abs_tol
-    total = pieces["left_moment"] + pieces["right_moment"]
+    assert loc == 1.0
+    assert math.isclose(left[0], 0.15865525393145705, rel_tol=1e-12)
+    assert math.isclose(right[0], 0.06680720126885807, rel_tol=1e-12)
+    assert left[2] <= CFG.abs_tol
+    assert _remainders(CFG.tail_cutoff_sigmas)[0] < CFG.abs_tol
+    total = loc * (left[0] + right[0]) + 2.0 * (left[1] + right[1])
     assert math.isclose(
         total, 0.0024669184646184749 * 0.22546245520031512, rel_tol=1e-9, abs_tol=1e-15
     )
@@ -202,3 +231,75 @@ def test_config_validation():
         QuadratureConfig(tail_cutoff_sigmas=7.9)
     with pytest.raises(ParameterError):
         QuadratureConfig(max_subdivisions=0)
+
+
+@pytest.mark.parametrize("sigma", [1e-300, 1e20, 1e200, 1e307])
+def test_scale_invariance_at_extreme_sigma(sigma):
+    # Everything is integrated in units of sigma, so neither the window
+    # nor the moment remainder depends on the scale of the problem.
+    def solve(s):
+        params = GaussianParams(0.5 * s, s)
+        return centroid_quadrature(params, ExcludedInterval(-s, 1.5 * s), 0.25 * s, CFG)
+
+    unit = solve(1.0)
+    scaled = solve(sigma)
+    assert math.isclose(scaled.value / sigma, unit.value, rel_tol=1e-12)
+    assert math.isclose(scaled.support_mass, unit.support_mass, rel_tol=1e-12)
+    assert math.isclose(scaled.abs_error_bound / sigma, unit.abs_error_bound, rel_tol=1e-6)
+
+
+def test_symmetric_hole_is_exactly_zero_at_any_scale():
+    # Mirror rays give exactly opposite moments, so no residue is scaled up.
+    for sigma in (1.0, 1e200, 1e308):
+        result = centroid_quadrature(
+            GaussianParams(0.0, sigma), ExcludedInterval(-1.0, 1.0), 0.0, CFG
+        )
+        assert result.value == 0.0
+
+
+def test_abs_error_bound_reported():
+    params = GaussianParams(1.0, 2.0)
+    hole = ExcludedInterval(-1.0, 4.0)
+    result = centroid_quadrature(params, hole, 2.0, CFG)
+    closed = centroid_exterior(params, hole, 2.0)
+    assert closed.abs_error_bound is None
+    assert 0.0 < result.abs_error_bound < 1e-11
+    assert abs(result.value - closed.value) <= result.abs_error_bound
+
+
+def test_abs_error_bound_formula():
+    # The bound as the module docstring states it, rebuilt from the rays.
+    eps = 2.220446049250313e-16
+    for cut in (8.0, 12.0):
+        cfg = QuadratureConfig(tail_cutoff_sigmas=cut)
+        for params, hole, shift in (
+            (GaussianParams(1.0, 2.0), ExcludedInterval(-1.0, 4.0), 2.0),
+            (GaussianParams(3e5, 0.1), ExcludedInterval(3e5 - 0.2, 3e5 + 0.05), 0.03),
+        ):
+            loc, (a, b), left, right = _rays(params, hole, shift, cfg)
+            m, r = left[0] + right[0], (left[1] + right[1]) / (left[0] + right[0])
+            mass_rem, moment_rem = _remainders(cut)
+            d_mass = left[2] + right[2] + mass_rem
+            d_moment = left[3] + right[3] + moment_rem
+            result = centroid_quadrature(params, hole, shift, cfg)
+            s = (std_pdf(a) * abs(a - r) + std_pdf(b) * abs(b - r)) / m
+            rounding = eps * (
+                abs(result.value) + params.sigma * abs(r)
+                + (1.0 + s) * (abs(loc) + params.sigma * max(abs(a), abs(b)))
+            )
+            expected = params.sigma * (d_moment + abs(r) * d_mass) / (m - d_mass) + rounding
+            assert math.isclose(result.abs_error_bound, expected, rel_tol=1e-12)
+
+
+def test_low_mass_flag_defined_once():
+    assert quadrature.LOW_SUPPORT_MASS is model.LOW_SUPPORT_MASS
+    assert centroid.LOW_SUPPORT_MASS is model.LOW_SUPPORT_MASS
+    assert quadrature.LOW_MASS_FLOOR is model.LOW_MASS_FLOOR is centroid.LOW_MASS_FLOOR
+
+
+def test_non_finite_location_rejected():
+    for shift in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            centroid_quadrature(STD, ExcludedInterval(-1.0, 1.0), shift, CFG)
+    with pytest.raises(DomainError):
+        exterior_mass(GaussianParams(1e308, 1.0), ExcludedInterval(-1.0, 1.0), 1e308, CFG)
