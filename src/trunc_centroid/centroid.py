@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError, IntervalError
+from .errors import IntervalError, require_finite
 from .model import LOW_MASS_FLOOR, LOW_SUPPORT_MASS  # re-exported here
 from .model import CentroidResult, ExcludedInterval, GaussianParams, Method, ShiftComparison, StandardizedProblem
 from .special import (
@@ -44,16 +44,9 @@ _SLOPE_DIRECT_FLOOR = 1e-150
 DEEP_TRUNCATION = "deep_truncation"
 
 
-def _check_finite(value: float, name: str) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise DomainError(f"{name} must be finite, got {value!r}")
-    return value
-
-
 def _check_hole(lower: float, upper: float) -> tuple[float, float]:
-    lower = _check_finite(lower, "lower")
-    upper = _check_finite(upper, "upper")
+    lower = require_finite(lower, "lower")
+    upper = require_finite(upper, "upper")
     if not upper > lower:
         raise IntervalError(f"hole needs upper > lower, got ({lower!r}, {upper!r})")
     return lower, upper
@@ -63,7 +56,7 @@ def standardize(
     params: GaussianParams, hole: ExcludedInterval, shift: float
 ) -> StandardizedProblem:
     """Map an (mu, sigma) problem to standard-normal coordinates."""
-    shift = _check_finite(shift, "shift")
+    shift = require_finite(shift, "shift")
     return StandardizedProblem(
         l_hat=(hole.lower - params.mu) / params.sigma,
         u_hat=(hole.upper - params.mu) / params.sigma,
@@ -103,6 +96,25 @@ def _quotient_slope_from(ru, rl, f_ru, f_rl, m):
     return 1.0 + (ru * f_ru - rl * f_rl) / m - ratio * ratio
 
 
+def _log_add(a: float, b: float) -> float:
+    """log(exp(a) + exp(b)), free of overflow and underflow."""
+    hi = max(a, b)
+    return hi + math.log1p(math.exp(min(a, b) - hi))
+
+
+def _log_offset(ru: float, rl: float) -> tuple[float, float, float, float]:
+    """The log branch: log mass, log_std_pdf at ru and rl, and the offset
+    (std_pdf(ru) - std_pdf(rl)) / mass, each from logarithms."""
+    log_mass = _log_add(log_std_tail(ru), log_std_cdf(rl))
+    lf_ru = log_std_pdf(ru)
+    lf_rl = log_std_pdf(rl)
+    if lf_ru == lf_rl:
+        return log_mass, lf_ru, lf_rl, 0.0
+    big, small, sign = (lf_ru, lf_rl, 1.0) if lf_ru > lf_rl else (lf_rl, lf_ru, -1.0)
+    log_num = big + math.log(-math.expm1(small - big))
+    return log_mass, lf_ru, lf_rl, sign * math.exp(log_num - log_mass)
+
+
 def _offset_mass_flags(
     shift: float, lower: float, upper: float
 ) -> tuple[float, float, list[str]]:
@@ -119,19 +131,7 @@ def _offset_mass_flags(
         return offset, mass, flags
 
     # Both tail pieces underflow; rebuild the ratio from logarithms.
-    log_right = log_std_tail(ru)
-    log_left = log_std_cdf(rl)
-    hi = max(log_right, log_left)
-    log_mass = hi + math.log1p(math.exp(min(log_right, log_left) - hi))
-    lf_ru = log_std_pdf(ru)
-    lf_rl = log_std_pdf(rl)
-    if lf_ru == lf_rl:
-        offset = 0.0
-    else:
-        sign = 1.0 if lf_ru > lf_rl else -1.0
-        big, small = (lf_ru, lf_rl) if lf_ru > lf_rl else (lf_rl, lf_ru)
-        log_num = big + math.log(-math.expm1(small - big))
-        offset = sign * math.exp(log_num - log_mass)
+    log_mass, _, _, offset = _log_offset(ru, rl)
     # exp may flush to zero here; the flag records that the mass is nominal.
     return offset, math.exp(log_mass), [DEEP_TRUNCATION, LOW_SUPPORT_MASS]
 
@@ -142,7 +142,7 @@ def std_exterior_centroid(shift: float, lower: float, upper: float) -> float:
     Strictly increasing in `shift` for any fixed hole; the verification
     sweeps exercise that claim.
     """
-    shift = _check_finite(shift, "shift")
+    shift = require_finite(shift, "shift")
     lower, upper = _check_hole(lower, upper)
     offset, _, _ = _offset_mass_flags(shift, lower, upper)
     return shift + offset
@@ -175,8 +175,8 @@ def slope_certificate(x1: float, x2: float) -> float:
     std_exterior_centroid at `shift` equals
     certificate(upper - shift, lower - shift) / m**2.
     """
-    x1 = _check_finite(x1, "x1")
-    x2 = _check_finite(x2, "x2")
+    x1 = require_finite(x1, "x1")
+    x2 = require_finite(x2, "x2")
     m = std_tail(x1) + std_cdf(x2)
     return _certificate_from(x1, x2, std_pdf(x1), std_pdf(x2), m)
 
@@ -188,7 +188,7 @@ def std_exterior_centroid_slope(shift: float, lower: float, upper: float) -> flo
     the squared mass while the square is representable, otherwise the
     equivalent 1 + ratio - ratio**2 arrangement in log space.
     """
-    shift = _check_finite(shift, "shift")
+    shift = require_finite(shift, "shift")
     lower, upper = _check_hole(lower, upper)
     ru = upper - shift
     rl = lower - shift
@@ -198,22 +198,9 @@ def std_exterior_centroid_slope(shift: float, lower: float, upper: float) -> flo
 
     # mass < 1e-150 forces ru >> 0 and rl << 0, so the first-moment term
     # ru*f(ru) - rl*f(rl) is a sum of two positive magnitudes.
-    log_right = log_std_tail(ru)
-    log_left = log_std_cdf(rl)
-    hi = max(log_right, log_left)
-    log_mass = hi + math.log1p(math.exp(min(log_right, log_left) - hi))
-    lf_ru = log_std_pdf(ru)
-    lf_rl = log_std_pdf(rl)
-    la = math.log(ru) + lf_ru
-    lb = math.log(-rl) + lf_rl
-    top = max(la, lb)
-    moment_ratio = math.exp(top + math.log1p(math.exp(min(la, lb) - top)) - log_mass)
-    if lf_ru == lf_rl:
-        density_ratio = 0.0
-    else:
-        big, small = (lf_ru, lf_rl) if lf_ru > lf_rl else (lf_rl, lf_ru)
-        density_ratio = math.exp(big + math.log(-math.expm1(small - big)) - log_mass)
-    return 1.0 + moment_ratio - density_ratio * density_ratio
+    log_mass, lf_ru, lf_rl, offset = _log_offset(ru, rl)
+    log_moment = _log_add(math.log(ru) + lf_ru, math.log(-rl) + lf_rl)
+    return 1.0 + math.exp(log_moment - log_mass) - offset * offset
 
 
 def _slope_quotient_form(shift: float, lower: float, upper: float) -> float:
@@ -238,7 +225,7 @@ def shift_comparison(
     delta carries the sign of the shift: translating the density toward
     either ray drags the conditional expectation the same way.
     """
-    shift = _check_finite(shift, "shift")
+    shift = require_finite(shift, "shift")
     base = centroid_exterior(params, hole, 0.0)
     shifted = centroid_exterior(params, hole, shift)
     return ShiftComparison(

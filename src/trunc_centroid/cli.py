@@ -8,8 +8,13 @@ Subcommands
     sample     seeded draws plus the Monte Carlo estimate
     figure     reference-example CSV (masked densities + centroids)
 
+Every command builds its result once, as a JSON payload, CSV rows and
+text lines, and _emit is the one place that picks --format and writes
+--output.
+
 Exit codes: 0 success, 1 domain/computation error (sigma <= 0, bad hole,
-deep truncation for oracle or sampler), 2 usage error.
+deep truncation for oracle or sampler), 2 usage error (an --output that
+cannot be written included).
 
 JSON output is strict: a non-finite float (an unused CSV cell, an
 untestable ratio, the Monte Carlo support mass) is written as null.
@@ -31,7 +36,7 @@ import sys
 
 from .centroid import centroid_exterior, shift_comparison
 from .errors import TruncCentroidError
-from .figure import render_reference_figure, write_reference_figure
+from .figure import render_reference_figure
 from .model import ExcludedInterval, GaussianParams
 from .quadrature import QuadratureConfig, centroid_quadrature
 
@@ -148,36 +153,82 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, output: str) -> None:
-    if output == "-":
-        sys.stdout.write(text)
+_PROBLEM = ("mu", "sigma", "lower", "upper", "shift")
+
+
+def _inputs(args, *names: str) -> dict:
+    return {name: getattr(args, name) for name in names}
+
+
+def _problem(args) -> tuple[GaussianParams, ExcludedInterval]:
+    return GaussianParams(args.mu, args.sigma), ExcludedInterval(args.lower, args.upper)
+
+
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    return _g17(value) if isinstance(value, float) else str(value)
+
+
+def _emit(args, payload: dict, csv, lines: list[str], indent: int | None = 2) -> int:
+    """Render one result in --format and write it to --output.
+
+    csv is finished CSV text or a (header, rows) pair; a row's floats get
+    17 significant digits, its ints str() and its None an empty cell.
+    """
+    if args.fmt == "json":
+        # Strict JSON: NaN and Infinity become null.  Parsing the lenient
+        # text back lets the json module find every non-finite float.
+        plain = json.loads(json.dumps(payload), parse_constant=lambda _: None)
+        text = json.dumps(plain, indent=indent, allow_nan=False) + "\n"
+    elif args.fmt == "text":
+        text = "\n".join(lines) + "\n"
+    elif isinstance(csv, str):
+        text = csv
     else:
-        with open(output, "w", encoding="utf-8", newline="\n") as fh:
+        header, rows = csv
+        text = "\n".join([header, *(",".join(map(_cell, row)) for row in rows)]) + "\n"
+    if args.output == "-":
+        sys.stdout.write(text)
+        return 0
+    try:
+        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+    except OSError as exc:
+        reason = exc.strerror or exc
+        raise _UsageError(f"cannot write {args.output}: {reason}") from None
+    return 0
 
 
-def _json(payload: dict, indent: int | None = 2) -> str:
-    # Strict JSON: NaN and Infinity become null.  Parsing the lenient text
-    # back lets the json module find every non-finite float, however nested.
-    plain = json.loads(json.dumps(payload), parse_constant=lambda _: None)
-    return json.dumps(plain, indent=indent, allow_nan=False) + "\n"
-
-
-def _result_dict(result, extra: dict | None = None) -> dict:
-    out = {
+def _result_dict(result) -> dict:
+    return {
         "method": result.method.value,
         "value": result.value,
         "support_mass": result.support_mass,
         "warnings": list(result.warnings),
     }
-    if extra:
-        out.update(extra)
-    return out
 
 
-def _centroid_results(args) -> tuple[list[dict], dict]:
-    params = GaussianParams(args.mu, args.sigma)
-    hole = ExcludedInterval(args.lower, args.upper)
+def _monte_carlo(args, params: GaussianParams, hole: ExcludedInterval) -> dict:
+    """A _result_dict for the seeded sample mean, with its statistics."""
+    from .sampler import monte_carlo_centroid, sample_exterior
+
+    batch = sample_exterior(params, hole, args.shift, args.n, args.seed)
+    estimate = monte_carlo_centroid(batch)
+    return {
+        "method": "monte_carlo",
+        "value": estimate.mean,
+        "support_mass": math.nan,
+        "warnings": [],
+        "std_error": estimate.std_error,
+        "n": estimate.n,
+        "seed": batch.seed,
+        "acceptance_rate": batch.acceptance_rate,
+    }
+
+
+def _cmd_centroid(args) -> int:
+    params, hole = _problem(args)
     cfg = QuadratureConfig(
         abs_tol=args.abs_tol,
         rel_tol=args.rel_tol,
@@ -203,140 +254,59 @@ def _centroid_results(args) -> tuple[list[dict], dict]:
                 _result_dict(centroid_quadrature(params, hole, args.shift, cfg))
             )
         else:
-            from .sampler import monte_carlo_centroid, sample_exterior
-
-            batch = sample_exterior(params, hole, args.shift, args.n, args.seed)
-            estimate = monte_carlo_centroid(batch)
-            results.append(
-                {
-                    "method": "monte_carlo",
-                    "value": estimate.mean,
-                    "support_mass": math.nan,
-                    "warnings": [],
-                    "std_error": estimate.std_error,
-                    "n": estimate.n,
-                    "seed": batch.seed,
-                    "acceptance_rate": batch.acceptance_rate,
-                }
-            )
-    discrepancies = {}
-    if len(results) > 1:
-        by_method = {r["method"]: r["value"] for r in results}
-        base = by_method["closed_form"]
-        for method, value in by_method.items():
-            if method != "closed_form":
-                discrepancies[f"closed_form_vs_{method}"] = abs(base - value)
-    return results, discrepancies
-
-
-def _cmd_centroid(args) -> int:
-    results, discrepancies = _centroid_results(args)
-    if args.fmt == "json":
-        payload = {
-            "command": "centroid",
-            "inputs": {
-                "mu": args.mu,
-                "sigma": args.sigma,
-                "lower": args.lower,
-                "upper": args.upper,
-                "shift": args.shift,
-                "method": args.method,
-                "n": args.n,
-                "seed": args.seed,
-            },
-            "results": results,
-            "discrepancies": discrepancies,
-        }
-        _emit(_json(payload), args.output)
-    elif args.fmt == "csv":
-        lines = ["method,value,support_mass,std_error,n,warnings"]
-        for r in results:
-            lines.append(
-                ",".join(
-                    [
-                        r["method"],
-                        _g17(r["value"]),
-                        _g17(r["support_mass"]),
-                        _g17(r["std_error"]) if "std_error" in r else "",
-                        str(r["n"]) if "n" in r else "",
-                        "|".join(r["warnings"]),
-                    ]
-                )
-            )
-        _emit("\n".join(lines) + "\n", args.output)
-    else:
-        lines = []
-        for r in results:
-            parts = [
-                f"{r['method']}: value={_g17(r['value'])}",
-                f"support_mass={_g17(r['support_mass'])}",
-            ]
-            if "std_error" in r:
-                parts.append(f"std_error={_g17(r['std_error'])}")
-            if r["warnings"]:
-                parts.append("warnings=" + "|".join(r["warnings"]))
-            lines.append(" ".join(parts))
-        for key, value in discrepancies.items():
-            lines.append(f"{key}={_g17(value)}")
-        _emit("\n".join(lines) + "\n", args.output)
-    return 0
+            results.append(_monte_carlo(args, params, hole))
+    # With --method all, results[0] is the closed form.
+    discrepancies = {
+        f"closed_form_vs_{r['method']}": abs(results[0]["value"] - r["value"])
+        for r in results[1:]
+    }
+    payload = {
+        "command": "centroid",
+        "inputs": _inputs(args, *_PROBLEM, "method", "n", "seed"),
+        "results": results,
+        "discrepancies": discrepancies,
+    }
+    rows = [
+        [r["method"], r["value"], r["support_mass"], r.get("std_error"), r.get("n")]
+        + ["|".join(r["warnings"])]
+        for r in results
+    ]
+    lines = []
+    for r in results:
+        line = f"{r['method']}: value={_g17(r['value'])} "
+        line += f"support_mass={_g17(r['support_mass'])}"
+        if "std_error" in r:
+            line += f" std_error={_g17(r['std_error'])}"
+        if r["warnings"]:
+            line += " warnings=" + "|".join(r["warnings"])
+        lines.append(line)
+    lines += [f"{key}={_g17(value)}" for key, value in discrepancies.items()]
+    csv = ("method,value,support_mass,std_error,n,warnings", rows)
+    return _emit(args, payload, csv, lines)
 
 
 def _cmd_compare(args) -> int:
-    params = GaussianParams(args.mu, args.sigma)
-    hole = ExcludedInterval(args.lower, args.upper)
-    comparison = shift_comparison(params, hole, args.shift)
-    if args.fmt == "json":
-        payload = {
-            "command": "compare",
-            "inputs": {
-                "mu": args.mu,
-                "sigma": args.sigma,
-                "lower": args.lower,
-                "upper": args.upper,
-                "shift": args.shift,
-            },
-            "base": _result_dict(comparison.base),
-            "shifted": _result_dict(comparison.shifted),
-            "shift": comparison.shift,
-            "delta": comparison.delta,
-        }
-        _emit(_json(payload), args.output)
-    elif args.fmt == "csv":
-        lines = [
-            "quantity,value,support_mass,warnings",
-            ",".join(
-                [
-                    "base",
-                    _g17(comparison.base.value),
-                    _g17(comparison.base.support_mass),
-                    "|".join(comparison.base.warnings),
-                ]
-            ),
-            ",".join(
-                [
-                    "shifted",
-                    _g17(comparison.shifted.value),
-                    _g17(comparison.shifted.support_mass),
-                    "|".join(comparison.shifted.warnings),
-                ]
-            ),
-            ",".join(["delta", _g17(comparison.delta), "", ""]),
-        ]
-        _emit("\n".join(lines) + "\n", args.output)
-    else:
-        _emit(
-            "\n".join(
-                [
-                    f"base:    {_g17(comparison.base.value)}",
-                    f"shifted: {_g17(comparison.shifted.value)}",
-                    f"delta:   {_g17(comparison.delta)}",
-                ]
-            )
-            + "\n",
-            args.output,
-        )
-    return 0
+    comparison = shift_comparison(*_problem(args), args.shift)
+    base, shifted = comparison.base, comparison.shifted
+    payload = {
+        "command": "compare",
+        "inputs": _inputs(args, *_PROBLEM),
+        "base": _result_dict(base),
+        "shifted": _result_dict(shifted),
+        "shift": comparison.shift,
+        "delta": comparison.delta,
+    }
+    rows = [
+        [name, r.value, r.support_mass, "|".join(r.warnings)]
+        for name, r in (("base", base), ("shifted", shifted))
+    ]
+    rows.append(["delta", comparison.delta, None, None])
+    lines = [
+        f"base:    {_g17(base.value)}",
+        f"shifted: {_g17(shifted.value)}",
+        f"delta:   {_g17(comparison.delta)}",
+    ]
+    return _emit(args, payload, ("quantity,value,support_mass,warnings", rows), lines)
 
 
 def _cmd_verify(args) -> int:
@@ -365,121 +335,68 @@ def _cmd_verify(args) -> int:
             seed=args.seed if args.seed is not None else 0,
         )
         reports.append(runner(spec))
-    if args.fmt == "json":
-        payload = {
-            "command": "verify",
-            "inputs": {
-                "check": args.check,
-                "mode": args.mode,
-                "n_random": args.n_random,
-                "seed": args.seed,
-            },
-            "reports": [
-                {
-                    "name": r.name,
-                    "checks_run": r.checks_run,
-                    "violations": [vars(v) for v in r.violations],
-                    "untestable": [vars(v) for v in r.untestable],
-                    "min_margin": r.min_margin,
-                    "min_margin_at": (
-                        None
-                        if r.min_margin_record is None
-                        else vars(r.min_margin_record)
-                    ),
-                    "passed": r.passed,
-                }
-                for r in reports
-            ],
-        }
-        _emit(_json(payload), args.output)
-    elif args.fmt == "csv":
-        _emit(v.render_report_csv(reports), args.output)
-    else:
-        lines = []
-        for r in reports:
-            status = "PASS" if r.passed else "FAIL"
-            lines.append(
-                f"{r.name}: checks={r.checks_run} "
-                f"violations={len(r.violations)} "
-                f"untestable={len(r.untestable)} "
-                f"min_margin={_g17(r.min_margin)} {status}"
-            )
-        _emit("\n".join(lines) + "\n", args.output)
-    return 0
+    payload = {
+        "command": "verify",
+        "inputs": _inputs(args, "check", "mode", "n_random", "seed"),
+        "reports": [
+            {
+                "name": r.name,
+                "checks_run": r.checks_run,
+                "violations": [vars(v) for v in r.violations],
+                "untestable": [vars(v) for v in r.untestable],
+                "min_margin": r.min_margin,
+                "min_margin_at": (
+                    None if r.min_margin_record is None else vars(r.min_margin_record)
+                ),
+                "passed": r.passed,
+            }
+            for r in reports
+        ],
+    }
+    lines = [
+        f"{r.name}: checks={r.checks_run} violations={len(r.violations)} "
+        f"untestable={len(r.untestable)} min_margin={_g17(r.min_margin)} "
+        + ("PASS" if r.passed else "FAIL")
+        for r in reports
+    ]
+    return _emit(args, payload, v.render_report_csv(reports), lines)
 
 
 def _cmd_sample(args) -> int:
-    from .sampler import monte_carlo_centroid, sample_exterior
-
     if args.n < 2:
         raise _UsageError("--n must be >= 2")
-    params = GaussianParams(args.mu, args.sigma)
-    hole = ExcludedInterval(args.lower, args.upper)
-    batch = sample_exterior(params, hole, args.shift, args.n, args.seed)
-    estimate = monte_carlo_centroid(batch)
-    if args.fmt == "json":
-        payload = {
-            "command": "sample",
-            "inputs": {
-                "mu": args.mu,
-                "sigma": args.sigma,
-                "lower": args.lower,
-                "upper": args.upper,
-                "shift": args.shift,
-                "n": args.n,
-                "seed": args.seed,
-            },
-            "estimate": {
-                "mean": estimate.mean,
-                "std_error": estimate.std_error,
-                "n": estimate.n,
-            },
-            "acceptance_rate": batch.acceptance_rate,
-        }
-        _emit(_json(payload), args.output)
-    elif args.fmt == "csv":
-        _emit(
-            "mean,std_error,n,acceptance_rate,seed\n"
-            + ",".join(
-                [
-                    _g17(estimate.mean),
-                    _g17(estimate.std_error),
-                    str(estimate.n),
-                    _g17(batch.acceptance_rate),
-                    str(batch.seed),
-                ]
-            )
-            + "\n",
-            args.output,
-        )
-    else:
-        _emit(
-            f"mean={_g17(estimate.mean)} std_error={_g17(estimate.std_error)} "
-            f"n={estimate.n} acceptance_rate={_g17(batch.acceptance_rate)}\n",
-            args.output,
-        )
-    return 0
+    r = _monte_carlo(args, *_problem(args))
+    payload = {
+        "command": "sample",
+        "inputs": _inputs(args, *_PROBLEM, "n", "seed"),
+        "estimate": {"mean": r["value"], "std_error": r["std_error"], "n": r["n"]},
+        "acceptance_rate": r["acceptance_rate"],
+    }
+    row = [r["value"], r["std_error"], r["n"], r["acceptance_rate"], r["seed"]]
+    line = (
+        f"mean={_g17(r['value'])} std_error={_g17(r['std_error'])} "
+        f"n={r['n']} acceptance_rate={_g17(r['acceptance_rate'])}"
+    )
+    csv = ("mean,std_error,n,acceptance_rate,seed", [row])
+    return _emit(args, payload, csv, [line])
 
 
 def _cmd_figure(args) -> int:
+    # The CSV goes to --output in every format; a file gets a one-line
+    # summary on stdout in --format.
+    text, base, shifted = render_reference_figure()
+    _emit(argparse.Namespace(fmt="csv", output=args.output), {}, text, [])
     if args.output == "-":
-        text, _, _ = render_reference_figure()
-        sys.stdout.write(text)
         return 0
-    base, shifted = write_reference_figure(args.output)
-    if args.fmt == "json":
-        payload = {
-            "command": "figure",
-            "output": args.output,
-            "centroid_base": base,
-            "centroid_shifted": shifted,
-        }
-        sys.stdout.write(_json(payload, indent=None))
-    else:
-        sys.stdout.write(
-            f"wrote {args.output}: base={_g17(base)} shifted={_g17(shifted)}\n"
-        )
-    return 0
+    payload = {
+        "command": "figure",
+        "output": args.output,
+        "centroid_base": base,
+        "centroid_shifted": shifted,
+    }
+    line = f"wrote {args.output}: base={_g17(base)} shifted={_g17(shifted)}"
+    summary = argparse.Namespace(fmt=args.fmt, output="-")
+    return _emit(summary, payload, line + "\n", [line], indent=None)
 
 
 _COMMANDS = {

@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its finiteness check.
 
 Every error raised on purpose derives from TruncCentroidError so callers
 can catch one type at the boundary.  The CLI maps these to exit code 1;
@@ -7,6 +7,8 @@ argument-parsing problems are a separate path (exit code 2).
 
 from __future__ import annotations
 
+import math
+
 
 class TruncCentroidError(Exception):
     """Base class for all errors raised by this package."""
@@ -14,6 +16,14 @@ class TruncCentroidError(Exception):
 
 class DomainError(TruncCentroidError):
     """An input value is outside the mathematical domain (NaN, infinity)."""
+
+
+def require_finite(value: float, name: str) -> float:
+    """value as a float; DomainError if it is NaN or infinite."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise DomainError(f"{name} must be finite, got {value!r}")
+    return value
 
 
 class ParameterError(TruncCentroidError):

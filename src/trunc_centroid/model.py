@@ -13,7 +13,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 
-from .errors import DomainError, IntervalError, ParameterError
+from .errors import IntervalError, ParameterError, require_finite
 
 
 class Method(str, enum.Enum):
@@ -27,13 +27,11 @@ class Method(str, enum.Enum):
 # Exterior mass below which a result carries the LOW_SUPPORT_MASS flag.
 LOW_MASS_FLOOR = 1e-12
 LOW_SUPPORT_MASS = "low_support_mass"
-
-
-def _require_finite(value: float, name: str) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise DomainError(f"{name} must be finite, got {value!r}")
-    return value
+# Exterior mass at or below which the quadrature oracle and the sampler
+# raise DeepTruncationError.  This close to float64 underflow (normal
+# floats stop at 2.2e-308) neither an integral over density values nor a
+# rejection loop can be trusted; the closed form answers in log space.
+UNDERFLOW_MASS_FLOOR = 1e-290
 
 
 @dataclass(frozen=True)
@@ -47,7 +45,7 @@ class GaussianParams:
     sigma: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mu", _require_finite(self.mu, "mu"))
+        object.__setattr__(self, "mu", require_finite(self.mu, "mu"))
         sigma = float(self.sigma)
         if not math.isfinite(sigma) or sigma <= 0.0:
             raise ParameterError(f"sigma must be finite and > 0, got {self.sigma!r}")
@@ -91,9 +89,9 @@ class StandardizedProblem:
     h_hat: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "l_hat", _require_finite(self.l_hat, "l_hat"))
-        object.__setattr__(self, "u_hat", _require_finite(self.u_hat, "u_hat"))
-        object.__setattr__(self, "h_hat", _require_finite(self.h_hat, "h_hat"))
+        object.__setattr__(self, "l_hat", require_finite(self.l_hat, "l_hat"))
+        object.__setattr__(self, "u_hat", require_finite(self.u_hat, "u_hat"))
+        object.__setattr__(self, "h_hat", require_finite(self.h_hat, "h_hat"))
         if not self.u_hat > self.l_hat:
             raise IntervalError(
                 f"standardized hole needs u_hat > l_hat, got "

@@ -40,8 +40,9 @@ import math
 from dataclasses import dataclass
 from operator import add, mul
 
-from .errors import DeepTruncationError, DomainError, ParameterError, ToleranceNotMetError
-from .model import LOW_MASS_FLOOR, LOW_SUPPORT_MASS
+from .errors import DeepTruncationError, ParameterError, ToleranceNotMetError
+from .errors import require_finite
+from .model import LOW_MASS_FLOOR, LOW_SUPPORT_MASS, UNDERFLOW_MASS_FLOOR
 from .model import CentroidResult, ExcludedInterval, GaussianParams, Method
 from .special import INV_SQRT_2PI, std_pdf
 
@@ -66,8 +67,6 @@ _WG = (
 _NODES = tuple(-x for x in _XGK[:7]) + _XGK[7:] + _XGK[6::-1]
 
 _EPS = 2.220446049250313e-16
-# Oracle refuses configurations whose support mass sits at underflow scale.
-ORACLE_MASS_FLOOR = 1e-290
 
 
 @dataclass(frozen=True)
@@ -185,9 +184,7 @@ def _remainders(cut: float) -> tuple[float, float]:
 def _rays(params: GaussianParams, hole: ExcludedInterval, shift: float, cfg: QuadratureConfig):
     """loc, the standardized hole edges clamped to [-c, c], then
     _integrate's result for the left and for the right ray."""
-    loc = params.mu + shift
-    if not math.isfinite(loc):
-        raise DomainError(f"mu + shift must be finite, got {loc!r}")
+    loc = require_finite(params.mu + shift, "mu + shift")
     cut = cfg.tail_cutoff_sigmas
     moment_remainder = _remainders(cut)[1]
     if moment_remainder >= cfg.abs_tol:
@@ -230,10 +227,13 @@ def centroid_quadrature(
     """Centroid as the ratio of the integrated moment and mass."""
     loc, edges, left, right = _rays(params, hole, shift, cfg)
     mass = left[0] + right[0]
-    if mass <= ORACLE_MASS_FLOOR:
+    if mass <= UNDERFLOW_MASS_FLOOR:
         raise DeepTruncationError(
-            f"support mass {mass:.3e} is at underflow scale; the quadrature "
-            f"oracle declines (the closed form still applies)"
+            f"support mass {mass:.3e} inside the window of "
+            f"+-{cfg.tail_cutoff_sigmas!r} sigmas (the tail cut-off) is at or "
+            f"below {UNDERFLOW_MASS_FLOOR:.0e}: the exterior mass lies beyond "
+            f"the window, or the window is too wide for its panels to find it; "
+            f"the quadrature oracle declines (the closed form still applies)"
         )
     sigma = params.sigma
     ratio = (left[1] + right[1]) / mass

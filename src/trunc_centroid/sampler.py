@@ -37,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DeepTruncationError, DomainError, ParameterError
-from .model import ExcludedInterval, GaussianParams
+from .errors import DeepTruncationError, ParameterError, require_finite
+from .model import UNDERFLOW_MASS_FLOOR, ExcludedInterval, GaussianParams
 from .philox import (
     CHUNK_BLOCKS,
     CounterStream,
@@ -49,7 +49,6 @@ from .philox import (
 from .special import std_cdf, std_tail
 
 MIXTURE_MASS_THRESHOLD = 0.05
-_MASS_FLOOR = 1e-290
 _TWO_PI = 2.0 * math.pi
 _MASK64 = (1 << 64) - 1
 
@@ -91,9 +90,7 @@ def sample_exterior(
     """n independent draws from N(mu + shift, sigma^2) given the exterior."""
     if n < 1:
         raise ParameterError(f"need n >= 1, got {n!r}")
-    shift = float(shift)
-    if not math.isfinite(shift):
-        raise DomainError(f"shift must be finite, got {shift!r}")
+    shift = require_finite(shift, "shift")
     seed = int(seed) & _MASK64
     loc = params.mu + shift
     a = (hole.lower - loc) / params.sigma
@@ -101,7 +98,7 @@ def sample_exterior(
     left = std_cdf(a)
     right = std_tail(b)
     mass = left + right
-    if mass < _MASS_FLOOR:
+    if mass < UNDERFLOW_MASS_FLOOR:
         raise DeepTruncationError(
             f"exterior mass {mass:.3e} is at underflow scale; sampling "
             f"would effectively never terminate"

@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-from .errors import DomainError
+from .errors import DomainError, require_finite
 
 if TYPE_CHECKING:
     import numpy as np
@@ -53,19 +53,12 @@ _MILLS_SWITCH = 33.0
 _MILLS_TERMS = 40
 
 
-def _finite(x: float, name: str = "x") -> float:
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError(f"{name} must be finite, got {x!r}")
-    return x
-
-
 def std_pdf(x: float) -> float:
     """Density of the standard normal at x.
 
     Written as exp(-0.5 * (x * x)) so std_pdf(-x) == std_pdf(x) exactly.
     """
-    x = _finite(x)
+    x = require_finite(x, "x")
     return INV_SQRT_2PI * math.exp(-0.5 * (x * x))
 
 
@@ -94,19 +87,19 @@ def std_tail_array(x: np.ndarray) -> np.ndarray:
 
 def std_cdf(x: float) -> float:
     """P(Z <= x) for standard normal Z, accurate in the lower tail."""
-    x = _finite(x)
+    x = require_finite(x, "x")
     return 0.5 * math.erfc(-x * INV_SQRT2)
 
 
 def std_tail(x: float) -> float:
     """P(Z >= x) for standard normal Z, accurate in the upper tail."""
-    x = _finite(x)
+    x = require_finite(x, "x")
     return 0.5 * math.erfc(x * INV_SQRT2)
 
 
 def log_std_pdf(x: float) -> float:
     """log of std_pdf(x); exact reflection symmetry like std_pdf."""
-    x = _finite(x)
+    x = require_finite(x, "x")
     return -0.5 * (x * x) - _LOG_SQRT_2PI
 
 
@@ -122,7 +115,7 @@ def mills_ratio(x: float) -> float:
     for x <= 0 is not needed by any caller and the continued fraction
     does not converge there.
     """
-    x = _finite(x)
+    x = require_finite(x, "x")
     if x <= 0.0:
         raise DomainError(f"mills_ratio requires x > 0, got {x!r}")
     if x < _MILLS_SWITCH:
@@ -142,7 +135,7 @@ def log_std_tail(x: float) -> float:
       x >= -1   direct log of std_tail, which is well scaled there.
       x < -1    tail is close to 1; log1p on the opposite small tail.
     """
-    x = _finite(x)
+    x = require_finite(x, "x")
     if x >= _MILLS_SWITCH:
         return log_std_pdf(x) + math.log(mills_ratio(x))
     if x >= -1.0:
@@ -161,7 +154,7 @@ def mills_lower_bound_tail(x: float) -> float:
     Equals 1 / (x + sqrt(x*x + 4)), computed as (sqrt(x*x + 4) - x) / 4
     so no digits cancel when x is large and positive.
     """
-    x = _finite(x)
+    x = require_finite(x, "x")
     return (math.sqrt(x * x + 4.0) - x) / 4.0
 
 
@@ -170,5 +163,5 @@ def mills_lower_bound_cdf(x: float) -> float:
 
     Mirror image of mills_lower_bound_tail: 1 / (-x + sqrt(x*x + 4)).
     """
-    x = _finite(x)
+    x = require_finite(x, "x")
     return (math.sqrt(x * x + 4.0) + x) / 4.0

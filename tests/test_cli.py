@@ -213,6 +213,36 @@ def test_centroid_output_file(tmp_path, capsys):
     assert payload["results"][0]["method"] == "closed_form"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["centroid", *REF, "--output", "{missing}/x.json"],
+        ["figure", "--output", "{missing}/f.csv"],
+        ["verify", "--check", "certificate", "--format", "csv", "--output", "{dir}"],
+    ],
+    ids=["centroid_missing_dir", "figure_missing_dir", "verify_directory"],
+)
+def test_unwritable_output_is_usage_error(argv, tmp_path, capsys):
+    paths = {"{missing}": str(tmp_path / "missing"), "{dir}": str(tmp_path)}
+    for key, path in paths.items():
+        argv = [a.replace(key, path) for a in argv]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.startswith(f"usage error: cannot write {argv[-1]}: ")
+
+
+def test_quadrature_refusal_names_the_window(capsys):
+    # The exterior mass of the reference problem is 0.23, but a +-1e5 sigma
+    # window is too wide for the first panels to find it.
+    argv = ["centroid", *REF, "--method", "quadrature", "--tail-cutoff=1e5"]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert "inside the window of +-100000.0 sigmas (the tail cut-off)" in err
+    assert "underflow" not in err
+
+
 # ------------------------------------------------------------------- compare
 
 

@@ -75,3 +75,20 @@ def test_error_within_bound(regime):
     assert statistics.median(scaled) <= median_cap
     assert max(unflagged) <= max_cap
 
+
+
+def test_refusal_names_the_window():
+    # The wide problems the oracle declines carry exterior mass of 1e-40 and
+    # less, far above underflow but all of it beyond the +-12 sigma window.
+    cut = QuadratureConfig().tail_cutoff_sigmas
+    declined = [
+        p for p in TABLE["problems"]
+        if p["regime"] == "wide" and Fraction(p["mass"]) < Fraction(_remainders(cut)[0])
+    ]
+    assert declined and float(declined[0]["mass"]) > 1e-290
+    with pytest.raises(DeepTruncationError) as info:
+        _solve(declined[0])
+    message = str(info.value)
+    assert "inside the window of +-12.0 sigmas (the tail cut-off)" in message
+    assert "the exterior mass lies beyond the window" in message
+    assert "underflow" not in message
