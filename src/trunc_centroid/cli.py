@@ -89,13 +89,6 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", default="-", help="file path, or - for stdout")
 
 
-def _add_quadrature_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--abs-tol", type=_finite, default=1e-13)
-    p.add_argument("--rel-tol", type=_finite, default=1e-12)
-    p.add_argument("--tail-cutoff", type=_finite, default=12.0)
-    p.add_argument("--max-subdivisions", type=int, default=60)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="trunc-centroid",
@@ -115,7 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--n", type=int, help="sample count (monte_carlo)")
     p.add_argument("--seed", type=int, help="RNG seed (monte_carlo)")
-    _add_quadrature_flags(p)
+    p.add_argument("--abs-tol", type=_finite, default=1e-13)
+    p.add_argument("--rel-tol", type=_finite, default=1e-12)
     _add_output_flags(p)
 
     p = sub.add_parser("compare", help="base vs shifted centroid")
@@ -229,12 +223,7 @@ def _monte_carlo(args, params: GaussianParams, hole: ExcludedInterval) -> dict:
 
 def _cmd_centroid(args) -> int:
     params, hole = _problem(args)
-    cfg = QuadratureConfig(
-        abs_tol=args.abs_tol,
-        rel_tol=args.rel_tol,
-        tail_cutoff_sigmas=args.tail_cutoff,
-        max_subdivisions=args.max_subdivisions,
-    )
+    cfg = QuadratureConfig(abs_tol=args.abs_tol, rel_tol=args.rel_tol)
     wanted = (
         ("closed_form", "quadrature", "monte_carlo")
         if args.method == "all"

@@ -5,22 +5,24 @@ numerical integration of the defining ratio: first moment over mass on
 the exterior support.  It never calls the closed-form machinery.
 
 It works in standardized coordinates t = (x - loc) / sigma, loc = mu +
-shift.  Each exterior ray, clipped to the window [-c, c] with c =
-tail_cutoff_sigmas, is one adaptive Gauss-Kronrod 7-15 pass over the pair
-(phi(t), t * phi(t)): a panel evaluates phi once per node and forms the
-K15/G7 estimates of both integrals (the error estimator is QUADPACK's
+shift.  Each exterior ray, clipped to the fixed window [-c, c] with c =
+TAIL_CUTOFF_SIGMAS = 12, is one adaptive Gauss-Kronrod 7-15 pass over the
+pair (phi(t), t * phi(t)): a panel evaluates phi once per node and forms
+the K15/G7 estimates of both integrals (the error estimator is QUADPACK's
 rescaled |K15 - G7| ** 1.5), and the panel with the largest summed error
 is bisected until the ray's mass error and moment error each meet
-max(abs_tol, rel_tol * |value|).  So abs_tol and rel_tol apply to the
-standardized integrals, and max_subdivisions counts the splits of one ray.
+max(abs_tol, rel_tol * |value|), within MAX_SUBDIVISIONS = 60 splits of
+the ray.  So abs_tol and rel_tol apply to the standardized integrals.
 The result maps back once: mass m and centroid loc + sigma * r, r = T / m
 with T the standardized first moment.
 
-The window's cut-off, both tails together, is bounded by constants (used
-only to certify smallness, never added to the value):
+What the window leaves out, both tails together, is bounded by two
+constants (used only to certify smallness, never added to the value):
 
-    mass beyond c <= 2 * phi(c) / c        |moment| beyond c <= 2 * phi(c)
+    mass beyond c <= 2 * phi(c) / c = 3.6e-33
+    |moment| beyond c <= 2 * phi(c) = 4.3e-32
 
+A config whose abs_tol is at or below the moment remainder is refused.
 With Dm and DT the summed error estimates plus these remainders,
 centroid_quadrature's abs_error_bound bounds |value - exact centroid| by
 
@@ -68,27 +70,24 @@ _NODES = tuple(-x for x in _XGK[:7]) + _XGK[7:] + _XGK[6::-1]
 
 _EPS = 2.220446049250313e-16
 
+# The window [-c, c] in sigmas, and the split budget of one ray.
+TAIL_CUTOFF_SIGMAS = 12.0
+MAX_SUBDIVISIONS = 60
+# Bounds on the standardized mass and |moment| beyond the window.
+MOMENT_REMAINDER = 2.0 * std_pdf(TAIL_CUTOFF_SIGMAS)
+MASS_REMAINDER = MOMENT_REMAINDER / TAIL_CUTOFF_SIGMAS
+
 
 @dataclass(frozen=True)
 class QuadratureConfig:
     abs_tol: float = 1e-13
     rel_tol: float = 1e-12
-    tail_cutoff_sigmas: float = 12.0
-    max_subdivisions: int = 60
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.abs_tol) and self.abs_tol > 0.0):
             raise ParameterError(f"abs_tol must be > 0, got {self.abs_tol!r}")
         if not (math.isfinite(self.rel_tol) and self.rel_tol > 0.0):
             raise ParameterError(f"rel_tol must be > 0, got {self.rel_tol!r}")
-        if not (math.isfinite(self.tail_cutoff_sigmas) and self.tail_cutoff_sigmas >= 8.0):
-            raise ParameterError(
-                f"tail_cutoff_sigmas must be >= 8, got {self.tail_cutoff_sigmas!r}"
-            )
-        if self.max_subdivisions < 1:
-            raise ParameterError(
-                f"max_subdivisions must be >= 1, got {self.max_subdivisions!r}"
-            )
 
 
 def _rule(ys: list, half: float) -> tuple[float, float]:
@@ -152,9 +151,9 @@ def _integrate(func, a: float, b: float, cfg: QuadratureConfig) -> tuple[float, 
     while err > max(cfg.abs_tol, cfg.rel_tol * abs(value)) or moment_err > max(
         cfg.abs_tol, cfg.rel_tol * abs(moment)
     ):
-        if splits >= cfg.max_subdivisions:
+        if splits >= MAX_SUBDIVISIONS:
             raise ToleranceNotMetError(
-                f"subdivision budget {cfg.max_subdivisions} exhausted on "
+                f"subdivision budget {MAX_SUBDIVISIONS} exhausted on "
                 f"[{a!r}, {b!r}]: error estimates {err:.3e}, {moment_err:.3e}"
             )
         _, _, pa, pb, old = heapq.heappop(panels)
@@ -175,23 +174,16 @@ def _integrate(func, a: float, b: float, cfg: QuadratureConfig) -> tuple[float, 
     return tuple(math.fsum(entry[4][k] for entry in panels) for k in range(4))
 
 
-def _remainders(cut: float) -> tuple[float, float]:
-    """Bounds on the standardized mass and |moment| beyond +-cut."""
-    tail = 2.0 * std_pdf(cut)
-    return tail / cut, tail
-
-
 def _rays(params: GaussianParams, hole: ExcludedInterval, shift: float, cfg: QuadratureConfig):
     """loc, the standardized hole edges clamped to [-c, c], then
     _integrate's result for the left and for the right ray."""
     loc = require_finite(params.mu + shift, "mu + shift")
-    cut = cfg.tail_cutoff_sigmas
-    moment_remainder = _remainders(cut)[1]
-    if moment_remainder >= cfg.abs_tol:
+    if MOMENT_REMAINDER >= cfg.abs_tol:
         raise ToleranceNotMetError(
-            f"tail remainder bound {moment_remainder:.3e} at cutoff "
-            f"{cut} sigmas exceeds abs_tol {cfg.abs_tol:.3e}"
+            f"tail remainder bound {MOMENT_REMAINDER:.3e} at cutoff "
+            f"{TAIL_CUTOFF_SIGMAS} sigmas exceeds abs_tol {cfg.abs_tol:.3e}"
         )
+    cut = TAIL_CUTOFF_SIGMAS
     a, b = (min(max((x - loc) / params.sigma, -cut), cut) for x in (hole.lower, hole.upper))
     return loc, (a, b), _integrate(_phi, -cut, a, cfg), _integrate(_phi, b, cut, cfg)
 
@@ -230,17 +222,16 @@ def centroid_quadrature(
     if mass <= UNDERFLOW_MASS_FLOOR:
         raise DeepTruncationError(
             f"support mass {mass:.3e} inside the window of "
-            f"+-{cfg.tail_cutoff_sigmas!r} sigmas (the tail cut-off) is at or "
+            f"+-{TAIL_CUTOFF_SIGMAS!r} sigmas (the tail cut-off) is at or "
             f"below {UNDERFLOW_MASS_FLOOR:.0e}: the exterior mass lies beyond "
-            f"the window, or the window is too wide for its panels to find it; "
-            f"the quadrature oracle declines (the closed form still applies)"
+            f"the window; the quadrature oracle declines (the closed form "
+            f"still applies)"
         )
     sigma = params.sigma
     ratio = (left[1] + right[1]) / mass
     value = loc + sigma * ratio
-    mass_remainder, moment_remainder = _remainders(cfg.tail_cutoff_sigmas)
-    d_mass = left[2] + right[2] + mass_remainder
-    d_moment = left[3] + right[3] + moment_remainder
+    d_mass = left[2] + right[2] + MASS_REMAINDER
+    d_moment = left[3] + right[3] + MOMENT_REMAINDER
     bound = math.inf
     if mass > d_mass:
         spread = (d_moment + abs(ratio) * d_mass) / (mass - d_mass)

@@ -50,7 +50,6 @@ from .special import std_cdf, std_tail
 
 MIXTURE_MASS_THRESHOLD = 0.05
 _TWO_PI = 2.0 * math.pi
-_MASK64 = (1 << 64) - 1
 
 REJECTION_STREAM = 0
 SIDE_STREAM = 1
@@ -90,9 +89,8 @@ def sample_exterior(
     """n independent draws from N(mu + shift, sigma^2) given the exterior."""
     if n < 1:
         raise ParameterError(f"need n >= 1, got {n!r}")
-    shift = require_finite(shift, "shift")
-    seed = int(seed) & _MASK64
-    loc = params.mu + shift
+    seed = int(seed)
+    loc = require_finite(params.mu + shift, "mu + shift")
     a = (hole.lower - loc) / params.sigma
     b = (hole.upper - loc) / params.sigma
     left = std_cdf(a)

@@ -26,8 +26,7 @@ CSV rendering uses the fixed column set
     check,x1,x2,h,lhs,rhs,margin
 
 with 17-significant-digit decimals; columns a check does not use hold
-nan.  The reference-example CSV lives in the numpy-free figure module;
-its names are re-exported here.
+nan.  The reference-example CSV lives in the numpy-free figure module.
 """
 
 from __future__ import annotations
@@ -50,14 +49,6 @@ from .centroid import (
     std_exterior_centroid_slope,
 )
 from .errors import ParameterError
-from .figure import (  # noqa: F401  re-exported
-    REFERENCE_HOLE,
-    REFERENCE_PARAMS,
-    REFERENCE_SHIFT,
-    reference_example_rows,
-    render_reference_figure,
-    write_reference_figure,
-)
 from .philox import CounterStream
 from .special import std_cdf_array, std_pdf_array, std_tail_array
 
@@ -262,8 +253,9 @@ def verify_monotonicity(spec: SweepSpec = DEFAULT_MONOTONICITY_SPEC) -> Verifica
 
     Rows: x1 = hole lower, x2 = hole upper, h = the larger shift of the
     pair; lhs/rhs are the centroids at the larger and smaller shift.
-    The companion shift_sign rows compare a shifted centroid against the
-    unshifted one through shift_comparison.
+    The companion shift_sign rows compare the centroid at that shift with
+    the unshifted one, both from the same array closed form: lhs is their
+    difference, rhs is 0, and the margin is the difference signed by h.
     """
     if spec.mode == "grid":
         l = _grid(spec.l_range)[:, None, None]

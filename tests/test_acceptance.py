@@ -18,16 +18,18 @@ from trunc_centroid.centroid import (
     std_exterior_centroid_slope,
     _slope_quotient_form,
 )
+from trunc_centroid.figure import (
+    REFERENCE_HOLE,
+    REFERENCE_PARAMS,
+    REFERENCE_SHIFT,
+    render_reference_figure,
+)
 from trunc_centroid.model import ExcludedInterval, GaussianParams
 from trunc_centroid.philox import CounterStream
 from trunc_centroid.quadrature import QuadratureConfig, centroid_quadrature
 from trunc_centroid.sampler import monte_carlo_centroid, sample_exterior
 from trunc_centroid.verification import (
-    REFERENCE_HOLE,
-    REFERENCE_PARAMS,
-    REFERENCE_SHIFT,
     SweepSpec,
-    render_reference_figure,
     verify_bounds,
     verify_certificate_positive,
     verify_derivative,

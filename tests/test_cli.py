@@ -103,6 +103,25 @@ def test_unattainable_tolerance_exit_code(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flag", ["--tail-cutoff=12", "--max-subdivisions=60"])
+def test_fixed_oracle_settings_are_not_flags(flag, capsys):
+    # The oracle's window and split budget are module constants.
+    assert run(["centroid", *REF, "--method", "quadrature", flag]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert run(["centroid", "--help"]) == 0
+    out = capsys.readouterr().out
+    assert "--abs-tol" in out and flag.split("=")[0] not in out
+
+
+def test_monte_carlo_non_finite_location(capsys):
+    # Same message as the quadrature oracle gives for this input.
+    argv = ["centroid", "--mu=1e308", "--sigma=2", "--lower=-1", "--upper=4",
+            "--shift=1e308", "--n=10", "--seed=1"]
+    for method in ("monte_carlo", "quadrature"):
+        assert run([*argv, "--method", method]) == 1
+        assert capsys.readouterr().err == "error: mu + shift must be finite, got inf\n"
+
+
 @pytest.mark.parametrize("sigma", ["1e200", "1e308"])
 def test_quadrature_at_extreme_scale_exits_zero(sigma, capsys):
     # The oracle integrates in units of sigma: no remainder scaled by sigma
@@ -231,16 +250,6 @@ def test_unwritable_output_is_usage_error(argv, tmp_path, capsys):
     assert captured.out == ""
     assert "Traceback" not in captured.err
     assert captured.err.startswith(f"usage error: cannot write {argv[-1]}: ")
-
-
-def test_quadrature_refusal_names_the_window(capsys):
-    # The exterior mass of the reference problem is 0.23, but a +-1e5 sigma
-    # window is too wide for the first panels to find it.
-    argv = ["centroid", *REF, "--method", "quadrature", "--tail-cutoff=1e5"]
-    assert run(argv) == 1
-    err = capsys.readouterr().err
-    assert "inside the window of +-100000.0 sigmas (the tail cut-off)" in err
-    assert "underflow" not in err
 
 
 # ------------------------------------------------------------------- compare
@@ -445,6 +454,19 @@ def test_sample_deterministic_output(capsys):
     assert 0.0 < float(rate) <= 1.0
     closed = centroid_exterior(REF_PARAMS, REF_HOLE, 0.0).value
     assert abs(float(mean) - closed) < 4.0 * float(std_error)
+
+
+@pytest.mark.parametrize("seed", [-5, 1 << 64])
+def test_sample_reports_the_seed_as_given(seed, capsys):
+    argv = ["sample", *REF, "--n", "10", f"--seed={seed}"]
+    assert run([*argv, "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split(",")[-1] == str(seed)
+    assert run([*argv, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["inputs"]["seed"] == seed
+    argv = ["centroid", *REF, "--method", "monte_carlo", "--n", "10", f"--seed={seed}"]
+    assert run([*argv, "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["inputs"]["seed"] == payload["results"][0]["seed"] == seed
 
 
 def test_sample_json(capsys):

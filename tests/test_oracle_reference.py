@@ -17,7 +17,7 @@ import pytest
 
 from trunc_centroid.errors import DeepTruncationError
 from trunc_centroid.model import ExcludedInterval, GaussianParams, LOW_SUPPORT_MASS
-from trunc_centroid.quadrature import QuadratureConfig, _remainders, centroid_quadrature
+from trunc_centroid.quadrature import MASS_REMAINDER, centroid_quadrature
 
 TABLE = json.loads(
     (Path(__file__).parent / "data" / "oracle_reference.json").read_text(encoding="utf-8")
@@ -50,7 +50,6 @@ def test_table_covers_every_regime():
 
 @pytest.mark.parametrize("regime", sorted(CAPS))
 def test_error_within_bound(regime):
-    mass_remainder = _remainders(QuadratureConfig().tail_cutoff_sigmas)[0]
     scaled, unflagged = [], []
     for p in TABLE["problems"]:
         if p["regime"] != regime:
@@ -59,7 +58,7 @@ def test_error_within_bound(regime):
             result = _solve(p)
         except DeepTruncationError:
             # Declined only where the window holds no mass at all.
-            assert Fraction(p["mass"]) < Fraction(mass_remainder)
+            assert Fraction(p["mass"]) < Fraction(MASS_REMAINDER)
             continue
         bound = result.abs_error_bound
         assert math.isfinite(bound) or float(p["mass"]) < 1e-9
@@ -80,15 +79,15 @@ def test_error_within_bound(regime):
 def test_refusal_names_the_window():
     # The wide problems the oracle declines carry exterior mass of 1e-40 and
     # less, far above underflow but all of it beyond the +-12 sigma window.
-    cut = QuadratureConfig().tail_cutoff_sigmas
     declined = [
         p for p in TABLE["problems"]
-        if p["regime"] == "wide" and Fraction(p["mass"]) < Fraction(_remainders(cut)[0])
+        if p["regime"] == "wide" and Fraction(p["mass"]) < Fraction(MASS_REMAINDER)
     ]
     assert declined and float(declined[0]["mass"]) > 1e-290
     with pytest.raises(DeepTruncationError) as info:
         _solve(declined[0])
     message = str(info.value)
     assert "inside the window of +-12.0 sigmas (the tail cut-off)" in message
-    assert "the exterior mass lies beyond the window" in message
+    assert "the exterior mass lies beyond the window;" in message
+    assert "too wide" not in message
     assert "underflow" not in message

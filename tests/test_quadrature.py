@@ -27,7 +27,8 @@ from trunc_centroid.quadrature import (
     _kronrod_panel,
     _phi,
     _rays,
-    _remainders,
+    MASS_REMAINDER,
+    MOMENT_REMAINDER,
     QuadratureConfig,
     centroid_quadrature,
     exterior_first_moment,
@@ -95,8 +96,9 @@ def test_integrate_empty_interval():
     assert _integrate(_phi, 2.0, 1.0, CFG) == (0.0, 0.0, 0.0, 0.0)
 
 
-def test_integrate_budget_exhaustion():
-    cfg = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-12, max_subdivisions=1)
+def test_integrate_budget_exhaustion(monkeypatch):
+    monkeypatch.setattr(quadrature, "MAX_SUBDIVISIONS", 1)
+    cfg = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-12)
     with pytest.raises(ToleranceNotMetError):
         _integrate(lambda ts: [abs(t - 0.123456) ** 0.5 for t in ts], -4.0, 9.0, cfg)
 
@@ -168,16 +170,6 @@ def test_centroid_quadrature_symmetric_is_zero():
     assert abs(result.value) <= CFG.abs_tol
 
 
-def test_cutoff_insensitivity():
-    hole = ExcludedInterval(-1.0, 4.0)
-    params = GaussianParams(1.0, 2.0)
-    values = []
-    for cut in (10.0, 12.0, 16.0):
-        cfg = QuadratureConfig(tail_cutoff_sigmas=cut)
-        values.append(centroid_quadrature(params, hole, 0.5, cfg).value)
-    assert max(values) - min(values) < 1e-12
-
-
 def test_low_mass_warning_flag():
     result = centroid_quadrature(STD, ExcludedInterval(-8.0, 8.0), 0.0, CFG)
     assert "low_support_mass" in result.warnings
@@ -191,7 +183,7 @@ def test_deep_truncation_declined():
 
 
 def test_remainder_certificate_enforced():
-    cfg = QuadratureConfig(abs_tol=1e-40, tail_cutoff_sigmas=8.0)
+    cfg = QuadratureConfig(abs_tol=1e-40)
     with pytest.raises(ToleranceNotMetError):
         exterior_mass(STD, ExcludedInterval(-1.0, 1.0), 0.0, cfg)
 
@@ -215,7 +207,7 @@ def test_ray_integrals_split_and_errors():
     assert math.isclose(left[0], 0.15865525393145705, rel_tol=1e-12)
     assert math.isclose(right[0], 0.06680720126885807, rel_tol=1e-12)
     assert left[2] <= CFG.abs_tol
-    assert _remainders(CFG.tail_cutoff_sigmas)[0] < CFG.abs_tol
+    assert MASS_REMAINDER < CFG.abs_tol
     total = loc * (left[0] + right[0]) + 2.0 * (left[1] + right[1])
     assert math.isclose(
         total, 0.0024669184646184749 * 0.22546245520031512, rel_tol=1e-9, abs_tol=1e-15
@@ -227,10 +219,6 @@ def test_config_validation():
         QuadratureConfig(abs_tol=0.0)
     with pytest.raises(ParameterError):
         QuadratureConfig(rel_tol=-1e-9)
-    with pytest.raises(ParameterError):
-        QuadratureConfig(tail_cutoff_sigmas=7.9)
-    with pytest.raises(ParameterError):
-        QuadratureConfig(max_subdivisions=0)
 
 
 @pytest.mark.parametrize("sigma", [1e-300, 1e20, 1e200, 1e307])
@@ -270,25 +258,24 @@ def test_abs_error_bound_reported():
 def test_abs_error_bound_formula():
     # The bound as the module docstring states it, rebuilt from the rays.
     eps = 2.220446049250313e-16
-    for cut in (8.0, 12.0):
-        cfg = QuadratureConfig(tail_cutoff_sigmas=cut)
-        for params, hole, shift in (
-            (GaussianParams(1.0, 2.0), ExcludedInterval(-1.0, 4.0), 2.0),
-            (GaussianParams(3e5, 0.1), ExcludedInterval(3e5 - 0.2, 3e5 + 0.05), 0.03),
-        ):
-            loc, (a, b), left, right = _rays(params, hole, shift, cfg)
-            m, r = left[0] + right[0], (left[1] + right[1]) / (left[0] + right[0])
-            mass_rem, moment_rem = _remainders(cut)
-            d_mass = left[2] + right[2] + mass_rem
-            d_moment = left[3] + right[3] + moment_rem
-            result = centroid_quadrature(params, hole, shift, cfg)
-            s = (std_pdf(a) * abs(a - r) + std_pdf(b) * abs(b - r)) / m
-            rounding = eps * (
-                abs(result.value) + params.sigma * abs(r)
-                + (1.0 + s) * (abs(loc) + params.sigma * max(abs(a), abs(b)))
-            )
-            expected = params.sigma * (d_moment + abs(r) * d_mass) / (m - d_mass) + rounding
-            assert math.isclose(result.abs_error_bound, expected, rel_tol=1e-12)
+    assert MOMENT_REMAINDER == 2.0 * std_pdf(12.0)
+    assert MASS_REMAINDER == MOMENT_REMAINDER / 12.0
+    for params, hole, shift in (
+        (GaussianParams(1.0, 2.0), ExcludedInterval(-1.0, 4.0), 2.0),
+        (GaussianParams(3e5, 0.1), ExcludedInterval(3e5 - 0.2, 3e5 + 0.05), 0.03),
+    ):
+        loc, (a, b), left, right = _rays(params, hole, shift, CFG)
+        m, r = left[0] + right[0], (left[1] + right[1]) / (left[0] + right[0])
+        d_mass = left[2] + right[2] + MASS_REMAINDER
+        d_moment = left[3] + right[3] + MOMENT_REMAINDER
+        result = centroid_quadrature(params, hole, shift, CFG)
+        s = (std_pdf(a) * abs(a - r) + std_pdf(b) * abs(b - r)) / m
+        rounding = eps * (
+            abs(result.value) + params.sigma * abs(r)
+            + (1.0 + s) * (abs(loc) + params.sigma * max(abs(a), abs(b)))
+        )
+        expected = params.sigma * (d_moment + abs(r) * d_mass) / (m - d_mass) + rounding
+        assert math.isclose(result.abs_error_bound, expected, rel_tol=1e-12)
 
 
 def test_low_mass_flag_defined_once():

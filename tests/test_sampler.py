@@ -7,7 +7,7 @@ import pytest
 
 from trunc_centroid import philox, sampler
 from trunc_centroid.centroid import centroid_exterior
-from trunc_centroid.errors import DeepTruncationError, ParameterError
+from trunc_centroid.errors import DeepTruncationError, DomainError, ParameterError
 from trunc_centroid.model import ExcludedInterval, GaussianParams
 from trunc_centroid.philox import philox4x64_block, stream_blocks
 from trunc_centroid.sampler import (
@@ -43,6 +43,22 @@ def test_seed_is_taken_mod_2_64():
     a = sample_exterior(REF_PARAMS, REF_HOLE, 0.0, 256, seed=5)
     b = sample_exterior(REF_PARAMS, REF_HOLE, 0.0, 256, seed=(1 << 64) + 5)
     assert np.array_equal(a.values, b.values)
+
+
+def test_batch_reports_the_seed_as_given():
+    for seed in (-5, 5, (1 << 64) + 5):
+        assert sample_exterior(REF_PARAMS, REF_HOLE, 0.0, 16, seed=seed).seed == seed
+
+
+def test_non_finite_location_rejected():
+    # The same check, with the same message, as the quadrature oracle.
+    for shift in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="mu \\+ shift must be finite"):
+            sample_exterior(STD, ExcludedInterval(-1.0, 1.0), shift, 10, seed=1)
+    with pytest.raises(DomainError, match="mu \\+ shift must be finite, got inf"):
+        sample_exterior(
+            GaussianParams(1e308, 1.0), ExcludedInterval(-1.0, 1.0), 1e308, 10, seed=1
+        )
 
 
 def test_prefix_stability_across_batch_sizes():

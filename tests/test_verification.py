@@ -6,22 +6,24 @@ import pytest
 
 from trunc_centroid.centroid import centroid_exterior
 from trunc_centroid.errors import ParameterError
-from trunc_centroid.special import std_pdf
-from trunc_centroid.verification import (
-    CheckRecord,
+from trunc_centroid.figure import (
     REFERENCE_HOLE,
     REFERENCE_PARAMS,
     REFERENCE_SHIFT,
-    SweepSpec,
-    VerificationReport,
     reference_example_rows,
     render_reference_figure,
+    write_reference_figure,
+)
+from trunc_centroid.special import std_pdf
+from trunc_centroid.verification import (
+    CheckRecord,
+    SweepSpec,
+    VerificationReport,
     render_report_csv,
     verify_bounds,
     verify_certificate_positive,
     verify_derivative,
     verify_monotonicity,
-    write_reference_figure,
     write_report_csv,
 )
 
