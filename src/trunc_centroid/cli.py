@@ -59,6 +59,13 @@ def _finite(text: str) -> float:
     return value
 
 
+def _positive(text: str) -> float:
+    value = _finite(text)
+    if value <= 0.0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
+    return value
+
+
 def _g17(value: float) -> str:
     return format(value, ".17g")
 
@@ -108,8 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--n", type=int, help="sample count (monte_carlo)")
     p.add_argument("--seed", type=int, help="RNG seed (monte_carlo)")
-    p.add_argument("--abs-tol", type=_finite, default=1e-13)
-    p.add_argument("--rel-tol", type=_finite, default=1e-12)
+    p.add_argument("--abs-tol", type=_positive, default=1e-13)
+    p.add_argument("--rel-tol", type=_positive, default=1e-12)
     _add_output_flags(p)
 
     p = sub.add_parser("compare", help="base vs shifted centroid")
@@ -223,7 +230,6 @@ def _monte_carlo(args, params: GaussianParams, hole: ExcludedInterval) -> dict:
 
 def _cmd_centroid(args) -> int:
     params, hole = _problem(args)
-    cfg = QuadratureConfig(abs_tol=args.abs_tol, rel_tol=args.rel_tol)
     wanted = (
         ("closed_form", "quadrature", "monte_carlo")
         if args.method == "all"
@@ -239,6 +245,7 @@ def _cmd_centroid(args) -> int:
         if method == "closed_form":
             results.append(_result_dict(centroid_exterior(params, hole, args.shift)))
         elif method == "quadrature":
+            cfg = QuadratureConfig(abs_tol=args.abs_tol, rel_tol=args.rel_tol)
             results.append(
                 _result_dict(centroid_quadrature(params, hole, args.shift, cfg))
             )

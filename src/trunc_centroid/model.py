@@ -29,8 +29,9 @@ LOW_MASS_FLOOR = 1e-12
 LOW_SUPPORT_MASS = "low_support_mass"
 # Exterior mass at or below which the quadrature oracle and the sampler
 # raise DeepTruncationError.  This close to float64 underflow (normal
-# floats stop at 2.2e-308) neither an integral over density values nor a
-# rejection loop can be trusted; the closed form answers in log space.
+# floats stop at 2.2e-308) neither an integral over density values nor an
+# inversion of tail masses can be trusted; the closed form answers in log
+# space.
 UNDERFLOW_MASS_FLOOR = 1e-290
 
 

@@ -3,7 +3,7 @@
 Each 256-bit counter plus 128-bit key maps to four 64-bit words through a
 fixed permutation, so random number i is a pure function of (key, i) and
 never depends on how many draws other lanes consumed.  That is what makes
-vectorized rejection sampling bit-for-bit reproducible at any batch size,
+vectorized sampling bit-for-bit reproducible at any batch size,
 and it parallelizes by handing out disjoint counter ranges.
 
 This is the standard Random123 algorithm; the test suite checks the block
@@ -13,11 +13,9 @@ Counter-word convention used by callers in this package: block j of
 stream s is counter (j, 0, 0, s) under key (seed, 0), so every consumer
 reads one stream over contiguous counters, and the stream id in word 3
 keeps unrelated consumers off each other's blocks.  Stream ids:
-    0        sampler, rejection candidates
-    1        sampler, tail-mixture side choice
+    0        sampler, one word per draw
     2 - 5    verification sweeps (monotonicity, certificate, bounds,
              derivative)
-    6, 7     sampler, left and right tail candidates
     11 - 13  acceptance suite
 """
 
@@ -133,9 +131,13 @@ def stream_blocks(seed: int, stream: int, start: int, count: int) -> np.ndarray:
     return np.stack(philox4x64(c0, zeros, zeros, c3, seed, 0), axis=1)
 
 
-def uniform_open_closed(words: np.ndarray) -> np.ndarray:
-    """Map uint64 words to doubles in (0, 1]; safe inside log()."""
-    return ((words >> _SHIFT11).astype(np.float64) + 1.0) * _INV_2_53
+def uniform_open(words: np.ndarray) -> np.ndarray:
+    """Map uint64 words to doubles in (0, 1): (floor(w / 2^12) + 1/2) / 2^52.
+
+    That is the top 53 bits with the last one set, an odd multiple of
+    2^-53, so 1 - u is exact.
+    """
+    return ((words >> _SHIFT11) | np.uint64(1)).astype(np.float64) * _INV_2_53
 
 
 def uniform_closed_open(words: np.ndarray) -> np.ndarray:

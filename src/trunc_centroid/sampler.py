@@ -1,28 +1,24 @@
-"""Seeded draws from the Gaussian conditioned outside the hole.
+"""Seeded draws from the Gaussian conditioned outside the hole, by inversion.
 
-Every consumer reads one Philox stream over contiguous counters: block j
-of stream s is counter (j, 0, 0, s) under key (seed, 0).  Each stream
-yields candidates in block order, and a consumer keeps the accepted ones
-in that order: the k-th draw served by a stream is its k-th accepted
-candidate.  So draw i is a pure function of (seed, i): a longer batch
-extends a shorter one, and the chunk size used to generate blocks never
-shows in the output.
+Draw i is a pure function of (seed, i): it reads word i of Philox stream
+0 (block i // 4, word i % 4; block j is counter (j, 0, 0, 0) under key
+(seed, 0)), so a longer batch extends a shorter one, and the chunk size
+used to generate blocks never shows in the output.
 
-  * exterior mass >= 0.05: rejection on stream 0.  A block is two
-    Box-Muller pairs (w0, w1) and (w2, w3); each pair gives its cos and
-    its sin output, so a block holds four normal candidates.  Acceptance
-    is decided on the observable value, making the support invariant
-    immediate.
-  * exterior mass < 0.05: tail mixture.  Draw i goes to the left tail if
-    word i of stream 1 falls below the left share of the exterior mass.
-    Each tail then takes accepted candidates from its own stream (6 left,
-    7 right) by Marsaglia's exact tail rejection: from a pair (u1, u2),
-    y = sqrt(e^2 - 2 log u1) is accepted when u2 * y <= e, where e > 0 is
-    the standardized edge.  Mass < 0.05 puts both edges past 1.64, where
-    the acceptance e * Q(e) / phi(e) is above 0.79.
+The word becomes an open uniform u = (floor(w / 2^12) + 1/2) / 2^52 in
+(0, 1).  With the standardized edges a < b, the tail masses left =
+Phi(a) and right = Q(b), and mass = left + right, the draw is
 
-Blocks are generated in chunks sized from the expected acceptance and
-capped at CHUNK_BLOCKS, so the working set does not grow with n.
+    z = Phi^-1(u * mass)              if u * mass <= left,
+    z = -Phi^-1((1 - u) * mass)       otherwise (1 - u is exact),
+
+and x = loc + sigma * z, pinned to the hole edge against rounding.  Every
+word gives a draw, so the acceptance rate is 1 at every mass; a side with
+exterior share s is resolved to about s * 2^52 equally likely positions.
+Phi^-1 is Wichura's AS241 rational approximation (Applied Statistics 37,
+1988), the algorithm of the stdlib's statistics.NormalDist.inv_cdf, here
+over numpy arrays; it takes the tail branches from min(p, 1 - p), so
+deep tails keep full relative precision down to the underflow floor.
 
 The estimate handed back by monte_carlo_centroid is the plain sample
 mean with its standard error; the test suite checks it against the
@@ -32,43 +28,52 @@ closed form at 4 standard errors.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DeepTruncationError, ParameterError, require_finite
 from .model import UNDERFLOW_MASS_FLOOR, ExcludedInterval, GaussianParams
-from .philox import (
-    CHUNK_BLOCKS,
-    CounterStream,
-    stream_blocks,
-    uniform_closed_open,
-    uniform_open_closed,
-)
+from .philox import CHUNK_BLOCKS, stream_blocks, uniform_open
 from .special import std_cdf, std_tail
 
-MIXTURE_MASS_THRESHOLD = 0.05
-_TWO_PI = 2.0 * math.pi
+# The sampler's Philox stream id (see philox.py).
+_STREAM = 0
 
-REJECTION_STREAM = 0
-SIDE_STREAM = 1
-LEFT_TAIL_STREAM = 6
-RIGHT_TAIL_STREAM = 7
-# A stream that needs more candidates than this per draw is refused; at
-# the rejection path's worst acceptance of 0.05 a single draw reaches the
-# cap with probability 0.95**1024, about 1e-23.
-_MAX_CANDIDATES_PER_DRAW = 1 << 10
-
-# Maps a (blocks, 4) array of Philox words to flat candidate values and an
-# acceptance mask, both in block order.
-Candidates = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+# AS241 numerator and denominator coefficients, highest degree first, for
+# |p - 1/2| <= 0.425 (in r = 0.180625 - (p - 1/2)^2), then for
+# r = sqrt(-log min(p, 1 - p)) <= 5 (in r - 1.6) and beyond (in r - 5).
+_CENTRAL = (
+    (2.5090809287301226727e3, 3.3430575583588128105e4, 6.7265770927008700853e4,
+     4.5921953931549871457e4, 1.3731693765509461125e4, 1.9715909503065514427e3,
+     1.3314166789178437745e2, 3.3871328727963666080e0),
+    (5.2264952788528545610e3, 2.8729085735721942674e4, 3.9307895800092710610e4,
+     2.1213794301586595867e4, 5.3941960214247511077e3, 6.8718700749205790830e2,
+     4.2313330701600911252e1, 1.0),
+)
+_NEAR = (
+    (7.74545014278341407640e-4, 2.27238449892691845833e-2, 2.41780725177450611770e-1,
+     1.27045825245236838258e0, 3.64784832476320460504e0, 5.76949722146069140550e0,
+     4.63033784615654529590e0, 1.42343711074968357734e0),
+    (1.05075007164441684324e-9, 5.47593808499534494600e-4, 1.51986665636164571966e-2,
+     1.48103976427480074590e-1, 6.89767334985100004550e-1, 1.67638483018380384940e0,
+     2.05319162663775882187e0, 1.0),
+)
+_FAR = (
+    (2.01033439929228813265e-7, 2.71155556874348757815e-5, 1.24266094738807843860e-3,
+     2.65321895265761230930e-2, 2.96560571828504891230e-1, 1.78482653991729133580e0,
+     5.46378491116411436990e0, 6.65790464350110377720e0),
+    (2.04426310338993978564e-15, 1.42151175831644588870e-7, 1.84631831751005468180e-5,
+     7.86869131145613259100e-4, 1.48753612908506148525e-2, 1.36929880922735805310e-1,
+     5.99832206555887937690e-1, 1.0),
+)
 
 
 @dataclass(frozen=True, eq=False)
 class SampleBatch:
     values: np.ndarray
     seed: int
+    # Every word gives a draw, so this is 1.0; the CLI reports it.
     acceptance_rate: float
 
 
@@ -91,106 +96,58 @@ def sample_exterior(
         raise ParameterError(f"need n >= 1, got {n!r}")
     seed = int(seed)
     loc = require_finite(params.mu + shift, "mu + shift")
-    a = (hole.lower - loc) / params.sigma
-    b = (hole.upper - loc) / params.sigma
-    left = std_cdf(a)
-    right = std_tail(b)
-    mass = left + right
+    left = std_cdf((hole.lower - loc) / params.sigma)
+    right = std_tail((hole.upper - loc) / params.sigma)
+    # Capped so that rounding never takes u * mass to 1.
+    mass = min(left + right, 1.0)
     if mass < UNDERFLOW_MASS_FLOOR:
         raise DeepTruncationError(
-            f"exterior mass {mass:.3e} is at underflow scale; sampling "
-            f"would effectively never terminate"
+            f"exterior mass {mass:.3e} is at underflow scale; its tail "
+            f"probabilities cannot be inverted"
         )
-    if mass >= MIXTURE_MASS_THRESHOLD:
-        values, rate = _rejection(loc, params.sigma, hole, n, seed, mass)
-    else:
-        values = _tail_mixture(loc, params.sigma, hole, n, seed, left / mass, a, b)
-        rate = 1.0
-    return SampleBatch(values=values, seed=seed, acceptance_rate=rate)
+    values = np.empty(n, dtype=np.float64)
+    for start in range(0, n, 4 * CHUNK_BLOCKS):
+        count = min(4 * CHUNK_BLOCKS, n - start)
+        words = stream_blocks(seed, _STREAM, start // 4, (count + 3) // 4)
+        u = uniform_open(words.reshape(-1)[:count])
+        go_left = u * mass <= left
+        z = inv_std_cdf(np.where(go_left, u, 1.0 - u) * mass)
+        x = loc + np.where(go_left, params.sigma, -params.sigma) * z
+        # Rounding in Phi^-1 or in loc + sigma*z may land a hair inside.
+        inside = (x > hole.lower) & (x < hole.upper)
+        x[inside] = np.where(go_left[inside], hole.lower, hole.upper)
+        values[start : start + count] = x
+    return SampleBatch(values=values, seed=seed, acceptance_rate=1.0)
 
 
-def _first_accepted(
-    seed: int, stream: int, n: int, per_block: float, candidates: Candidates
-) -> tuple[np.ndarray, int]:
-    """The first n accepted candidates of a stream, and how many were tried.
-
-    per_block is the expected number of accepted candidates per block; it
-    only sizes the chunks.  "Tried" counts candidates up to and including
-    the n-th acceptance.
-    """
-    out = np.empty(n, dtype=np.float64)
-    filled = 0
-    tried = 0
-    block = 0
-    while filled < n:
-        count = min(CHUNK_BLOCKS, math.ceil(1.05 * (n - filled) / per_block) + 2)
-        values, ok = candidates(stream_blocks(seed, stream, block, count))
-        block += count
-        hits = np.flatnonzero(ok)[: n - filled]
-        out[filled : filled + hits.size] = values[hits]
-        filled += hits.size
-        tried += int(hits[-1]) + 1 if filled == n else values.size
-        if tried > n * _MAX_CANDIDATES_PER_DRAW:
-            raise ParameterError(
-                f"stream {stream} accepted {filled} of {n} candidates in "
-                f"{tried} tries; exterior mass too small for this strategy"
-            )
-    return out, tried
+def _horner(coefficients: tuple, r: np.ndarray) -> np.ndarray:
+    """A polynomial in r, evaluated in the stdlib's order of operations."""
+    acc = coefficients[0] * r
+    for c in coefficients[1:-1]:
+        acc += c
+        acc *= r
+    acc += coefficients[-1]
+    return acc
 
 
-def _rejection(
-    loc: float,
-    sigma: float,
-    hole: ExcludedInterval,
-    n: int,
-    seed: int,
-    mass: float,
-) -> tuple[np.ndarray, float]:
-    def candidates(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        radius = np.sqrt(-2.0 * np.log(uniform_open_closed(words[:, 0::2])))
-        angle = _TWO_PI * uniform_closed_open(words[:, 1::2])
-        z = np.stack((radius * np.cos(angle), radius * np.sin(angle)), axis=2)
-        x = loc + sigma * z.reshape(-1)
-        return x, (x <= hole.lower) | (x >= hole.upper)
-
-    values, tried = _first_accepted(seed, REJECTION_STREAM, n, 4.0 * mass, candidates)
-    return values, n / tried
-
-
-def _tail_mixture(
-    loc: float,
-    sigma: float,
-    hole: ExcludedInterval,
-    n: int,
-    seed: int,
-    left_share: float,
-    a: float,
-    b: float,
-) -> np.ndarray:
-    go_left = CounterStream(seed, SIDE_STREAM).take(n) < left_share
-    n_left = int(np.count_nonzero(go_left))
-    z = np.empty(n, dtype=np.float64)
-    z[go_left] = -_marsaglia_tail(seed, LEFT_TAIL_STREAM, -a, n_left)
-    z[~go_left] = _marsaglia_tail(seed, RIGHT_TAIL_STREAM, b, n - n_left)
-    x = loc + sigma * z
-    # Rounding in loc + sigma*z may land a hair inside; pin to the edge.
-    np.minimum(x, hole.lower, out=x, where=go_left)
-    np.maximum(x, hole.upper, out=x, where=~go_left)
-    return x
-
-
-def _marsaglia_tail(seed: int, stream: int, edge: float, n: int) -> np.ndarray:
-    """n draws of a standard normal given z >= edge > 0 (Marsaglia 1964)."""
-
-    def candidates(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        y = np.sqrt(edge * edge - 2.0 * np.log(uniform_open_closed(words[:, 0::2])))
-        return y.reshape(-1), (uniform_closed_open(words[:, 1::2]) * y <= edge).reshape(-1)
-
-    # Two candidates per block; edge^2 / (1 + edge^2) <= edge * Q / phi
-    # bounds the acceptance from below (Gordon's inequality).
-    per_block = 2.0 * edge * edge / (1.0 + edge * edge)
-    values, _ = _first_accepted(seed, stream, n, per_block, candidates)
-    return values
+def inv_std_cdf(p: np.ndarray) -> np.ndarray:
+    """Phi^-1 at every element of p, which must lie in (0, 1)."""
+    q = p - 0.5
+    z = np.empty_like(p)
+    central = np.abs(q) <= 0.425
+    qc = q[central]
+    r = 0.180625 - qc * qc
+    z[central] = _horner(_CENTRAL[0], r) * qc / _horner(_CENTRAL[1], r)
+    tail = ~central
+    pt = p[tail]
+    r = np.sqrt(-np.log(np.minimum(pt, 1.0 - pt)))
+    far = r > 5.0
+    x = np.empty_like(r)
+    for branch, origin, (num, den) in ((~far, 1.6, _NEAR), (far, 5.0, _FAR)):
+        s = r[branch] - origin
+        x[branch] = _horner(num, s) / _horner(den, s)
+    z[tail] = np.copysign(x, q[tail])
+    return z
 
 
 def monte_carlo_centroid(batch: SampleBatch) -> MonteCarloEstimate:

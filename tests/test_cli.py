@@ -103,6 +103,16 @@ def test_unattainable_tolerance_exit_code(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("method", ["closed_form", "quadrature", "monte_carlo"])
+@pytest.mark.parametrize("flag", ["--abs-tol=0", "--rel-tol=-1e-12", "--abs-tol=x"])
+def test_malformed_tolerance_is_usage_error(method, flag, capsys):
+    # Checked at parse time, whichever method runs, and never a traceback.
+    argv = ["centroid", *REF, "--method", method, "--n=10", "--seed=1", flag]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert flag.split("=")[0] in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("flag", ["--tail-cutoff=12", "--max-subdivisions=60"])
 def test_fixed_oracle_settings_are_not_flags(flag, capsys):
     # The oracle's window and split budget are module constants.

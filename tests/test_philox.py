@@ -17,7 +17,7 @@ from trunc_centroid.philox import (
     philox4x64,
     philox4x64_block,
     uniform_closed_open,
-    uniform_open_closed,
+    uniform_open,
 )
 
 MASK = (1 << 64) - 1
@@ -100,14 +100,18 @@ def test_vectorized_matches_scalar_on_random_lanes():
 
 def test_uniform_ranges():
     words = np.array([0, MASK], dtype=np.uint64)
-    oc = uniform_open_closed(words)
+    oo = uniform_open(words)
     co = uniform_closed_open(words)
-    assert oc[0] == 2.0**-53
-    assert oc[1] == 1.0
+    assert oo[0] == 2.0**-53
+    assert oo[1] == 1.0 - 2.0**-53
     assert co[0] == 0.0
     assert co[1] == 1.0 - 2.0**-53
-    assert np.all(oc > 0.0) and np.all(oc <= 1.0)
+    assert np.all(oo > 0.0) and np.all(oo < 1.0)
     assert np.all(co >= 0.0) and np.all(co < 1.0)
+    # Odd multiples of 2^-53, so 1 - u is exact.
+    u = uniform_open(np.array([1 << 12, 12345 << 20, MASK >> 1], dtype=np.uint64))
+    assert np.all(np.mod(u * 2.0**53, 2.0) == 1.0)
+    assert np.all(1.0 - (1.0 - u) == u)
 
 
 def test_counter_stream_deterministic_and_chunk_invariant():

@@ -1,20 +1,17 @@
 """Sampler tests: determinism, support invariant, and statistics."""
 
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 
-from trunc_centroid import philox, sampler
+from trunc_centroid import sampler
 from trunc_centroid.centroid import centroid_exterior
 from trunc_centroid.errors import DeepTruncationError, DomainError, ParameterError
 from trunc_centroid.model import ExcludedInterval, GaussianParams
 from trunc_centroid.philox import philox4x64_block, stream_blocks
-from trunc_centroid.sampler import (
-    MIXTURE_MASS_THRESHOLD,
-    monte_carlo_centroid,
-    sample_exterior,
-)
+from trunc_centroid.sampler import inv_std_cdf, monte_carlo_centroid, sample_exterior
 from trunc_centroid.special import std_cdf, std_tail
 
 STD = GaussianParams(0.0, 1.0)
@@ -67,7 +64,7 @@ def test_prefix_stability_across_batch_sizes():
     small = sample_exterior(REF_PARAMS, REF_HOLE, 0.0, 200, seed=9)
     large = sample_exterior(REF_PARAMS, REF_HOLE, 0.0, 4000, seed=9)
     assert np.array_equal(small.values, large.values[:200])
-    # and on the tail-mixture path
+    # and for a low-mass hole
     hole = ExcludedInterval(-6.0, 6.0)
     small_mix = sample_exterior(STD, hole, 0.0, 50, seed=9)
     large_mix = sample_exterior(STD, hole, 0.0, 400, seed=9)
@@ -80,18 +77,10 @@ def test_support_invariant_rejection_path():
     assert batch.acceptance_rate > 0.05
 
 
-def test_acceptance_rate_tracks_exterior_mass():
-    hole = ExcludedInterval(-0.1, 0.1)
-    batch = sample_exterior(STD, hole, 0.0, 20000, seed=11)
-    exterior = std_cdf(-0.1) + std_tail(0.1)
-    assert abs(batch.acceptance_rate - exterior) < 0.02
-    assert np.all(np.abs(batch.values) >= 0.1)
-
-
 def test_mixture_path_selected_and_support_held():
     hole = ExcludedInterval(-6.0, 6.0)
     exterior = std_cdf(-6.0) + std_tail(6.0)
-    assert exterior < MIXTURE_MASS_THRESHOLD
+    assert exterior < 1e-8
     batch = sample_exterior(STD, hole, 0.0, 4000, seed=17)
     assert batch.acceptance_rate == 1.0
     assert np.all(np.abs(batch.values) >= 6.0)
@@ -111,7 +100,7 @@ def test_mixture_path_statistics_one_sided():
 def test_mixture_path_both_tails_balance():
     hole = ExcludedInterval(-2.5, 3.0)
     exterior = std_cdf(-2.5) + std_tail(3.0)
-    assert exterior < MIXTURE_MASS_THRESHOLD
+    assert exterior < 0.01
     batch = sample_exterior(STD, hole, 0.0, 6000, seed=29)
     left_fraction = float(np.mean(batch.values <= -2.5))
     expected = std_cdf(-2.5) / exterior
@@ -177,58 +166,41 @@ def test_statistical_consistency_across_seeds():
 
 # ------------------------------------------------ stream layout and contract
 
-# Hole of exterior mass 0.0601 under N(0, 1): rejection at its slowest.
-SLOW_REJECTION_HOLE = ExcludedInterval(-1.88, 1.88)
-# Exterior mass 0.0076, 82% of it on the left: the tail mixture.
-MIXTURE_HOLE = ExcludedInterval(-2.5, 3.0)
-# Stream ids of the sampler, part of the seed-to-samples contract.
-REJECTION_STREAM, SIDE_STREAM, LEFT_TAIL_STREAM, RIGHT_TAIL_STREAM = 0, 1, 6, 7
-
-
-def _uniforms(word):
-    """(0, 1] and [0, 1) doubles of one word, as the sampler maps them."""
-    return ((word >> 11) + 1) * 2.0**-53, (word >> 11) * 2.0**-53
+# Exterior mass 0.0601 under N(0, 1), the low end of the benchmark's
+# high-mass class.
+HIGH_MASS_HOLE = ExcludedInterval(-1.88, 1.88)
+# Exterior mass 0.0076, 82% of it on the left.
+LOW_MASS_HOLE = ExcludedInterval(-2.5, 3.0)
+# The sampler's stream id, part of the seed-to-samples contract.
+SAMPLER_STREAM = 0
+_NORMAL = NormalDist()
 
 
 def _block(seed, stream, j):
     return philox4x64_block((j, 0, 0, stream), (seed, 0))
 
 
-def _reference_rejection(params, hole, seed, blocks):
-    """Accepted candidates of stream 0 and their 1-based positions."""
-    accepted, positions = [], []
-    position = 0
-    for j in range(blocks):
-        words = _block(seed, REJECTION_STREAM, j)
-        for pair in (0, 1):
-            radius = math.sqrt(-2.0 * math.log(_uniforms(words[2 * pair])[0]))
-            angle = 2.0 * math.pi * _uniforms(words[2 * pair + 1])[1]
-            for z in (radius * math.cos(angle), radius * math.sin(angle)):
-                position += 1
-                x = params.mu + params.sigma * z
-                if x <= hole.lower or x >= hole.upper:
-                    accepted.append(x)
-                    positions.append(position)
-    return accepted, positions
-
-
-def _reference_tail(seed, stream, edge, count):
-    """First count accepted Marsaglia candidates of a tail stream."""
+def _reference_draws(params, hole, seed, n):
+    """Draws 0 .. n-1 by inversion of scalar Philox words, in plain floats."""
+    left = std_cdf((hole.lower - params.mu) / params.sigma)
+    right = std_tail((hole.upper - params.mu) / params.sigma)
+    mass = left + right
     out = []
-    j = 0
-    while len(out) < count:
-        words = _block(seed, stream, j)
-        for pair in (0, 1):
-            y = math.sqrt(edge * edge - 2.0 * math.log(_uniforms(words[2 * pair])[0]))
-            if _uniforms(words[2 * pair + 1])[1] * y <= edge:
-                out.append(y)
-        j += 1
-    return out[:count]
+    for i in range(n):
+        word = _block(seed, SAMPLER_STREAM, i // 4)[i % 4]
+        u = ((word >> 12) + 0.5) * 2.0**-52
+        if u * mass <= left:
+            x = params.mu + params.sigma * _NORMAL.inv_cdf(u * mass)
+            out.append(min(x, hole.lower))
+        else:
+            x = params.mu - params.sigma * _NORMAL.inv_cdf((1.0 - u) * mass)
+            out.append(max(x, hole.upper))
+    return out
 
 
-@pytest.mark.parametrize(
-    "stream", [REJECTION_STREAM, SIDE_STREAM, LEFT_TAIL_STREAM, RIGHT_TAIL_STREAM]
-)
+# Any stream id follows the layout: 0 is the sampler's, the others are
+# free ids.
+@pytest.mark.parametrize("stream", [SAMPLER_STREAM, 1, 6, 7])
 def test_stream_blocks_are_contiguous_philox_counters(stream):
     # Block j of stream s is counter (j, 0, 0, s) under key (seed, 0).
     seed = 0xDEADBEEF12345678
@@ -237,49 +209,66 @@ def test_stream_blocks_are_contiguous_philox_counters(stream):
         assert tuple(int(w) for w in words[row]) == _block(seed, stream, j)
 
 
-def test_rejection_consumes_stream_zero_in_order():
-    # Candidates are (cos, sin) of pair (w0, w1), then of pair (w2, w3),
-    # block after block; draw i is the i-th accepted one.
-    accepted, positions = _reference_rejection(REF_PARAMS, REF_HOLE, 19, 12)
-    assert len(accepted) >= 6
-    batch = sample_exterior(REF_PARAMS, REF_HOLE, 0.0, len(accepted), seed=19)
-    np.testing.assert_allclose(batch.values, accepted, rtol=1e-13, atol=0.0)
+@pytest.mark.parametrize(
+    "params, hole, two_sided",
+    [
+        (REF_PARAMS, REF_HOLE, True),
+        (STD, LOW_MASS_HOLE, True),
+        # The left tail mass underflows to 0: every draw goes right.
+        (STD, ExcludedInterval(-40.0, 3.0), False),
+    ],
+    ids=["high_mass", "low_mass", "one_sided"],
+)
+def test_draw_i_inverts_word_i_of_stream_zero(params, hole, two_sided):
+    expected = _reference_draws(params, hole, 19, 41)
+    batch = sample_exterior(params, hole, 0.0, 41, seed=19)
+    np.testing.assert_allclose(batch.values, expected, rtol=1e-14, atol=0.0)
+    below = sum(x <= hole.lower for x in expected)
+    assert (0 < below < 41) if two_sided else below == 0
 
 
-def test_acceptance_rate_counts_candidates_through_nth_acceptance():
-    accepted, positions = _reference_rejection(REF_PARAMS, REF_HOLE, 19, 12)
-    for n in range(1, len(accepted) + 1):
-        batch = sample_exterior(REF_PARAMS, REF_HOLE, 0.0, n, seed=19)
-        assert batch.acceptance_rate == n / positions[n - 1]
+def test_inv_std_cdf_matches_the_stdlib():
+    low = np.logspace(-300, math.log10(0.5), 3000)
+    for p in (low, 1.0 - low[low > 1e-16]):
+        expected = np.array([_NORMAL.inv_cdf(float(v)) for v in p])
+        ulps = np.abs(inv_std_cdf(p) - expected) / np.spacing(np.abs(expected))
+        assert np.max(ulps) <= 4.0
 
 
-def test_mixture_consumes_side_and_tail_streams_in_order():
-    seed = 8
-    n = 40
-    a, b = MIXTURE_HOLE.lower, MIXTURE_HOLE.upper
-    left_share = std_cdf(a) / (std_cdf(a) + std_tail(b))
-    side = [
-        _uniforms(w)[1] < left_share
-        for j in range((n + 3) // 4)
-        for w in _block(seed, SIDE_STREAM, j)
-    ][:n]
-    lefts = iter(_reference_tail(seed, LEFT_TAIL_STREAM, -a, sum(side)))
-    rights = iter(_reference_tail(seed, RIGHT_TAIL_STREAM, b, n - sum(side)))
-    expected = [-next(lefts) if go_left else next(rights) for go_left in side]
-    assert 0 < sum(side) < n
-    batch = sample_exterior(STD, MIXTURE_HOLE, 0.0, n, seed=seed)
-    np.testing.assert_allclose(batch.values, expected, rtol=1e-13, atol=0.0)
+@pytest.mark.parametrize(
+    "hole",
+    [
+        ExcludedInterval(-0.1, 0.1),
+        HIGH_MASS_HOLE,
+        LOW_MASS_HOLE,
+        ExcludedInterval(-20.0, 20.0),
+        ExcludedInterval(-36.0, 36.0),
+    ],
+)
+def test_acceptance_rate_is_one_at_every_mass(hole):
+    batch = sample_exterior(STD, hole, 0.0, 500, seed=11)
     assert batch.acceptance_rate == 1.0
+    assert not _in_hole(batch.values, hole)
+
+
+def test_draws_that_round_into_the_hole_are_pinned_to_their_side(monkeypatch):
+    hole = ExcludedInterval(-1.0, 2.0)
+    sides = sample_exterior(STD, hole, 0.0, 200, seed=3).values <= hole.lower
+    assert 0 < np.count_nonzero(sides) < 200
+    # Phi^-1 answering 0 puts every draw at loc, inside the hole.
+    monkeypatch.setattr(sampler, "inv_std_cdf", np.zeros_like)
+    pinned = sample_exterior(STD, hole, 0.0, 200, seed=3).values
+    assert np.array_equal(pinned, np.where(sides, hole.lower, hole.upper))
 
 
 def test_rejection_prefix_stable_across_chunks(monkeypatch):
-    # About 1000 acceptances per 4096-block chunk at mass 0.06, so the
-    # long batch takes seven chunks and the short ones end inside them.
-    hole = SLOW_REJECTION_HOLE
+    # 16 384 draws per 4096-block chunk, so the long batch takes two
+    # chunks and the short ones end inside them.
+    hole = HIGH_MASS_HOLE
     assert 0.05 < std_cdf(hole.lower) + std_tail(hole.upper) < 0.07
-    full = sample_exterior(STD, hole, 0.0, 5000, seed=4)
+    full = sample_exterior(STD, hole, 0.0, 20_000, seed=4)
     assert not _in_hole(full.values, hole)
-    for n in (1, 999, 2500):
+    for n in (1, 999, 16_385):
         part = sample_exterior(STD, hole, 0.0, n, seed=4)
         assert np.array_equal(part.values, full.values[:n])
     # Tiny chunks change every chunk boundary but no value.
@@ -292,16 +281,14 @@ def test_rejection_prefix_stable_across_chunks(monkeypatch):
 
 
 def test_mixture_prefix_stable_across_chunks(monkeypatch):
-    # 20 000 draws take two chunks of side words and three of left-tail
-    # candidates.
-    full = sample_exterior(STD, MIXTURE_HOLE, 0.0, 20_000, seed=6)
-    assert not _in_hole(full.values, MIXTURE_HOLE)
+    # 20 000 draws take two chunks of words.
+    full = sample_exterior(STD, LOW_MASS_HOLE, 0.0, 20_000, seed=6)
+    assert not _in_hole(full.values, LOW_MASS_HOLE)
     for n in (1, 4097, 17_000):
-        part = sample_exterior(STD, MIXTURE_HOLE, 0.0, n, seed=6)
+        part = sample_exterior(STD, LOW_MASS_HOLE, 0.0, n, seed=6)
         assert np.array_equal(part.values, full.values[:n])
     monkeypatch.setattr(sampler, "CHUNK_BLOCKS", 5)
-    monkeypatch.setattr(philox, "CHUNK_BLOCKS", 5)
-    small = sample_exterior(STD, MIXTURE_HOLE, 0.0, 2000, seed=6)
+    small = sample_exterior(STD, LOW_MASS_HOLE, 0.0, 2000, seed=6)
     assert np.array_equal(small.values, full.values[:2000])
 
 
@@ -330,11 +317,3 @@ def test_deep_mixture_stays_outside_and_agrees():
     estimate = monte_carlo_centroid(batch)
     closed = centroid_exterior(STD, hole, 0.0).value
     assert abs(estimate.mean - closed) < 4.0 * estimate.std_error
-
-
-def test_rejection_guard_refuses_hopeless_mass(monkeypatch):
-    # Forced onto rejection, a 1.5e-23 exterior would never fill; the
-    # candidate cap ends it with ParameterError instead.
-    monkeypatch.setattr(sampler, "MIXTURE_MASS_THRESHOLD", 0.0)
-    with pytest.raises(ParameterError, match="too small for this strategy"):
-        sample_exterior(STD, ExcludedInterval(-10.0, 10.0), 0.0, 4, seed=1)
