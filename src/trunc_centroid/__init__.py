@@ -18,7 +18,6 @@ from .centroid import (
     centroid_exterior,
     shift_comparison,
     slope_certificate,
-    standardize,
     std_exterior_centroid,
     std_exterior_centroid_slope,
 )
@@ -37,7 +36,6 @@ from .model import (
     GaussianParams,
     Method,
     ShiftComparison,
-    StandardizedProblem,
 )
 from .quadrature import (
     QuadratureConfig,
@@ -92,7 +90,6 @@ __all__ = [
     "QuadratureConfig",
     "SampleBatch",
     "ShiftComparison",
-    "StandardizedProblem",
     "SweepSpec",
     "ToleranceNotMetError",
     "TruncCentroidError",
@@ -111,7 +108,6 @@ __all__ = [
     "sample_exterior",
     "shift_comparison",
     "slope_certificate",
-    "standardize",
     "std_cdf",
     "std_exterior_centroid",
     "std_exterior_centroid_slope",

@@ -26,7 +26,7 @@ import math
 
 from .errors import IntervalError, require_finite
 from .model import LOW_MASS_FLOOR, LOW_SUPPORT_MASS  # re-exported here
-from .model import CentroidResult, ExcludedInterval, GaussianParams, Method, ShiftComparison, StandardizedProblem
+from .model import CentroidResult, ExcludedInterval, GaussianParams, Method, ShiftComparison
 from .special import (
     log_std_cdf,
     log_std_pdf,
@@ -44,24 +44,19 @@ _SLOPE_DIRECT_FLOOR = 1e-150
 DEEP_TRUNCATION = "deep_truncation"
 
 
-def _check_hole(lower: float, upper: float) -> tuple[float, float]:
-    lower = require_finite(lower, "lower")
-    upper = require_finite(upper, "upper")
+def _check_point(
+    shift: float, lower: float, upper: float, names=("shift", "lower", "upper")
+) -> tuple[float, float, float]:
+    """The point as floats: DomainError unless all three are finite,
+    IntervalError unless upper > lower."""
+    shift = require_finite(shift, names[0])
+    lower = require_finite(lower, names[1])
+    upper = require_finite(upper, names[2])
     if not upper > lower:
-        raise IntervalError(f"hole needs upper > lower, got ({lower!r}, {upper!r})")
-    return lower, upper
-
-
-def standardize(
-    params: GaussianParams, hole: ExcludedInterval, shift: float
-) -> StandardizedProblem:
-    """Map an (mu, sigma) problem to standard-normal coordinates."""
-    shift = require_finite(shift, "shift")
-    return StandardizedProblem(
-        l_hat=(hole.lower - params.mu) / params.sigma,
-        u_hat=(hole.upper - params.mu) / params.sigma,
-        h_hat=shift / params.sigma,
-    )
+        raise IntervalError(
+            f"hole needs {names[2]} > {names[1]}, got ({lower!r}, {upper!r})"
+        )
+    return shift, lower, upper
 
 
 def _offset_from(f_ru, f_rl, mass):
@@ -142,8 +137,7 @@ def std_exterior_centroid(shift: float, lower: float, upper: float) -> float:
     Strictly increasing in `shift` for any fixed hole; the verification
     sweeps exercise that claim.
     """
-    shift = require_finite(shift, "shift")
-    lower, upper = _check_hole(lower, upper)
+    shift, lower, upper = _check_point(shift, lower, upper)
     offset, _, _ = _offset_mass_flags(shift, lower, upper)
     return shift + offset
 
@@ -152,11 +146,16 @@ def centroid_exterior(
     params: GaussianParams, hole: ExcludedInterval, shift: float
 ) -> CentroidResult:
     """Closed-form conditional expectation in observable units."""
-    problem = standardize(params, hole, shift)
-    offset, mass, flags = _offset_mass_flags(
-        problem.h_hat, problem.l_hat, problem.u_hat
+    mu, sigma = params.mu, params.sigma
+    # A finite sigma can still overflow h, l or u, or round l and u equal.
+    h, l, u = _check_point(
+        require_finite(shift, "shift") / sigma,
+        (hole.lower - mu) / sigma,
+        (hole.upper - mu) / sigma,
+        ("h_hat", "l_hat", "u_hat"),
     )
-    value = params.mu + params.sigma * (problem.h_hat + offset)
+    offset, mass, flags = _offset_mass_flags(h, l, u)
+    value = mu + sigma * (h + offset)
     return CentroidResult(
         value=value,
         method=Method.CLOSED_FORM,
@@ -188,8 +187,7 @@ def std_exterior_centroid_slope(shift: float, lower: float, upper: float) -> flo
     the squared mass while the square is representable, otherwise the
     equivalent 1 + ratio - ratio**2 arrangement in log space.
     """
-    shift = require_finite(shift, "shift")
-    lower, upper = _check_hole(lower, upper)
+    shift, lower, upper = _check_point(shift, lower, upper)
     ru = upper - shift
     rl = lower - shift
     mass = std_tail(ru) + std_cdf(rl)
@@ -225,12 +223,11 @@ def shift_comparison(
     delta carries the sign of the shift: translating the density toward
     either ray drags the conditional expectation the same way.
     """
-    shift = require_finite(shift, "shift")
     base = centroid_exterior(params, hole, 0.0)
     shifted = centroid_exterior(params, hole, shift)
     return ShiftComparison(
         base=base,
         shifted=shifted,
-        shift=shift,
+        shift=float(shift),
         delta=shifted.value - base.value,
     )

@@ -115,8 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--n", type=int, help="sample count (monte_carlo)")
     p.add_argument("--seed", type=int, help="RNG seed (monte_carlo)")
-    p.add_argument("--abs-tol", type=_positive, default=1e-13)
-    p.add_argument("--rel-tol", type=_positive, default=1e-12)
+    p.add_argument("--abs-tol", type=_positive, default=QuadratureConfig.abs_tol)
+    p.add_argument("--rel-tol", type=_positive, default=QuadratureConfig.rel_tol)
     _add_output_flags(p)
 
     p = sub.add_parser("compare", help="base vs shifted centroid")

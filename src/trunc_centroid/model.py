@@ -82,25 +82,6 @@ class ExcludedInterval:
 
 
 @dataclass(frozen=True)
-class StandardizedProblem:
-    """Unitless reduction: hole edges and shift divided through by sigma."""
-
-    l_hat: float
-    u_hat: float
-    h_hat: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "l_hat", require_finite(self.l_hat, "l_hat"))
-        object.__setattr__(self, "u_hat", require_finite(self.u_hat, "u_hat"))
-        object.__setattr__(self, "h_hat", require_finite(self.h_hat, "h_hat"))
-        if not self.u_hat > self.l_hat:
-            raise IntervalError(
-                f"standardized hole needs u_hat > l_hat, got "
-                f"({self.l_hat!r}, {self.u_hat!r})"
-            )
-
-
-@dataclass(frozen=True)
 class CentroidResult:
     value: float
     method: Method

@@ -21,7 +21,6 @@ from trunc_centroid.centroid import (
     centroid_exterior,
     shift_comparison,
     slope_certificate,
-    standardize,
     std_exterior_centroid,
     std_exterior_centroid_slope,
 )
@@ -33,23 +32,6 @@ from trunc_centroid.special import std_cdf_array, std_pdf_array, std_tail_array
 REF_PARAMS = GaussianParams(mu=1.0, sigma=2.0)
 REF_HOLE = ExcludedInterval(lower=-1.0, upper=4.0)
 CFG = QuadratureConfig()
-
-
-def test_standardize_reference_config():
-    problem = standardize(REF_PARAMS, REF_HOLE, 2.0)
-    assert problem.l_hat == -1.0
-    assert problem.u_hat == 1.5
-    assert problem.h_hat == 1.0
-
-
-def test_standardize_identity():
-    problem = standardize(GaussianParams(0.0, 1.0), ExcludedInterval(-0.3, 0.7), 0.4)
-    assert (problem.l_hat, problem.u_hat, problem.h_hat) == (-0.3, 0.7, 0.4)
-
-
-def test_standardize_direct_arithmetic():
-    problem = standardize(GaussianParams(5.0, 0.5), ExcludedInterval(4.0, 6.0), 1.0)
-    assert (problem.l_hat, problem.u_hat, problem.h_hat) == (-2.0, 2.0, 2.0)
 
 
 def test_input_validation():
@@ -68,11 +50,42 @@ def test_input_validation():
     with pytest.raises(IntervalError):
         ExcludedInterval(-math.inf, 0.0)
     with pytest.raises(DomainError):
-        standardize(REF_PARAMS, REF_HOLE, math.nan)
+        centroid_exterior(REF_PARAMS, REF_HOLE, math.nan)
     with pytest.raises(IntervalError):
         std_exterior_centroid(0.0, 1.5, -1.0)
     with pytest.raises(DomainError):
         slope_certificate(math.inf, 0.0)
+
+
+# A finite sigma still takes the standardized point (h, l, u) out of range:
+# an edge or the shift overflows, or the two edges round equal.
+@pytest.mark.parametrize(
+    "sigma, lower, upper, shift, error, name",
+    [
+        (1e-300, -1e10, 1e10, 0.0, DomainError, "l_hat must be finite"),
+        (1e-300, -1.0, 1.0, 1e10, DomainError, "h_hat must be finite"),
+        (1e300, 0.0, 1e-300, 0.0, IntervalError, "u_hat > l_hat"),
+    ],
+    ids=["edge_overflows", "shift_overflows", "edges_round_equal"],
+)
+def test_standardized_point_is_checked(sigma, lower, upper, shift, error, name):
+    params, hole = GaussianParams(0.0, sigma), ExcludedInterval(lower, upper)
+    with pytest.raises(error, match=name):
+        centroid_exterior(params, hole, shift)
+    with pytest.raises(error, match=name):
+        shift_comparison(params, hole, shift)
+
+
+def test_one_point_check_names_what_it_was_given():
+    # The shift as given, before it is divided by sigma.
+    for fn in (centroid_exterior, shift_comparison):
+        with pytest.raises(DomainError, match="^shift must be finite, got nan$"):
+            fn(REF_PARAMS, REF_HOLE, math.nan)
+    for fn in (std_exterior_centroid, std_exterior_centroid_slope):
+        with pytest.raises(DomainError, match="^upper must be finite, got inf$"):
+            fn(0.0, -1.0, math.inf)
+        with pytest.raises(IntervalError, match="^hole needs upper > lower"):
+            fn(0.0, 1.0, 1.0)
 
 
 def test_std_centroid_frozen_values():

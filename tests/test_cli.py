@@ -10,7 +10,7 @@ import pytest
 from trunc_centroid.centroid import centroid_exterior, shift_comparison
 from trunc_centroid.cli import build_parser, run
 from trunc_centroid.model import ExcludedInterval, GaussianParams
-from trunc_centroid.quadrature import centroid_quadrature
+from trunc_centroid.quadrature import QuadratureConfig, centroid_quadrature
 
 REF = ["--mu=1", "--sigma=2", "--lower=-1", "--upper=4"]
 REF_PARAMS = GaussianParams(1.0, 2.0)
@@ -144,6 +144,27 @@ def test_quadrature_at_extreme_scale_exits_zero(sigma, capsys):
         GaussianParams(0.0, float(sigma)), ExcludedInterval(-1.0, 1.0), 0.0
     )
     assert result["value"] == closed.value == 0.0
+
+
+# A finite sigma that takes the standardized point out of range is a
+# computation error (exit 1), not a traceback.
+@pytest.mark.parametrize("command", ["centroid", "compare"])
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["--sigma=1e-300", "--lower=-1e10", "--upper=1e10", "--shift=0"], "l_hat"),
+        (["--sigma=1e-300", "--lower=-1", "--upper=1", "--shift=1e10"], "h_hat"),
+        (["--sigma=1e300", "--lower=0", "--upper=1e-300", "--shift=0"],
+         "u_hat > l_hat"),
+    ],
+    ids=["edge_overflows", "shift_overflows", "edges_round_equal"],
+)
+def test_standardized_point_out_of_range_exit_code(command, argv, name, capsys):
+    assert run([command, "--mu=0", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and name in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_negative_scientific_notation_with_equals(capsys):
@@ -522,6 +543,12 @@ def test_parser_builds():
     args = parser.parse_args(["centroid", *REF])
     assert args.command == "centroid"
     assert args.sigma == 2.0
+
+
+def test_tolerance_defaults_are_the_oracle_defaults():
+    args = build_parser().parse_args(["centroid", *REF])
+    cfg = QuadratureConfig()
+    assert (args.abs_tol, args.rel_tol) == (cfg.abs_tol, cfg.rel_tol)
 
 
 def _console_script(*args: str) -> subprocess.CompletedProcess:

@@ -71,13 +71,13 @@ def test_prefix_stability_across_batch_sizes():
     assert np.array_equal(small_mix.values, large_mix.values[:50])
 
 
-def test_support_invariant_rejection_path():
+def test_reference_hole_draws_stay_outside():
     batch = sample_exterior(REF_PARAMS, REF_HOLE, 0.0, 20000, seed=3)
     assert not _in_hole(batch.values, REF_HOLE)
     assert batch.acceptance_rate > 0.05
 
 
-def test_mixture_path_selected_and_support_held():
+def test_six_sigma_hole_draws_stay_outside():
     hole = ExcludedInterval(-6.0, 6.0)
     exterior = std_cdf(-6.0) + std_tail(6.0)
     assert exterior < 1e-8
@@ -86,7 +86,7 @@ def test_mixture_path_selected_and_support_held():
     assert np.all(np.abs(batch.values) >= 6.0)
 
 
-def test_mixture_path_statistics_one_sided():
+def test_right_heavy_hole_agrees_with_closed_form():
     # Hole pushed far left: nearly all mass sits in the right tail, so
     # the estimate must straddle the closed-form centroid.
     hole = ExcludedInterval(-8.0, 5.5)
@@ -97,7 +97,7 @@ def test_mixture_path_statistics_one_sided():
     assert not _in_hole(batch.values, hole)
 
 
-def test_mixture_path_both_tails_balance():
+def test_low_mass_hole_balances_both_tails():
     hole = ExcludedInterval(-2.5, 3.0)
     exterior = std_cdf(-2.5) + std_tail(3.0)
     assert exterior < 0.01
@@ -261,7 +261,7 @@ def test_draws_that_round_into_the_hole_are_pinned_to_their_side(monkeypatch):
     assert np.array_equal(pinned, np.where(sides, hole.lower, hole.upper))
 
 
-def test_rejection_prefix_stable_across_chunks(monkeypatch):
+def test_high_mass_prefix_stable_across_chunks(monkeypatch):
     # 16 384 draws per 4096-block chunk, so the long batch takes two
     # chunks and the short ones end inside them.
     hole = HIGH_MASS_HOLE
@@ -280,7 +280,7 @@ def test_rejection_prefix_stable_across_chunks(monkeypatch):
     ).acceptance_rate
 
 
-def test_mixture_prefix_stable_across_chunks(monkeypatch):
+def test_low_mass_prefix_stable_across_chunks(monkeypatch):
     # 20 000 draws take two chunks of words.
     full = sample_exterior(STD, LOW_MASS_HOLE, 0.0, 20_000, seed=6)
     assert not _in_hole(full.values, LOW_MASS_HOLE)
@@ -296,7 +296,7 @@ def test_mixture_prefix_stable_across_chunks(monkeypatch):
     "hole, side",
     [(ExcludedInterval(-40.0, 3.0), "right"), (ExcludedInterval(-3.0, 40.0), "left")],
 )
-def test_one_sided_mixture(hole, side):
+def test_one_sided_hole(hole, side):
     # The far edge's tail mass underflows to zero, so one side gets no
     # draws at all.
     batch = sample_exterior(STD, hole, 0.0, 4000, seed=2)
@@ -309,7 +309,7 @@ def test_one_sided_mixture(hole, side):
     assert abs(estimate.mean - closed) < 4.0 * estimate.std_error
 
 
-def test_deep_mixture_stays_outside_and_agrees():
+def test_twenty_sigma_hole_stays_outside_and_agrees():
     hole = ExcludedInterval(-20.0, 20.0)
     batch = sample_exterior(STD, hole, 0.0, 20_000, seed=12)
     assert np.all(np.abs(batch.values) >= 20.0)
