@@ -1,23 +1,23 @@
 """Closed-form centroid of a Gaussian conditioned outside an interval.
 
-Everything reduces to standardized coordinates.  With hole edges
-(lower, upper) fixed and the density shifted by `shift`, write
-ru = upper - shift and rl = lower - shift.  The centroid of the shifted
-standard normal over the exterior support is
+In standardized coordinates, with a = upper - shift and b = shift - lower
+mirrored so that a <= b (a is the nearer edge, negative when the shift
+lies beyond it), the centroid of the shifted standard normal outside the
+hole is shift + (std_pdf(a) - std_pdf(b)) / (std_tail(a) + std_tail(b)).
+Divided by std_pdf(a) that is one formula for every point,
 
-    std_exterior_centroid(shift) =
-        shift + (std_pdf(ru) - std_pdf(rl)) / (std_tail(ru) + std_cdf(rl))
+    offset = (1 - e) / (R(a) + e R(b)),  e = exp(-(b - a)(b + a) / 2) <= 1,
 
-and the observable-units answer is mu + sigma * std_exterior_centroid.
-The derivative of that map in `shift` is strictly positive; its
-numerator, after clearing the squared mass denominator, is the
-positivity certificate computed by slope_certificate.
+R the Mills ratio, negated when mirrored; nothing in it underflows.
+b - a, b + a and their product are formed in double-double, so e keeps
+its relative accuracy near the middle of a wide hole.  The answer in
+observable units is mu + sigma * std_exterior_centroid.
 
-When the support mass underflows (denominator < 1e-300) the ratio is
-rebuilt in log space from log_std_pdf / log_std_tail, which keeps the
-centroid finite essentially without range limits; such results carry the
-`deep_truncation` flag.  A merely small denominator (< 1e-12) gets the
-`low_support_mass` flag and stays on the direct path.
+The shift is the natural parameter of the exterior law, so the slope is
+that law's variance.  slope_certificate is the paper's form of the same
+slope's numerator; the verification sweeps test its positivity.
+A result carries `low_support_mass` below an exterior mass of 1e-12 and
+`deep_truncation` below 1e-300.
 """
 
 from __future__ import annotations
@@ -27,21 +27,17 @@ import math
 from .errors import IntervalError, require_finite
 from .model import LOW_MASS_FLOOR, LOW_SUPPORT_MASS  # re-exported here
 from .model import CentroidResult, ExcludedInterval, GaussianParams, Method, ShiftComparison
-from .special import (
-    log_std_cdf,
-    log_std_pdf,
-    log_std_tail,
-    std_cdf,
-    std_pdf,
-    std_tail,
-)
+from .special import _mills, _mills_tails, _two_prod, std_cdf, std_pdf, std_tail
 
-# Below this the direct denominator is useless and the log branch takes over.
+# Support mass below which a result carries the deep_truncation flag.
 DEEP_MASS_FLOOR = 1e-300
-# Below this, squaring the denominator for the slope would underflow.
-_SLOPE_DIRECT_FLOOR = 1e-150
-
 DEEP_TRUNCATION = "deep_truncation"
+# exp(-x) is 0.0 from x of about 745 up.
+_EXP_CAP = 800.0
+# Dekker's product splits its factors, which overflows from about 2**996.
+_SPLIT_MAX = 2.0**990
+# Below this 1 + x lam - lam**2 cancels less than 300 ulps.
+_VARIANCE_SWITCH = 4.0
 
 
 def _check_point(
@@ -59,76 +55,39 @@ def _check_point(
     return shift, lower, upper
 
 
-def _offset_from(f_ru, f_rl, mass):
-    """Direct-path centroid offset from the densities at ru, rl and the mass.
-
-    This and the two helpers below hold the closed-form arithmetic once for
-    the scalar functions and the array sweeps: they take values already
-    evaluated, as floats or as numpy arrays, and return the same bits
-    either way.
-    """
-    return (f_ru - f_rl) / mass
+def _two_sum(a: float, b: float) -> tuple[float, float]:
+    """s + err == a + b exactly, s the rounded sum (Knuth)."""
+    s = a + b
+    t = s - a
+    return s, (a - (s - t)) + (b - t)
 
 
-def _certificate_from(x1, x2, f1, f2, m):
-    """slope_certificate from std_pdf(x1), std_pdf(x2) and m."""
-    d = f1 - f2
-    if isinstance(d, float):  # numpy.float64 included
-        square = d**2
-    else:
-        # numpy's ** squares by multiplication, which differs from libm's
-        # pow in the last bit on about one input in 1200; float_power
-        # calls pow.
-        import numpy as np
-
-        square = np.float_power(d, 2.0)
-    return (x1 * f1 - x2 * f2) * m + m * m - square
-
-
-def _quotient_slope_from(ru, rl, f_ru, f_rl, m):
-    """_slope_quotient_form from the densities at ru, rl and the mass m."""
-    ratio = _offset_from(f_ru, f_rl, m)
-    return 1.0 + (ru * f_ru - rl * f_rl) / m - ratio * ratio
-
-
-def _log_add(a: float, b: float) -> float:
-    """log(exp(a) + exp(b)), free of overflow and underflow."""
-    hi = max(a, b)
-    return hi + math.log1p(math.exp(min(a, b) - hi))
-
-
-def _log_offset(ru: float, rl: float) -> tuple[float, float, float, float]:
-    """The log branch: log mass, log_std_pdf at ru and rl, and the offset
-    (std_pdf(ru) - std_pdf(rl)) / mass, each from logarithms."""
-    log_mass = _log_add(log_std_tail(ru), log_std_cdf(rl))
-    lf_ru = log_std_pdf(ru)
-    lf_rl = log_std_pdf(rl)
-    if lf_ru == lf_rl:
-        return log_mass, lf_ru, lf_rl, 0.0
-    big, small, sign = (lf_ru, lf_rl, 1.0) if lf_ru > lf_rl else (lf_rl, lf_ru, -1.0)
-    log_num = big + math.log(-math.expm1(small - big))
-    return log_mass, lf_ru, lf_rl, sign * math.exp(log_num - log_mass)
-
-
-def _offset_mass_flags(
-    shift: float, lower: float, upper: float
-) -> tuple[float, float, list[str]]:
-    """Centroid offset from `shift`, support mass, and condition flags.
-
-    offset = (std_pdf(ru) - std_pdf(rl)) / mass in standardized units.
-    """
-    ru = upper - shift
-    rl = lower - shift
-    mass = std_tail(ru) + std_cdf(rl)
-    if mass >= DEEP_MASS_FLOOR:
-        offset = _offset_from(std_pdf(ru), std_pdf(rl), mass)
-        flags = [LOW_SUPPORT_MASS] if mass < LOW_MASS_FLOOR else []
-        return offset, mass, flags
-
-    # Both tail pieces underflow; rebuild the ratio from logarithms.
-    log_mass, _, _, offset = _log_offset(ru, rl)
-    # exp may flush to zero here; the flag records that the mass is nominal.
-    return offset, math.exp(log_mass), [DEEP_TRUNCATION, LOW_SUPPORT_MASS]
+def _edges(h: float, l: float, u: float):
+    """(sign, a, b, R(a), R(b), e, 1 - e), sign -1.0 where the nearer edge
+    is the lower one; R(b) is 0.0 where e is, as that tail has no weight."""
+    a, b, sign = u - h, h - l, 1.0
+    # (b - a)/2 = h - (l + u)/2 and (b + a)/2 = (u - l)/2 in double-double;
+    # halves overflow only where b - a does, and x is then inf or nan.
+    m, m_err = _two_sum(0.5 * l, 0.5 * u)
+    s, s_err = _two_sum(0.5 * u, -0.5 * l)
+    d, d_err = _two_sum(h, -m)
+    d_err -= m_err
+    # a and b round equal when b - a is below their ulp, and d is nan when
+    # b - a overflows.
+    if a > b or d + d_err < 0.0:
+        a, b, sign, d, d_err = b, a, -1.0, -d, -d_err
+    x = 2.0 * d * s  # (b - a)(b + a)/2
+    if not x < _EXP_CAP:
+        return sign, a, b, _mills(a), 0.0, 0.0, 1.0
+    x_err = 0.0
+    if abs(d) < _SPLIT_MAX and s < _SPLIT_MAX:
+        x, x_err = _two_prod(2.0 * d, s)
+    x_err += 2.0 * (d * s_err + d_err * s)
+    # exp(-(x + x_err)) = exp(-x) (1 - x_err), to first order.
+    g = math.exp(-x)
+    e = g - g * x_err
+    rb = _mills(b) if e else 0.0
+    return sign, a, b, _mills(a), rb, e, g * x_err - math.expm1(-x)
 
 
 def std_exterior_centroid(shift: float, lower: float, upper: float) -> float:
@@ -138,8 +97,8 @@ def std_exterior_centroid(shift: float, lower: float, upper: float) -> float:
     sweeps exercise that claim.
     """
     shift, lower, upper = _check_point(shift, lower, upper)
-    offset, _, _ = _offset_mass_flags(shift, lower, upper)
-    return shift + offset
+    sign, _, _, ra, rb, e, one_minus_e = _edges(shift, lower, upper)
+    return shift + sign * one_minus_e / (ra + e * rb)
 
 
 def centroid_exterior(
@@ -154,14 +113,32 @@ def centroid_exterior(
         (hole.upper - mu) / sigma,
         ("h_hat", "l_hat", "u_hat"),
     )
-    offset, mass, flags = _offset_mass_flags(h, l, u)
-    value = mu + sigma * (h + offset)
+    mass = std_tail(u - h) + std_cdf(l - h)
+    flags = [DEEP_TRUNCATION] if mass < DEEP_MASS_FLOOR else []
+    if mass < LOW_MASS_FLOOR:
+        flags.append(LOW_SUPPORT_MASS)
     return CentroidResult(
-        value=value,
+        value=mu + sigma * std_exterior_centroid(h, l, u),
         method=Method.CLOSED_FORM,
         support_mass=mass,
         warnings=tuple(flags),
     )
+
+
+def _certificate_from(x1, x2, f1, f2, m):
+    """slope_certificate from std_pdf(x1), std_pdf(x2) and m, as floats or
+    as numpy arrays, with the same bits either way."""
+    d = f1 - f2
+    if isinstance(d, float):  # numpy.float64 included
+        square = d**2
+    else:
+        # numpy's ** squares by multiplication, which differs from libm's
+        # pow in the last bit on about one input in 1200; float_power
+        # calls pow.
+        import numpy as np
+
+        square = np.float_power(d, 2.0)
+    return (x1 * f1 - x2 * f2) * m + m * m - square
 
 
 def slope_certificate(x1: float, x2: float) -> float:
@@ -180,39 +157,33 @@ def slope_certificate(x1: float, x2: float) -> float:
     return _certificate_from(x1, x2, std_pdf(x1), std_pdf(x2), m)
 
 
+def _tail_variance(x: float, r: float) -> float:
+    """Variance of Z given Z >= x: 1 + x lam - lam**2, lam = 1/r the tail's
+    mean, or from _VARIANCE_SWITCH up, where that cancels, the same value
+    (r2 - r1) / (x + r2) from the tails of the continued fraction."""
+    if x >= _VARIANCE_SWITCH:
+        r1, r2 = _mills_tails(x)
+        return (r2 - r1) / (x + r2)
+    lam = 1.0 / r
+    # lam is 0.0 where the density at x underflows: the tail is the line.
+    return 1.0 + x * lam - lam * lam if lam else 1.0
+
+
 def std_exterior_centroid_slope(shift: float, lower: float, upper: float) -> float:
     """Derivative of std_exterior_centroid with respect to `shift`.
 
-    Strictly positive for every finite input.  Uses the certificate over
-    the squared mass while the square is representable, otherwise the
-    equivalent 1 + ratio - ratio**2 arrangement in log space.
+    The variance of the exterior law by the law of total variance, w_a v(a)
+    + w_b v(b) + w_a w_b (lam(a) + lam(b))**2: the tails have weights w,
+    variances v and means lam(a) and -lam(b), lam = 1/R; w_b/w_a = e R(b)/R(a).
     """
     shift, lower, upper = _check_point(shift, lower, upper)
-    ru = upper - shift
-    rl = lower - shift
-    mass = std_tail(ru) + std_cdf(rl)
-    if mass >= _SLOPE_DIRECT_FLOOR:
-        return slope_certificate(ru, rl) / (mass * mass)
-
-    # mass < 1e-150 forces ru >> 0 and rl << 0, so the first-moment term
-    # ru*f(ru) - rl*f(rl) is a sum of two positive magnitudes.
-    log_mass, lf_ru, lf_rl, offset = _log_offset(ru, rl)
-    log_moment = _log_add(math.log(ru) + lf_ru, math.log(-rl) + lf_rl)
-    return 1.0 + math.exp(log_moment - log_mass) - offset * offset
-
-
-def _slope_quotient_form(shift: float, lower: float, upper: float) -> float:
-    """The 1 + quotient-rule arrangement of the same derivative.
-
-    Algebraically identical to std_exterior_centroid_slope on the direct
-    path; kept separate so the verification sweeps can pit the two
-    arrangements against each other.
-    """
-    ru = upper - shift
-    rl = lower - shift
-    return _quotient_slope_from(
-        ru, rl, std_pdf(ru), std_pdf(rl), std_tail(ru) + std_cdf(rl)
-    )
+    _, a, b, ra, rb, e, _ = _edges(shift, lower, upper)
+    t = e * rb / ra
+    if not t:
+        return _tail_variance(a, ra)
+    spread = 1.0 / ra + 1.0 / rb
+    within = (_tail_variance(a, ra) + t * _tail_variance(b, rb)) / (1.0 + t)
+    return within + t * spread * spread / ((1.0 + t) * (1.0 + t))
 
 
 def shift_comparison(

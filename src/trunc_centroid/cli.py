@@ -13,8 +13,8 @@ text lines, and _emit is the one place that picks --format and writes
 --output.
 
 Exit codes: 0 success, 1 domain/computation error (sigma <= 0, bad hole,
-deep truncation for oracle or sampler), 2 usage error (an --output that
-cannot be written included).
+deep truncation for oracle or sampler, a sweep too large for memory), 2
+usage error (an --output that cannot be written included).
 
 JSON output is strict: a non-finite float (an unused CSV cell, an
 untestable ratio, the Monte Carlo support mass) is written as null.
@@ -417,6 +417,9 @@ def run(argv=None) -> int:
         return 2
     except TruncCentroidError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: {exc or 'out of memory'}", file=sys.stderr)
         return 1
 
 

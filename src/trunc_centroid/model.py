@@ -28,10 +28,9 @@ class Method(str, enum.Enum):
 LOW_MASS_FLOOR = 1e-12
 LOW_SUPPORT_MASS = "low_support_mass"
 # Exterior mass at or below which the quadrature oracle and the sampler
-# raise DeepTruncationError.  This close to float64 underflow (normal
-# floats stop at 2.2e-308) neither an integral over density values nor an
-# inversion of tail masses can be trusted; the closed form answers in log
-# space.
+# raise DeepTruncationError: this close to float64 underflow (normal floats
+# stop at 2.2e-308) neither integrals of densities nor inverted tail masses
+# can be trusted.  The closed form divides each tail by its edge's density.
 UNDERFLOW_MASS_FLOOR = 1e-290
 
 

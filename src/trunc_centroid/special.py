@@ -51,6 +51,11 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 # beyond it the continued fraction for the Mills ratio takes over.
 _MILLS_SWITCH = 33.0
 _MILLS_TERMS = 40
+# sqrt(pi / 2) correctly rounded, and 1/sqrt(2) - INV_SQRT2.
+_SQRT_HALF_PI = 1.2533141373155003
+_INV_SQRT2_TAIL = 6.268583589525109e-17
+# Veltkamp's splitter 2**27 + 1; it overflows from about 2**996 up.
+_SPLITTER = 134217729.0
 
 
 def std_pdf(x: float) -> float:
@@ -103,27 +108,50 @@ def log_std_pdf(x: float) -> float:
     return -0.5 * (x * x) - _LOG_SQRT_2PI
 
 
+def _two_prod(a: float, b: float) -> tuple[float, float]:
+    """hi + lo == a * b exactly (Dekker 1971), from 26-bit halves of a, b."""
+    c, d = _SPLITTER * a, _SPLITTER * b
+    ah, bh = c - (c - a), d - (d - b)
+    al, bl = a - ah, b - bh
+    hi = a * b
+    return hi, ((ah * bh - hi) + ah * bl + al * bh) + al * bl
+
+
+def _mills_tails(x: float) -> tuple[float, float]:
+    """(r1, r2): R(x) = 1 / (x + r1), r_k = k / (x + r_(k+1)), r_41 = 0."""
+    r = 0.0
+    for k in range(_MILLS_TERMS, 1, -1):
+        r = k / (x + r)
+    return 1 / (x + r), r
+
+
+def _mills(x: float) -> float:
+    """mills_ratio for either sign of x, unchecked; inf where std_pdf(x)
+    underflows.  The rounding errors dsq of x*x and dt of x/sqrt(2), which
+    exp and erfc would magnify to x**2 ulps, take one derivative term each:
+    erfc(t + dt) = erfc(t) - 2 exp(-t*t) dt / sqrt(pi)."""
+    if x >= _MILLS_SWITCH:
+        return 1.0 / (x + _mills_tails(x)[0])
+    sq, dsq = _two_prod(x, x)
+    g = math.exp(-0.5 * sq)
+    if not g:
+        return math.inf
+    t, dt = _two_prod(x, INV_SQRT2)
+    dt += x * _INV_SQRT2_TAIL
+    return _SQRT_HALF_PI * math.erfc(t) / (g * (1.0 - 0.5 * dsq)) - dt / INV_SQRT2
+
+
 def mills_ratio(x: float) -> float:
     """std_tail(x) / std_pdf(x) for x > 0, stable for arbitrarily large x.
 
-    Uses the linear-scale quotient while erfc still has full precision
-    and the classical continued fraction
-
-        R(x) = 1 / (x + 1 / (x + 2 / (x + 3 / ...)))
-
-    evaluated backward beyond that.  Inputs must be positive; the ratio
-    for x <= 0 is not needed by any caller and the continued fraction
-    does not converge there.
+    Uses the linear-scale quotient while erfc still has full precision and
+    the classical continued fraction R(x) = 1 / (x + 1 / (x + 2 / (x + ...)))
+    beyond that.  The closed form calls _mills, unchecked, for either sign.
     """
     x = require_finite(x, "x")
     if x <= 0.0:
         raise DomainError(f"mills_ratio requires x > 0, got {x!r}")
-    if x < _MILLS_SWITCH:
-        return std_tail(x) / std_pdf(x)
-    r = 0.0
-    for k in range(_MILLS_TERMS, 0, -1):
-        r = k / (x + r)
-    return 1.0 / (x + r)
+    return _mills(x)
 
 
 def log_std_tail(x: float) -> float:

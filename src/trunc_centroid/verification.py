@@ -8,18 +8,19 @@ what its output means.
 A point is set aside as "untestable-strict", rather than counted as a
 pass or a failure, when double precision cannot vouch for its strict
 inequality: its margin is not finite or below 1e-280 in magnitude, or it
-divides by a density below the smallest normal double, whose few
-significant digits cannot carry the comparison (the Mills-ratio checks).
-Reports are deterministic for a given (spec, seed).
+divides by a subnormal, whose few significant digits cannot carry the
+comparison: a density (the Mills-ratio checks), the support mass m (the
+centroids) or m**2 (the slope).  Reports are deterministic for a given
+(spec, seed).
 
-Each sweep computes its margins as numpy arrays with the arithmetic of
-the scalar functions, so every margin has the bits the scalar call would
-give.  exp and erfc run element by element through the math module
-(special.std_*_array), and on a grid they run on the 1-D axes only and
-are broadcast over the plane.  Points whose centroid or slope needs the
-log-space branch go to the scalar functions one at a time.  Only the rows
-a report keeps (violations, untestable points, the minimum margin) become
-CheckRecords.
+The sweeps evaluate the paper's formulas, which its argument is about:
+the centroid ratio h + (pdf(u - h) - pdf(l - h)) / m, and the slope as the
+certificate over m**2 and in quotient-rule form.  They compute them as
+numpy arrays, so margins have the bits of those formulas, not of
+std_exterior_centroid; exp and erfc run element by element through the
+math module (special.std_*_array), and on a grid on the 1-D axes only,
+broadcast over the plane.  Only the rows a report keeps (violations,
+untestable points, the minimum margin) become CheckRecords.
 
 CSV rendering uses the fixed column set
 
@@ -39,21 +40,13 @@ from typing import Any, Iterable, NamedTuple
 
 import numpy as np
 
-from .centroid import (
-    DEEP_MASS_FLOOR,
-    _SLOPE_DIRECT_FLOOR,
-    _certificate_from,
-    _offset_from,
-    _quotient_slope_from,
-    std_exterior_centroid,
-    std_exterior_centroid_slope,
-)
+from .centroid import _certificate_from
 from .errors import ParameterError
 from .philox import CounterStream
 from .special import std_cdf_array, std_pdf_array, std_tail_array
 
 UNTESTABLE_FLOOR = 1e-280
-# Dividing by a density below this (a subnormal) leaves too few digits.
+# Dividing by a density or a mass below this (a subnormal) leaves too few digits.
 _DENSITY_FLOOR = sys.float_info.min
 
 
@@ -107,7 +100,8 @@ class VerificationReport:
 
     @property
     def passed(self) -> bool:
-        return not self.violations
+        # A sweep that checked no point has shown nothing.
+        return self.checks_run > 0 and not self.violations
 
 
 DEFAULT_MONOTONICITY_SPEC = SweepSpec(
@@ -216,24 +210,24 @@ def _report(name: str, checks: Iterable[_Check]) -> VerificationReport:
     )
 
 
-def _scalar_at(values, points, fn, *args):
-    """values, with fn(*args) computed one point at a time where `points` holds."""
-    if not points.any():
-        return values
-    values = np.broadcast_to(values, points.shape).copy()
-    picked = [np.broadcast_to(a, points.shape)[points].tolist() for a in args]
-    values[points] = [fn(*p) for p in zip(*picked)]
-    return values
+def _offset_from(f_ru, f_rl, mass):
+    """The paper's centroid offset from the densities at ru, rl and the mass."""
+    return (f_ru - f_rl) / mass
 
 
-def _centroids(shift, lower, upper, where):
-    """std_exterior_centroid over broadcast arrays, bit for bit at `where`."""
+def _quotient_slope_from(ru, rl, f_ru, f_rl, m):
+    """The slope in quotient-rule form: algebraically the certificate / m**2."""
+    ratio = _offset_from(f_ru, f_rl, m)
+    return 1.0 + (ru * f_ru - rl * f_rl) / m - ratio * ratio
+
+
+def _centroids(shift, lower, upper):
+    """The paper's centroid ratio over arrays, and where its mass is subnormal."""
     ru = upper - shift
     rl = lower - shift
     mass = std_tail_array(ru) + std_cdf_array(rl)
     psi = shift + _offset_from(std_pdf_array(ru), std_pdf_array(rl), mass)
-    deep = where & (mass < DEEP_MASS_FLOOR)
-    return _scalar_at(psi, deep, std_exterior_centroid, shift, lower, upper)
+    return psi, mass < _DENSITY_FLOOR
 
 
 def _uniform(stream: CounterStream, lo: float, hi: float, n: int) -> np.ndarray:
@@ -254,8 +248,9 @@ def verify_monotonicity(spec: SweepSpec = DEFAULT_MONOTONICITY_SPEC) -> Verifica
     Rows: x1 = hole lower, x2 = hole upper, h = the larger shift of the
     pair; lhs/rhs are the centroids at the larger and smaller shift.
     The companion shift_sign rows compare the centroid at that shift with
-    the unshifted one, both from the same array closed form: lhs is their
+    the unshifted one, both from the same array ratio: lhs is their
     difference, rhs is 0, and the margin is the difference signed by h.
+    A row is untestable where a centroid it compares has a subnormal mass.
     """
     if spec.mode == "grid":
         l = _grid(spec.l_range)[:, None, None]
@@ -272,16 +267,18 @@ def verify_monotonicity(spec: SweepSpec = DEFAULT_MONOTONICITY_SPEC) -> Verifica
         where = raw_h1 != raw_h2
 
     with np.errstate(all="ignore"):
-        psi1 = _centroids(h1, l, u, where)
-        psi2 = _centroids(h2, l, u, where)
+        psi1, faint1 = _centroids(h1, l, u)
+        psi2, faint2 = _centroids(h2, l, u)
+        psi0, faint0 = _centroids(0.0, l, u)
         moved = where & (h2 != 0.0)
-        delta = psi2 - _centroids(0.0, l, u, moved)
+        delta = psi2 - psi0
         signed = np.where(h2 > 0.0, delta, -delta)
+        rise = psi2 - psi1
         return _report(
             "monotonicity",
             [
-                _Check("monotonicity", where, l, u, h2, psi2, psi1, psi2 - psi1),
-                _Check("shift_sign", moved, l, u, h2, delta, 0.0, signed),
+                _Check("monotonicity", where, l, u, h2, psi2, psi1, rise, faint1 | faint2),
+                _Check("shift_sign", moved, l, u, h2, delta, 0.0, signed, faint2 | faint0),
             ],
         )
 
@@ -374,6 +371,8 @@ def verify_derivative(spec: SweepSpec = DEFAULT_DERIVATIVE_SPEC) -> Verification
     Rows: x1 = hole lower, x2 = hole upper, h = shift.  The derivative_fd
     margin is 1e-6 minus the relative error; derivative_forms margin is
     the scaled 1e-10 agreement slack; derivative_positive is the value.
+    A row is untestable where m**2, or the mass of a centroid the
+    difference quotient takes, is subnormal.
 
     Raises ZeroDivisionError where the support mass underflows to 0, as
     the quotient-rule form divides by it.
@@ -398,24 +397,24 @@ def verify_derivative(spec: SweepSpec = DEFAULT_DERIVATIVE_SPEC) -> Verification
         m = std_tail_array(ru) + std_cdf_array(rl)
         if np.any(where & (m == 0.0)):
             raise ZeroDivisionError("float division by zero")
-        analytic = _certificate_from(ru, rl, f_ru, f_rl, m) / (m * m)
-        deep = where & (m < _SLOPE_DIRECT_FLOOR)
-        analytic = _scalar_at(analytic, deep, std_exterior_centroid_slope, h, l, u)
+        slope = _certificate_from(ru, rl, f_ru, f_rl, m) / (m * m)
+        faint = m * m < _DENSITY_FLOOR
         quotient = _quotient_slope_from(ru, rl, f_ru, f_rl, m)
         # fmax skips nan as the builtin max(1.0, ...) does.
-        scale = np.fmax(np.fmax(1.0, np.abs(analytic)), np.abs(quotient))
-        forms = 1e-10 * scale - np.abs(analytic - quotient)
-        steep = where & (np.abs(analytic) > 1e-8)
-        fd = (
-            _centroids(h + eps, l, u, steep) - _centroids(h - eps, l, u, steep)
-        ) / (2.0 * eps)
-        rel_err = np.abs(analytic - fd) / np.maximum(np.abs(fd), 1e-300)
+        scale = np.fmax(np.fmax(1.0, np.abs(slope)), np.abs(quotient))
+        forms = 1e-10 * scale - np.abs(slope - quotient)
+        steep = where & (np.abs(slope) > 1e-8)
+        up, faint_up = _centroids(h + eps, l, u)
+        down, faint_down = _centroids(h - eps, l, u)
+        fd = (up - down) / (2.0 * eps)
+        fd_margin = 1e-6 - np.abs(slope - fd) / np.maximum(np.abs(fd), 1e-300)
+        fd_faint = faint | faint_up | faint_down
         return _report(
             "derivative",
             [
-                _Check("derivative_positive", where, l, u, h, analytic, 0.0, analytic),
-                _Check("derivative_forms", where, l, u, h, analytic, quotient, forms),
-                _Check("derivative_fd", steep, l, u, h, analytic, fd, 1e-6 - rel_err),
+                _Check("derivative_positive", where, l, u, h, slope, 0.0, slope, faint),
+                _Check("derivative_forms", where, l, u, h, slope, quotient, forms, faint),
+                _Check("derivative_fd", steep, l, u, h, slope, fd, fd_margin, fd_faint),
             ],
         )
 

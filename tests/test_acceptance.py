@@ -16,7 +16,6 @@ from trunc_centroid.centroid import (
     shift_comparison,
     std_exterior_centroid,
     std_exterior_centroid_slope,
-    _slope_quotient_form,
 )
 from trunc_centroid.figure import (
     REFERENCE_HOLE,
@@ -28,8 +27,10 @@ from trunc_centroid.model import ExcludedInterval, GaussianParams
 from trunc_centroid.philox import CounterStream
 from trunc_centroid.quadrature import QuadratureConfig, centroid_quadrature
 from trunc_centroid.sampler import monte_carlo_centroid, sample_exterior
+from trunc_centroid.special import std_cdf, std_pdf, std_tail
 from trunc_centroid.verification import (
     SweepSpec,
+    _quotient_slope_from,
     verify_bounds,
     verify_certificate_positive,
     verify_derivative,
@@ -205,7 +206,10 @@ def test_06_analytic_slope_against_finite_differences():
             - std_exterior_centroid(h - eps, l, u)
         ) / (2.0 * eps)
         max_rel = max(max_rel, abs(analytic - fd) / max(abs(fd), 1e-300))
-        quotient = _slope_quotient_form(h, l, u)
+        ru, rl = u - h, l - h
+        quotient = _quotient_slope_from(
+            ru, rl, std_pdf(ru), std_pdf(rl), std_tail(ru) + std_cdf(rl)
+        )
         scale = max(1.0, abs(analytic), abs(quotient))
         max_form_gap = max(max_form_gap, abs(analytic - quotient) / scale)
     report = verify_derivative()

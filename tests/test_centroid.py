@@ -14,10 +14,6 @@ import pytest
 
 from trunc_centroid.centroid import (
     _certificate_from,
-    _offset_from,
-    _offset_mass_flags,
-    _quotient_slope_from,
-    _slope_quotient_form,
     centroid_exterior,
     shift_comparison,
     slope_certificate,
@@ -27,11 +23,25 @@ from trunc_centroid.centroid import (
 from trunc_centroid.errors import DomainError, IntervalError, ParameterError
 from trunc_centroid.model import ExcludedInterval, GaussianParams, Method
 from trunc_centroid.quadrature import QuadratureConfig, _rays, centroid_quadrature
-from trunc_centroid.special import std_cdf_array, std_pdf_array, std_tail_array
+from trunc_centroid.special import (
+    std_cdf,
+    std_cdf_array,
+    std_pdf,
+    std_pdf_array,
+    std_tail,
+    std_tail_array,
+)
+from trunc_centroid.verification import _quotient_slope_from
 
 REF_PARAMS = GaussianParams(mu=1.0, sigma=2.0)
 REF_HOLE = ExcludedInterval(lower=-1.0, upper=4.0)
 CFG = QuadratureConfig()
+
+
+def _quotient_form(h, l, u):
+    """The sweeps' quotient-rule slope at one point."""
+    ru, rl = u - h, l - h
+    return _quotient_slope_from(ru, rl, std_pdf(ru), std_pdf(rl), std_tail(ru) + std_cdf(rl))
 
 
 def test_input_validation():
@@ -148,7 +158,7 @@ def test_slope_equals_certificate_over_squared_mass():
 def test_slope_two_forms_agree():
     for (h, l, u) in [(0.0, -1.0, 1.5), (0.0, -1.0, 1.0), (1.5, -3.0, 0.5)]:
         a = std_exterior_centroid_slope(h, l, u)
-        b = _slope_quotient_form(h, l, u)
+        b = _quotient_form(h, l, u)
         assert math.isclose(a, b, rel_tol=1e-12)
 
 
@@ -164,25 +174,45 @@ def test_slope_matches_finite_difference():
 
 
 def test_deep_truncation_branch():
-    # mass ~ 3.7e-350: both tails underflow, ratio rebuilt from logs.
+    # mass ~ 3.7e-350: both tails underflow, the ratio to the density at
+    # the nearer edge does not.
     value = std_exterior_centroid(0.0, -40.0, 41.0)
     assert math.isclose(value, -40.024968847207264, rel_tol=1e-12)
-    offset, mass, flags = _offset_mass_flags(0.0, -40.0, 41.0)
-    assert "deep_truncation" in flags and "low_support_mass" in flags
     result = centroid_exterior(
         GaussianParams(0.0, 1.0), ExcludedInterval(-40.0, 41.0), 0.0
     )
-    assert "deep_truncation" in result.warnings
-    assert math.isfinite(result.value)
+    assert result.warnings == ("deep_truncation", "low_support_mass")
+    assert result.value == value
 
 
 def test_direct_branch_survives_down_to_floor():
-    # mass ~ 5.7e-300 stays on the direct path, flagged but accurate.
+    # mass ~ 5.7e-300 is above the deep-truncation floor: flagged low only.
     value = std_exterior_centroid(-2.0, -39.0, 39.0)
     assert math.isclose(value, -39.02698768612699, rel_tol=1e-12)
-    _, mass, flags = _offset_mass_flags(-2.0, -39.0, 39.0)
-    assert flags == ["low_support_mass"]
-    assert mass > 0.0
+    result = centroid_exterior(
+        GaussianParams(0.0, 1.0), ExcludedInterval(-39.0, 39.0), -2.0
+    )
+    assert result.warnings == ("low_support_mass",)
+    assert result.support_mass > 0.0
+
+
+@pytest.mark.parametrize(
+    "h, l, u, centroid",
+    [
+        (0.0, -1e308, 1e308, 0.0),  # upper - lower overflows
+        (1e-310, -1e308, 1e308, None),  # a subnormal tilt of that hole
+        (1.7e308, -1.7e308, -1e308, 1.7e308),  # shift - lower overflows
+        (-1.7e308, 8.0e-218, 8.9e307, -1.7e308),  # upper - shift overflows
+        (1e308, 1e308 - 2.0**971, 1e308 + 2.0**971, 1e308),  # 2 shift overflows
+    ],
+)
+def test_extreme_points_stay_finite(h, l, u, centroid):
+    value = std_exterior_centroid(h, l, u)
+    assert math.isfinite(value)
+    if centroid is not None:
+        assert value == centroid
+    slope = std_exterior_centroid_slope(h, l, u)
+    assert not math.isnan(slope) and slope >= 0.0
 
 
 def test_deep_slope_positive():
@@ -282,6 +312,7 @@ def test_tail_means_reference_values():
 
 
 def test_array_helpers_match_scalar_functions():
+    # The certificate helper is shared by slope_certificate and the sweeps.
     # (f1 - f2) ** 2 is libm's pow on floats; on arrays the helper must not
     # square by multiplication, which differs on about 1 input in 1200.
     rng = random.Random(8)
@@ -295,12 +326,6 @@ def test_array_helpers_match_scalar_functions():
     m = std_tail_array(ru) + std_cdf_array(rl)
     certificate = _certificate_from(ru, rl, f_ru, f_rl, m)
     assert certificate.tolist() == [slope_certificate(a, b) for a, b in zip(ru, rl)]
-    assert (h + _offset_from(f_ru, f_rl, m)).tolist() == [
-        std_exterior_centroid(s, a, b) for s, (a, b) in zip(shifts, holes)
-    ]
-    assert (certificate / (m * m)).tolist() == [
-        std_exterior_centroid_slope(s, a, b) for s, (a, b) in zip(shifts, holes)
-    ]
     assert _quotient_slope_from(ru, rl, f_ru, f_rl, m).tolist() == [
-        _slope_quotient_form(s, a, b) for s, (a, b) in zip(shifts, holes)
+        _quotient_form(s, a, b) for s, (a, b) in zip(shifts, holes)
     ]

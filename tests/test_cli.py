@@ -335,6 +335,43 @@ def test_verify_text_pass_line(capsys):
     assert "PASS" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--check", "monotonicity", "--h-range", "0", "1", "2"],
+        ["verify", "--check", "derivative"]
+        + ["--l-range", "5", "8", "1", "--u-range", "-8", "-5", "1"],
+    ],
+    ids=["one_shift", "no_hole"],
+)
+def test_verify_that_checks_nothing_fails(argv, capsys):
+    # One shift makes no pair to compare; every lower edge above every upper
+    # edge makes no hole.  A sweep that checked nothing has not passed.
+    assert run(argv) == 0
+    assert capsys.readouterr().out.rstrip().endswith("checks=0 violations=0 "
+                                                     "untestable=0 min_margin=nan FAIL")
+    assert run([*argv, "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)["reports"][0]
+    assert report["checks_run"] == 0 and report["passed"] is False
+
+
+def test_sweep_out_of_memory_is_error(monkeypatch, capsys):
+    # A fine grid over a wide plane asks numpy for terabytes; whether that
+    # allocation fails depends on the host's overcommit setting, so the
+    # sweep is replaced by one that fails the way numpy does.
+    from trunc_centroid import verification
+
+    def too_large(spec):
+        raise MemoryError("Unable to allocate 18.6 TiB for an array")
+
+    monkeypatch.setattr(verification, "verify_certificate_positive", too_large)
+    argv = ["verify", "--check", "certificate"]
+    assert run(argv + ["--l-range", "-8", "8", "1e-5", "--u-range", "-8", "8", "1e-5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: Unable to allocate 18.6 TiB for an array\n"
+
+
 def test_verify_json_report(capsys):
     argv = [
         "verify",

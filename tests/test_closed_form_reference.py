@@ -1,0 +1,65 @@
+"""The closed form and its slope against 60-digit references, regime by regime.
+
+tests/data/closed_form_reference.json is written by
+tools/make_oracle_reference.py (mpmath 1.3.0): standardized float points
+(shift, lower, upper) and the exact centroid and slope of those floats,
+as 30-digit decimal strings.  The test reads only the JSON, so it needs
+no mpmath.  Errors are compared exactly, as fractions.
+
+The centroid error is counted in ulps of max(|c|, 1), c the exact
+centroid.  The slope error is relative, to the exact slope or to the
+smallest normal double where the slope is below it: one far hole has a
+slope of 4e-320, a subnormal with a dozen significant bits.
+"""
+
+import json
+import math
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from trunc_centroid.centroid import std_exterior_centroid, std_exterior_centroid_slope
+
+TABLE = json.loads(
+    (Path(__file__).parent / "data" / "closed_form_reference.json").read_text(
+        encoding="utf-8"
+    )
+)
+
+# (centroid ulps, slope relative error): twice the largest error of the
+# edge-referenced closed form on the regime's points, rounded up.
+BOUNDS = {
+    "moderate": (4, 4e-14),
+    "wide": (12, 2e-13),
+    "deep": (4, 3e-15),
+    "degenerate": (1, 6e-16),
+    "far": (1, 4e-16),
+}
+
+
+def test_table_covers_every_regime():
+    regimes = [p["regime"] for p in TABLE["points"]]
+    assert TABLE["digits"] == 60
+    assert {r: regimes.count(r) for r in BOUNDS} == {
+        "moderate": 100, "wide": 100, "deep": 100, "degenerate": 100, "far": 4
+    }
+
+
+@pytest.mark.parametrize("regime", sorted(BOUNDS))
+def test_closed_form_within_bounds(regime):
+    max_ulps, max_rel = BOUNDS[regime]
+    for p in TABLE["points"]:
+        if p["regime"] != regime:
+            continue
+        point = (p["shift"], p["lower"], p["upper"])
+        centroid, slope = Fraction(p["centroid"]), Fraction(p["slope"])
+        ulp = Fraction(math.ulp(max(abs(float(centroid)), 1.0)))
+        error = abs(Fraction(std_exterior_centroid(*point)) - centroid)
+        assert error <= max_ulps * ulp, (p, float(error / ulp))
+        value = std_exterior_centroid_slope(*point)
+        assert math.isfinite(value) and value > 0.0, p
+        scale = max(slope, Fraction(sys.float_info.min))
+        error = abs(Fraction(value) - slope)
+        assert error <= Fraction(max_rel) * scale, (p, float(error / scale))
