@@ -37,12 +37,7 @@ from .model import (
     Method,
     ShiftComparison,
 )
-from .quadrature import (
-    QuadratureConfig,
-    centroid_quadrature,
-    exterior_first_moment,
-    exterior_mass,
-)
+from .quadrature import centroid_quadrature
 from .special import (
     log_std_cdf,
     log_std_pdf,
@@ -87,7 +82,6 @@ __all__ = [
     "Method",
     "MonteCarloEstimate",
     "ParameterError",
-    "QuadratureConfig",
     "SampleBatch",
     "ShiftComparison",
     "SweepSpec",
@@ -96,8 +90,6 @@ __all__ = [
     "VerificationReport",
     "centroid_exterior",
     "centroid_quadrature",
-    "exterior_first_moment",
-    "exterior_mass",
     "log_std_cdf",
     "log_std_pdf",
     "log_std_tail",

@@ -10,8 +10,11 @@ Divided by std_pdf(a) that is one formula for every point,
 
 R the Mills ratio, negated when mirrored; nothing in it underflows.
 b - a, b + a and their product are formed in double-double, so e keeps
-its relative accuracy near the middle of a wide hole.  The answer in
-observable units is mu + sigma * std_exterior_centroid.
+its relative accuracy near the middle of a wide hole.  Where R(a) is
+subnormal, the same offset is (1 - e) lam(a) / (1 + e lam(a) / lam(b)),
+lam = 1/R from the continued fraction.  The answer in observable units
+is mu + sigma * std_exterior_centroid; a centroid, or a shift of it,
+beyond the float range is a DomainError.
 
 The shift is the natural parameter of the exterior law, so the slope is
 that law's variance.  slope_certificate is the paper's form of the same
@@ -24,10 +27,10 @@ from __future__ import annotations
 
 import math
 
-from .errors import IntervalError, require_finite
+from .errors import DomainError, IntervalError, require_finite
 from .model import LOW_MASS_FLOOR, LOW_SUPPORT_MASS  # re-exported here
 from .model import CentroidResult, ExcludedInterval, GaussianParams, Method, ShiftComparison
-from .special import _mills, _mills_tails, _two_prod, std_cdf, std_pdf, std_tail
+from .special import _mills, _mills_tails, _tail, _two_prod, std_pdf
 
 # Support mass below which a result carries the deep_truncation flag.
 DEEP_MASS_FLOOR = 1e-300
@@ -38,6 +41,8 @@ _EXP_CAP = 800.0
 _SPLIT_MAX = 2.0**990
 # Below this 1 + x lam - lam**2 cancels less than 300 ulps.
 _VARIANCE_SWITCH = 4.0
+# The smallest normal double.
+_NORMAL_MIN = 2.2250738585072014e-308
 
 
 def _check_point(
@@ -97,8 +102,13 @@ def std_exterior_centroid(shift: float, lower: float, upper: float) -> float:
     sweeps exercise that claim.
     """
     shift, lower, upper = _check_point(shift, lower, upper)
-    sign, _, _, ra, rb, e, one_minus_e = _edges(shift, lower, upper)
-    return shift + sign * one_minus_e / (ra + e * rb)
+    sign, a, b, ra, rb, e, one_minus_e = _edges(shift, lower, upper)
+    if ra >= _NORMAL_MIN:
+        return shift + sign * one_minus_e / (ra + e * rb)
+    # R(a) is subnormal (a beyond about 4.5e307), so 1/R(a) loses bits or
+    # overflows; lambda = 1/R = x + r1 from the continued fraction does not.
+    lam_a, lam_b = (x + _mills_tails(x)[0] for x in (a, b))
+    return shift + sign * one_minus_e * lam_a / (1.0 + e * (lam_a / lam_b))
 
 
 def centroid_exterior(
@@ -113,12 +123,18 @@ def centroid_exterior(
         (hole.upper - mu) / sigma,
         ("h_hat", "l_hat", "u_hat"),
     )
-    mass = std_tail(u - h) + std_cdf(l - h)
+    # u - h or h - l may overflow; their tails are then exactly 0 or 1.
+    mass = _tail(u - h) + _tail(h - l)
     flags = [DEEP_TRUNCATION] if mass < DEEP_MASS_FLOOR else []
     if mass < LOW_MASS_FLOOR:
         flags.append(LOW_SUPPORT_MASS)
+    value = mu + sigma * std_exterior_centroid(h, l, u)
+    if math.isinf(value):
+        raise DomainError(
+            f"the centroid overflows the float range, mu + shift = {mu + shift!r}"
+        )
     return CentroidResult(
-        value=mu + sigma * std_exterior_centroid(h, l, u),
+        value=value,
         method=Method.CLOSED_FORM,
         support_mass=mass,
         warnings=tuple(flags),
@@ -153,7 +169,7 @@ def slope_certificate(x1: float, x2: float) -> float:
     """
     x1 = require_finite(x1, "x1")
     x2 = require_finite(x2, "x2")
-    m = std_tail(x1) + std_cdf(x2)
+    m = _tail(x1) + _tail(-x2)
     return _certificate_from(x1, x2, std_pdf(x1), std_pdf(x2), m)
 
 
@@ -196,9 +212,14 @@ def shift_comparison(
     """
     base = centroid_exterior(params, hole, 0.0)
     shifted = centroid_exterior(params, hole, shift)
+    delta = shifted.value - base.value
+    if math.isinf(delta):
+        raise DomainError(
+            f"the centroid moves by more than the float range, shift = {shift!r}"
+        )
     return ShiftComparison(
         base=base,
         shifted=shifted,
         shift=float(shift),
-        delta=shifted.value - base.value,
+        delta=delta,
     )

@@ -13,14 +13,17 @@ text lines, and _emit is the one place that picks --format and writes
 --output.
 
 Exit codes: 0 success, 1 domain/computation error (sigma <= 0, bad hole,
-deep truncation for oracle or sampler, a sweep too large for memory), 2
-usage error (an --output that cannot be written included).
+deep truncation for oracle or sampler, a centroid or a draw beyond the
+float range, a sweep too large for memory), 2 usage error (an unknown
+option or an --output that cannot be written included).
 
 JSON output is strict: a non-finite float (an unused CSV cell, an
 untestable ratio, the Monte Carlo support mass) is written as null.
 
 --sigma is the scale (standard deviation), never the variance: the
-reference example with variance 4 is spelled --sigma 2.
+reference example with variance 4 is spelled --sigma 2.  The quadrature
+oracle takes no flags: its window, split budget and tolerances are
+constants of the quadrature module.
 
 Randomized commands take their randomness only from --seed; there is no
 wall-clock fallback.  Negative numbers in scientific notation may need
@@ -38,7 +41,7 @@ from .centroid import centroid_exterior, shift_comparison
 from .errors import TruncCentroidError
 from .figure import render_reference_figure
 from .model import ExcludedInterval, GaussianParams
-from .quadrature import QuadratureConfig, centroid_quadrature
+from .quadrature import centroid_quadrature
 
 # sampler and verification import numpy, so the commands that need them
 # import them when they run and the closed-form commands never load it.
@@ -56,13 +59,6 @@ def _finite(text: str) -> float:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
-    return value
-
-
-def _positive(text: str) -> float:
-    value = _finite(text)
-    if value <= 0.0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
     return value
 
 
@@ -115,8 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--n", type=int, help="sample count (monte_carlo)")
     p.add_argument("--seed", type=int, help="RNG seed (monte_carlo)")
-    p.add_argument("--abs-tol", type=_positive, default=QuadratureConfig.abs_tol)
-    p.add_argument("--rel-tol", type=_positive, default=QuadratureConfig.rel_tol)
     _add_output_flags(p)
 
     p = sub.add_parser("compare", help="base vs shifted centroid")
@@ -245,10 +239,7 @@ def _cmd_centroid(args) -> int:
         if method == "closed_form":
             results.append(_result_dict(centroid_exterior(params, hole, args.shift)))
         elif method == "quadrature":
-            cfg = QuadratureConfig(abs_tol=args.abs_tol, rel_tol=args.rel_tol)
-            results.append(
-                _result_dict(centroid_quadrature(params, hole, args.shift, cfg))
-            )
+            results.append(_result_dict(centroid_quadrature(params, hole, args.shift)))
         else:
             results.append(_monte_carlo(args, params, hole))
     # With --method all, results[0] is the closed form.

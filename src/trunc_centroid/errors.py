@@ -27,7 +27,7 @@ def require_finite(value: float, name: str) -> float:
 
 
 class ParameterError(TruncCentroidError):
-    """A parameter is structurally invalid (sigma <= 0, n < 1, bad config)."""
+    """A parameter is structurally invalid (sigma <= 0, n < 1)."""
 
 
 class IntervalError(TruncCentroidError):
@@ -40,4 +40,4 @@ class DeepTruncationError(TruncCentroidError):
 
 
 class ToleranceNotMetError(TruncCentroidError):
-    """Quadrature could not certify the requested error bound."""
+    """Quadrature could not meet its error tolerances."""

@@ -11,8 +11,9 @@ pair (phi(t), t * phi(t)): a panel evaluates phi once per node and forms
 the K15/G7 estimates of both integrals (the error estimator is QUADPACK's
 rescaled |K15 - G7| ** 1.5), and the panel with the largest summed error
 is bisected until the ray's mass error and moment error each meet
-max(abs_tol, rel_tol * |value|), within MAX_SUBDIVISIONS = 60 splits of
-the ray.  So abs_tol and rel_tol apply to the standardized integrals.
+max(ABS_TOL, REL_TOL * |value|), ABS_TOL = 1e-13 and REL_TOL = 1e-12,
+within MAX_SUBDIVISIONS = 60 splits of the ray.  So the tolerances apply
+to the standardized integrals.
 The result maps back once: mass m and centroid loc + sigma * r, r = T / m
 with T the standardized first moment.
 
@@ -22,9 +23,9 @@ constants (used only to certify smallness, never added to the value):
     mass beyond c <= 2 * phi(c) / c = 3.6e-33
     |moment| beyond c <= 2 * phi(c) = 4.3e-32
 
-A config whose abs_tol is at or below the moment remainder is refused.
-With Dm and DT the summed error estimates plus these remainders,
-centroid_quadrature's abs_error_bound bounds |value - exact centroid| by
+Both lie below ABS_TOL.  With Dm and DT the summed error estimates plus
+these remainders, centroid_quadrature's abs_error_bound bounds |value -
+exact centroid| by
 
     sigma * (DT + |r| * Dm) / (m - Dm) + eps * (|value| + sigma * |r|
         + (1 + S) * (|loc| + sigma * max(|a|, |b|)))
@@ -39,11 +40,9 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from operator import add, mul
 
-from .errors import DeepTruncationError, ParameterError, ToleranceNotMetError
-from .errors import require_finite
+from .errors import DeepTruncationError, ToleranceNotMetError, require_finite
 from .model import LOW_MASS_FLOOR, LOW_SUPPORT_MASS, UNDERFLOW_MASS_FLOOR
 from .model import CentroidResult, ExcludedInterval, GaussianParams, Method
 from .special import INV_SQRT_2PI, std_pdf
@@ -70,24 +69,15 @@ _NODES = tuple(-x for x in _XGK[:7]) + _XGK[7:] + _XGK[6::-1]
 
 _EPS = 2.220446049250313e-16
 
-# The window [-c, c] in sigmas, and the split budget of one ray.
+# The window [-c, c] in sigmas, the split budget of one ray, and the
+# tolerances of each ray's standardized mass and moment.
 TAIL_CUTOFF_SIGMAS = 12.0
 MAX_SUBDIVISIONS = 60
+ABS_TOL = 1e-13
+REL_TOL = 1e-12
 # Bounds on the standardized mass and |moment| beyond the window.
 MOMENT_REMAINDER = 2.0 * std_pdf(TAIL_CUTOFF_SIGMAS)
 MASS_REMAINDER = MOMENT_REMAINDER / TAIL_CUTOFF_SIGMAS
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    abs_tol: float = 1e-13
-    rel_tol: float = 1e-12
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.abs_tol) and self.abs_tol > 0.0):
-            raise ParameterError(f"abs_tol must be > 0, got {self.abs_tol!r}")
-        if not (math.isfinite(self.rel_tol) and self.rel_tol > 0.0):
-            raise ParameterError(f"rel_tol must be > 0, got {self.rel_tol!r}")
 
 
 def _rule(ys: list, half: float) -> tuple[float, float]:
@@ -135,12 +125,12 @@ def _phi(ts: list) -> list:
     return [INV_SQRT_2PI * math.exp(-0.5 * (t * t)) for t in ts]
 
 
-def _integrate(func, a: float, b: float, cfg: QuadratureConfig) -> tuple[float, ...]:
+def _integrate(func, a: float, b: float) -> tuple[float, ...]:
     """Adaptive pass over [a, b] for the pair (func(t), t * func(t)).
 
     Returns (integral of func, integral of t * func, their error
     estimates).  The panel with the largest summed error is bisected until
-    both errors meet max(abs_tol, rel_tol * |value|).
+    both errors meet max(ABS_TOL, REL_TOL * |value|).
     """
     if not b > a:
         return 0.0, 0.0, 0.0, 0.0
@@ -148,8 +138,8 @@ def _integrate(func, a: float, b: float, cfg: QuadratureConfig) -> tuple[float, 
     panels = [(-(first[2] + first[3]), 0, a, b, first)]
     value, moment, err, moment_err = first
     splits = 0
-    while err > max(cfg.abs_tol, cfg.rel_tol * abs(value)) or moment_err > max(
-        cfg.abs_tol, cfg.rel_tol * abs(moment)
+    while err > max(ABS_TOL, REL_TOL * abs(value)) or moment_err > max(
+        ABS_TOL, REL_TOL * abs(moment)
     ):
         if splits >= MAX_SUBDIVISIONS:
             raise ToleranceNotMetError(
@@ -174,50 +164,16 @@ def _integrate(func, a: float, b: float, cfg: QuadratureConfig) -> tuple[float, 
     return tuple(math.fsum(entry[4][k] for entry in panels) for k in range(4))
 
 
-def _rays(params: GaussianParams, hole: ExcludedInterval, shift: float, cfg: QuadratureConfig):
-    """loc, the standardized hole edges clamped to [-c, c], then
-    _integrate's result for the left and for the right ray."""
-    loc = require_finite(params.mu + shift, "mu + shift")
-    if MOMENT_REMAINDER >= cfg.abs_tol:
-        raise ToleranceNotMetError(
-            f"tail remainder bound {MOMENT_REMAINDER:.3e} at cutoff "
-            f"{TAIL_CUTOFF_SIGMAS} sigmas exceeds abs_tol {cfg.abs_tol:.3e}"
-        )
-    cut = TAIL_CUTOFF_SIGMAS
-    a, b = (min(max((x - loc) / params.sigma, -cut), cut) for x in (hole.lower, hole.upper))
-    return loc, (a, b), _integrate(_phi, -cut, a, cfg), _integrate(_phi, b, cut, cfg)
-
-
-def exterior_mass(
-    params: GaussianParams,
-    hole: ExcludedInterval,
-    shift: float,
-    cfg: QuadratureConfig = QuadratureConfig(),
-) -> float:
-    """Probability that the shifted Gaussian lands outside the hole."""
-    _, _, left, right = _rays(params, hole, shift, cfg)
-    return left[0] + right[0]
-
-
-def exterior_first_moment(
-    params: GaussianParams,
-    hole: ExcludedInterval,
-    shift: float,
-    cfg: QuadratureConfig = QuadratureConfig(),
-) -> float:
-    """Unnormalized first moment of the shifted Gaussian outside the hole."""
-    loc, _, left, right = _rays(params, hole, shift, cfg)
-    return loc * (left[0] + right[0]) + params.sigma * (left[1] + right[1])
-
-
 def centroid_quadrature(
-    params: GaussianParams,
-    hole: ExcludedInterval,
-    shift: float,
-    cfg: QuadratureConfig = QuadratureConfig(),
+    params: GaussianParams, hole: ExcludedInterval, shift: float
 ) -> CentroidResult:
     """Centroid as the ratio of the integrated moment and mass."""
-    loc, edges, left, right = _rays(params, hole, shift, cfg)
+    loc = require_finite(params.mu + shift, "mu + shift")
+    sigma, cut = params.sigma, TAIL_CUTOFF_SIGMAS
+    # The standardized hole edges, clamped to the window.
+    edges = [min(max((x - loc) / sigma, -cut), cut) for x in (hole.lower, hole.upper)]
+    left = _integrate(_phi, -cut, edges[0])
+    right = _integrate(_phi, edges[1], cut)
     mass = left[0] + right[0]
     if mass <= UNDERFLOW_MASS_FLOOR:
         raise DeepTruncationError(
@@ -227,7 +183,6 @@ def centroid_quadrature(
             f"the window; the quadrature oracle declines (the closed form "
             f"still applies)"
         )
-    sigma = params.sigma
     ratio = (left[1] + right[1]) / mass
     value = loc + sigma * ratio
     d_mass = left[2] + right[2] + MASS_REMAINDER

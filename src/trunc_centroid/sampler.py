@@ -20,9 +20,10 @@ Phi^-1 is Wichura's AS241 rational approximation (Applied Statistics 37,
 over numpy arrays; it takes the tail branches from min(p, 1 - p), so
 deep tails keep full relative precision down to the underflow floor.
 
-The estimate handed back by monte_carlo_centroid is the plain sample
-mean with its standard error; the test suite checks it against the
-closed form at 4 standard errors.
+A draw beyond the float range is a DomainError.  The estimate handed
+back by monte_carlo_centroid is the plain sample mean with its standard
+error, summed in units of the largest |draw| where plain sums overflow;
+the test suite checks it against the closed form at 4 standard errors.
 """
 
 from __future__ import annotations
@@ -32,10 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DeepTruncationError, ParameterError, require_finite
+from .errors import DeepTruncationError, DomainError, ParameterError, require_finite
 from .model import UNDERFLOW_MASS_FLOOR, ExcludedInterval, GaussianParams
 from .philox import CHUNK_BLOCKS, stream_blocks, uniform_open
-from .special import std_cdf, std_tail
+from .special import _tail
 
 # The sampler's Philox stream id (see philox.py).
 _STREAM = 0
@@ -84,6 +85,7 @@ class MonteCarloEstimate:
     n: int
 
 
+@np.errstate(over="ignore")  # an overflowing draw is reported below
 def sample_exterior(
     params: GaussianParams,
     hole: ExcludedInterval,
@@ -96,8 +98,9 @@ def sample_exterior(
         raise ParameterError(f"need n >= 1, got {n!r}")
     seed = int(seed)
     loc = require_finite(params.mu + shift, "mu + shift")
-    left = std_cdf((hole.lower - loc) / params.sigma)
-    right = std_tail((hole.upper - loc) / params.sigma)
+    # A standardized edge may overflow; its tail is then exactly 0 or 1.
+    left = _tail((loc - hole.lower) / params.sigma)
+    right = _tail((hole.upper - loc) / params.sigma)
     # Capped so that rounding never takes u * mass to 1.
     mass = min(left + right, 1.0)
     if mass < UNDERFLOW_MASS_FLOOR:
@@ -117,6 +120,11 @@ def sample_exterior(
         inside = (x > hole.lower) & (x < hole.upper)
         x[inside] = np.where(go_left[inside], hole.lower, hole.upper)
         values[start : start + count] = x
+    if not np.isfinite(values).all():
+        raise DomainError(
+            f"draws overflow the float range, mu + shift = {loc!r}, "
+            f"sigma = {params.sigma!r}"
+        )
     return SampleBatch(values=values, seed=seed, acceptance_rate=1.0)
 
 
@@ -150,11 +158,20 @@ def inv_std_cdf(p: np.ndarray) -> np.ndarray:
     return z
 
 
+@np.errstate(over="ignore")
 def monte_carlo_centroid(batch: SampleBatch) -> MonteCarloEstimate:
     """Sample mean of a batch with its standard error."""
     n = int(batch.values.size)
     if n < 2:
         raise ParameterError(f"standard error needs n >= 2, got n = {n}")
-    mean = float(np.mean(batch.values))
-    spread = float(np.std(batch.values, ddof=1))
-    return MonteCarloEstimate(mean=mean, std_error=spread / math.sqrt(n), n=n)
+    values, scale = batch.values, 1.0
+    mean = float(np.mean(values))
+    spread = float(np.std(values, ddof=1))
+    if math.isinf(mean) or math.isinf(spread):
+        # The sums overflow: take them in units of the largest |draw|.
+        scale = float(np.max(np.abs(values)))
+        mean = float(np.mean(values / scale))
+        spread = float(np.std(values / scale, ddof=1))
+    return MonteCarloEstimate(
+        mean=scale * mean, std_error=scale * (spread / math.sqrt(n)), n=n
+    )

@@ -90,16 +90,22 @@ def std_tail_array(x: np.ndarray) -> np.ndarray:
     return 0.5 * _elementwise(math.erfc, x * INV_SQRT2)
 
 
+def _tail(x: float) -> float:
+    """std_tail, unchecked: erfc(+-inf) is exact, so a distance that
+    overflowed to +-inf still gets its tail, 0 or 1."""
+    return 0.5 * math.erfc(x * INV_SQRT2)
+
+
 def std_cdf(x: float) -> float:
     """P(Z <= x) for standard normal Z, accurate in the lower tail."""
     x = require_finite(x, "x")
-    return 0.5 * math.erfc(-x * INV_SQRT2)
+    return _tail(-x)
 
 
 def std_tail(x: float) -> float:
     """P(Z >= x) for standard normal Z, accurate in the upper tail."""
     x = require_finite(x, "x")
-    return 0.5 * math.erfc(x * INV_SQRT2)
+    return _tail(x)
 
 
 def log_std_pdf(x: float) -> float:
@@ -167,8 +173,8 @@ def log_std_tail(x: float) -> float:
     if x >= _MILLS_SWITCH:
         return log_std_pdf(x) + math.log(mills_ratio(x))
     if x >= -1.0:
-        return math.log(std_tail(x))
-    return math.log1p(-std_tail(-x))
+        return math.log(_tail(x))
+    return math.log1p(-_tail(-x))
 
 
 def log_std_cdf(x: float) -> float:

@@ -25,7 +25,7 @@ from trunc_centroid.figure import (
 )
 from trunc_centroid.model import ExcludedInterval, GaussianParams
 from trunc_centroid.philox import CounterStream
-from trunc_centroid.quadrature import QuadratureConfig, centroid_quadrature
+from trunc_centroid.quadrature import ABS_TOL, centroid_quadrature
 from trunc_centroid.sampler import monte_carlo_centroid, sample_exterior
 from trunc_centroid.special import std_cdf, std_pdf, std_tail
 from trunc_centroid.verification import (
@@ -231,7 +231,6 @@ def test_06_analytic_slope_against_finite_differences():
 def test_07_symmetric_hole_centroid_vanishes():
     worst_closed = 0.0
     worst_oracle = 0.0
-    abs_tol = QuadratureConfig().abs_tol
     for a in (0.5, 1.0, 2.0, 4.0):
         hole = ExcludedInterval(-a, a)
         worst_closed = max(
@@ -240,12 +239,12 @@ def test_07_symmetric_hole_centroid_vanishes():
         worst_oracle = max(
             worst_oracle, abs(centroid_quadrature(STD, hole, 0.0).value)
         )
-    ok = worst_closed < 1e-12 and worst_oracle < abs_tol
+    ok = worst_closed < 1e-12 and worst_oracle < ABS_TOL
     _verdict(
         "[7/9] symmetric hole centroid vanishes",
         ok,
         f"max|closed|={worst_closed:.3e} (tol 1e-12) "
-        f"max|oracle|={worst_oracle:.3e} (tol {abs_tol:g})",
+        f"max|oracle|={worst_oracle:.3e} (tol {ABS_TOL:g})",
     )
 
 

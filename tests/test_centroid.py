@@ -22,7 +22,7 @@ from trunc_centroid.centroid import (
 )
 from trunc_centroid.errors import DomainError, IntervalError, ParameterError
 from trunc_centroid.model import ExcludedInterval, GaussianParams, Method
-from trunc_centroid.quadrature import QuadratureConfig, _rays, centroid_quadrature
+from trunc_centroid.quadrature import _integrate, _phi, centroid_quadrature
 from trunc_centroid.special import (
     std_cdf,
     std_cdf_array,
@@ -35,7 +35,15 @@ from trunc_centroid.verification import _quotient_slope_from
 
 REF_PARAMS = GaussianParams(mu=1.0, sigma=2.0)
 REF_HOLE = ExcludedInterval(lower=-1.0, upper=4.0)
-CFG = QuadratureConfig()
+BIG = 1.7976931348623157e308
+
+
+def _ray_means(params, hole, shift):
+    """The oracle's left and right ray means, each edge within its window."""
+    loc = params.mu + shift
+    a, b = ((x - loc) / params.sigma for x in (hole.lower, hole.upper))
+    rays = (_integrate(_phi, -12.0, a), _integrate(_phi, b, 12.0))
+    return [loc + params.sigma * moment / mass for mass, moment, _, _ in rays]
 
 
 def _quotient_form(h, l, u):
@@ -204,6 +212,10 @@ def test_direct_branch_survives_down_to_floor():
         (1.7e308, -1.7e308, -1e308, 1.7e308),  # shift - lower overflows
         (-1.7e308, 8.0e-218, 8.9e307, -1.7e308),  # upper - shift overflows
         (1e308, 1e308 - 2.0**971, 1e308 + 2.0**971, 1e308),  # 2 shift overflows
+        # R(a) is subnormal: 1/R(a) overflows, or loses 3 ulps.
+        (-93.36, -BIG, BIG, -BIG),
+        (93.36, -BIG, BIG, BIG),
+        (1.0, -1.7e308, 1.7e308, 1.7e308),
     ],
 )
 def test_extreme_points_stay_finite(h, l, u, centroid):
@@ -253,8 +265,8 @@ def test_shift_comparison_sign_matches_oracle():
     params = GaussianParams(0.3, 1.7)
     hole = ExcludedInterval(-0.9, 2.1)
     comparison = shift_comparison(params, hole, 0.1)
-    oracle_base = centroid_quadrature(params, hole, 0.0, CFG).value
-    oracle_shifted = centroid_quadrature(params, hole, 0.1, CFG).value
+    oracle_base = centroid_quadrature(params, hole, 0.0).value
+    oracle_shifted = centroid_quadrature(params, hole, 0.1).value
     assert comparison.delta > 0.0
     assert oracle_shifted - oracle_base > 0.0
     assert math.isclose(comparison.delta, oracle_shifted - oracle_base, rel_tol=1e-6)
@@ -294,9 +306,7 @@ def test_centroid_between_tail_means():
         (GaussianParams(-2.0, 0.7), ExcludedInterval(-3.0, -1.0), 1.2),
     ]
     for params, hole, shift in configs:
-        loc, _, left, right = _rays(params, hole, shift, CFG)
-        left_mean = loc + params.sigma * left[1] / left[0]
-        right_mean = loc + params.sigma * right[1] / right[0]
+        left_mean, right_mean = _ray_means(params, hole, shift)
         value = centroid_exterior(params, hole, shift).value
         assert min(left_mean, right_mean) - 1e-12 <= value
         assert value <= max(left_mean, right_mean) + 1e-12
@@ -304,11 +314,9 @@ def test_centroid_between_tail_means():
 
 def test_tail_means_reference_values():
     # Standard params: the standardized ray means are the means themselves.
-    _, _, left, right = _rays(
-        GaussianParams(0.0, 1.0), ExcludedInterval(-1.0, 1.5), 0.0, CFG
-    )
-    assert math.isclose(left[1] / left[0], -1.5251352761609812, rel_tol=1e-11)
-    assert math.isclose(right[1] / right[0], 1.9386771666225432, rel_tol=1e-11)
+    left, right = _ray_means(GaussianParams(0.0, 1.0), ExcludedInterval(-1.0, 1.5), 0.0)
+    assert math.isclose(left, -1.5251352761609812, rel_tol=1e-11)
+    assert math.isclose(right, 1.9386771666225432, rel_tol=1e-11)
 
 
 def test_array_helpers_match_scalar_functions():

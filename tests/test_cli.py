@@ -10,7 +10,7 @@ import pytest
 from trunc_centroid.centroid import centroid_exterior, shift_comparison
 from trunc_centroid.cli import build_parser, run
 from trunc_centroid.model import ExcludedInterval, GaussianParams
-from trunc_centroid.quadrature import QuadratureConfig, centroid_quadrature
+from trunc_centroid.quadrature import centroid_quadrature
 
 REF = ["--mu=1", "--sigma=2", "--lower=-1", "--upper=4"]
 REF_PARAMS = GaussianParams(1.0, 2.0)
@@ -86,41 +86,28 @@ def test_deep_truncation_exit_code(capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_unattainable_tolerance_exit_code(capsys):
-    assert (
-        run(
-            [
-                "centroid",
-                *REF,
-                "--method",
-                "quadrature",
-                "--abs-tol=1e-30",
-                "--rel-tol=1e-30",
-            ]
-        )
-        == 1
-    )
-    capsys.readouterr()
-
-
 @pytest.mark.parametrize("method", ["closed_form", "quadrature", "monte_carlo"])
 @pytest.mark.parametrize("flag", ["--abs-tol=0", "--rel-tol=-1e-12", "--abs-tol=x"])
 def test_malformed_tolerance_is_usage_error(method, flag, capsys):
-    # Checked at parse time, whichever method runs, and never a traceback.
+    # The oracle's tolerances are no options, so any spelling of them is
+    # an unrecognized argument, whichever method runs, and no traceback.
     argv = ["centroid", *REF, "--method", method, "--n=10", "--seed=1", flag]
     assert run(argv) == 2
     err = capsys.readouterr().err
-    assert flag.split("=")[0] in err and "Traceback" not in err
+    assert f"unrecognized arguments: {flag}" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("flag", ["--tail-cutoff=12", "--max-subdivisions=60"])
+@pytest.mark.parametrize(
+    "flag",
+    ["--tail-cutoff=12", "--max-subdivisions=60", "--abs-tol=1e-13", "--rel-tol=1e-12"],
+)
 def test_fixed_oracle_settings_are_not_flags(flag, capsys):
-    # The oracle's window and split budget are module constants.
+    # The oracle's window, split budget and tolerances are module constants.
     assert run(["centroid", *REF, "--method", "quadrature", flag]) == 2
     assert "unrecognized arguments" in capsys.readouterr().err
     assert run(["centroid", "--help"]) == 0
     out = capsys.readouterr().out
-    assert "--abs-tol" in out and flag.split("=")[0] not in out
+    assert "--method" in out and flag.split("=")[0] not in out
 
 
 def test_monte_carlo_non_finite_location(capsys):
@@ -144,6 +131,41 @@ def test_quadrature_at_extreme_scale_exits_zero(sigma, capsys):
         GaussianParams(0.0, float(sigma)), ExcludedInterval(-1.0, 1.0), 0.0
     )
     assert result["value"] == closed.value == 0.0
+
+
+EDGE_OVERFLOW = ["--mu=0", "--sigma=1", "--lower=-1", "--upper=1.7e308", "--shift=-1.7e308"]
+BIG = "1.7976931348623157e308"
+
+
+@pytest.mark.parametrize(
+    "argv, answers",
+    [
+        # u - h overflows: its tail is exactly 0.
+        (["centroid", *EDGE_OVERFLOW], lambda p: [p["results"][0]["value"]]),
+        (
+            ["compare", *EDGE_OVERFLOW],
+            lambda p: [p["base"]["value"], p["shifted"]["value"], p["delta"]],
+        ),
+        (
+            ["sample", "--mu=0", "--sigma=1", "--lower=1.7e308", "--upper=1.75e308",
+             "--shift=-1.7e308", "--n", "10", "--seed", "1"],
+            lambda p: [p["estimate"]["mean"], p["estimate"]["std_error"]],
+        ),
+        # 1/R(a) overflows where the nearer edge is the largest double.
+        (
+            ["centroid", "--mu=0", "--sigma=1", f"--lower=-{BIG}", f"--upper={BIG}",
+             "--shift=-93.36"],
+            lambda p: [p["results"][0]["value"]],
+        ),
+    ],
+    ids=["centroid", "compare", "sample", "far-edge"],
+)
+def test_overflowing_edge_distance_exits_zero(argv, answers, capsys):
+    assert run([*argv, "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    values = answers(_strict_json(captured.out))
+    assert captured.err == ""
+    assert all(isinstance(v, float) and abs(v) <= float(BIG) for v in values), values
 
 
 # A finite sigma that takes the standardized point out of range is a
@@ -580,12 +602,6 @@ def test_parser_builds():
     args = parser.parse_args(["centroid", *REF])
     assert args.command == "centroid"
     assert args.sigma == 2.0
-
-
-def test_tolerance_defaults_are_the_oracle_defaults():
-    args = build_parser().parse_args(["centroid", *REF])
-    cfg = QuadratureConfig()
-    assert (args.abs_tol, args.rel_tol) == (cfg.abs_tol, cfg.rel_tol)
 
 
 def _console_script(*args: str) -> subprocess.CompletedProcess:

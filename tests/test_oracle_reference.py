@@ -25,7 +25,7 @@ TABLE = json.loads(
 
 # Caps on abs_error_bound / max(sigma, |centroid|): (median over the
 # regime's answers, maximum over the answers without low_support_mass).
-# The maximum grows as the exterior mass shrinks, because abs_tol bounds
+# The maximum grows as the exterior mass shrinks, because ABS_TOL bounds
 # the mass error absolutely; offset problems are scaled by |centroid| >> sigma.
 CAPS = {
     "moderate": (1e-12, 1e-9),

@@ -67,5 +67,5 @@ def test_readme_example_parses(argv, capsys):
 
 def test_readme_names_only_real_options():
     mentioned = _mentioned_options()
-    assert {"--format", "--output", "--sigma", "--abs-tol"} <= mentioned
+    assert {"--format", "--output", "--sigma", "--method"} <= mentioned
     assert sorted(mentioned - _subcommand_options()) == []
