@@ -2,8 +2,8 @@
 
 The support is the exterior S = (-inf, lower] U [upper, inf) of an open
 hole; the library computes E[X | X in S] for X ~ N(mu + shift, sigma^2)
-three ways (stable closed form, adaptive-quadrature oracle, seeded Monte
-Carlo), certifies the strict inequalities behind the claim that the
+three ways (stable closed form, Gauss-Kronrod quadrature oracle, seeded
+Monte Carlo), certifies the strict inequalities behind the claim that the
 centroid grows with the shift, and ships a CLI over all of it.
 
 Importing the package does not import numpy: the closed form, the

@@ -116,12 +116,14 @@ def centroid_exterior(
 ) -> CentroidResult:
     """Closed-form conditional expectation in observable units."""
     mu, sigma = params.mu, params.sigma
-    # A finite sigma can still overflow h, l or u, or round l and u equal.
+    # edge - mu may overflow where edge/sigma - mu/sigma does not; a
+    # finite sigma can still overflow h, l or u, or round l and u equal.
+    l, u = (
+        (x - mu) / sigma if math.isfinite(x - mu) else x / sigma - mu / sigma
+        for x in (hole.lower, hole.upper)
+    )
     h, l, u = _check_point(
-        require_finite(shift, "shift") / sigma,
-        (hole.lower - mu) / sigma,
-        (hole.upper - mu) / sigma,
-        ("h_hat", "l_hat", "u_hat"),
+        require_finite(shift, "shift") / sigma, l, u, ("h_hat", "l_hat", "u_hat")
     )
     # u - h or h - l may overflow; their tails are then exactly 0 or 1.
     mass = _tail(u - h) + _tail(h - l)

@@ -22,8 +22,8 @@ untestable ratio, the Monte Carlo support mass) is written as null.
 
 --sigma is the scale (standard deviation), never the variance: the
 reference example with variance 4 is spelled --sigma 2.  The quadrature
-oracle takes no flags: its window, split budget and tolerances are
-constants of the quadrature module.
+oracle takes no flags: its window and tolerances are constants of the
+quadrature module.
 
 Randomized commands take their randomness only from --seed; there is no
 wall-clock fallback.  Negative numbers in scientific notation may need

@@ -27,10 +27,11 @@ class Method(str, enum.Enum):
 # Exterior mass below which a result carries the LOW_SUPPORT_MASS flag.
 LOW_MASS_FLOOR = 1e-12
 LOW_SUPPORT_MASS = "low_support_mass"
-# Exterior mass at or below which the quadrature oracle and the sampler
-# raise DeepTruncationError: this close to float64 underflow (normal floats
-# stop at 2.2e-308) neither integrals of densities nor inverted tail masses
-# can be trusted.  The closed form divides each tail by its edge's density.
+# Exterior mass below which the sampler raises DeepTruncationError: this
+# close to float64 underflow (normal floats stop at 2.2e-308) inverted
+# tail masses cannot be trusted.  The quadrature oracle declines only
+# where the hole covers its window, and the closed form divides each tail
+# by its edge's density.
 UNDERFLOW_MASS_FLOOR = 1e-290
 
 

@@ -1,4 +1,4 @@
-"""Adaptive quadrature ground truth for the exterior centroid.
+"""Quadrature ground truth for the exterior centroid.
 
 This module answers the same question as the closed form but by direct
 numerical integration of the defining ratio: first moment over mass on
@@ -6,16 +6,19 @@ the exterior support.  It never calls the closed-form machinery.
 
 It works in standardized coordinates t = (x - loc) / sigma, loc = mu +
 shift.  Each exterior ray, clipped to the fixed window [-c, c] with c =
-TAIL_CUTOFF_SIGMAS = 12, is one adaptive Gauss-Kronrod 7-15 pass over the
-pair (phi(t), t * phi(t)): a panel evaluates phi once per node and forms
-the K15/G7 estimates of both integrals (the error estimator is QUADPACK's
-rescaled |K15 - G7| ** 1.5), and the panel with the largest summed error
-is bisected until the ray's mass error and moment error each meet
-max(ABS_TOL, REL_TOL * |value|), ABS_TOL = 1e-13 and REL_TOL = 1e-12,
-within MAX_SUBDIVISIONS = 60 splits of the ray.  So the tolerances apply
-to the standardized integrals.
-The result maps back once: mass m and centroid loc + sigma * r, r = T / m
-with T the standardized first moment.
+TAIL_CUTOFF_SIGMAS = 12, is cut at every whole sigma inside it, so a ray
+takes at most 24 panels and a problem 25.  A panel is one Gauss-Kronrod
+7-15 rule over the pair (phi(t), t * phi(t)): it evaluates phi once per
+node and forms the K15/G7 estimates of both integrals (the error
+estimator is QUADPACK's rescaled |K15 - G7| ** 1.5).  The ray's mass
+error and moment error, summed over its panels, must each meet
+max(ABS_TOL, REL_TOL * |value|), ABS_TOL = 1e-13 and REL_TOL = 1e-12, or
+ToleranceNotMetError is raised.  So the tolerances apply to the
+standardized integrals.  Where the hole covers the whole window the
+oracle declines with DeepTruncationError.  The result maps back once:
+mass m, capped at 1, and centroid loc + sigma * r, r = T / m with T the
+standardized first moment; a centroid beyond the float range is a
+DomainError.
 
 What the window leaves out, both tails together, is bounded by two
 constants (used only to certify smallness, never added to the value):
@@ -38,12 +41,12 @@ Dm >= m), the second the rounding of loc, of the edges and of the map back.
 
 from __future__ import annotations
 
-import heapq
 import math
 from operator import add, mul
 
-from .errors import DeepTruncationError, ToleranceNotMetError, require_finite
-from .model import LOW_MASS_FLOOR, LOW_SUPPORT_MASS, UNDERFLOW_MASS_FLOOR
+from .errors import DeepTruncationError, DomainError, ToleranceNotMetError
+from .errors import require_finite
+from .model import LOW_MASS_FLOOR, LOW_SUPPORT_MASS
 from .model import CentroidResult, ExcludedInterval, GaussianParams, Method
 from .special import INV_SQRT_2PI, std_pdf
 
@@ -69,10 +72,9 @@ _NODES = tuple(-x for x in _XGK[:7]) + _XGK[7:] + _XGK[6::-1]
 
 _EPS = 2.220446049250313e-16
 
-# The window [-c, c] in sigmas, the split budget of one ray, and the
-# tolerances of each ray's standardized mass and moment.
+# The window [-c, c] in sigmas, and the tolerances of each ray's
+# standardized mass and moment.
 TAIL_CUTOFF_SIGMAS = 12.0
-MAX_SUBDIVISIONS = 60
 ABS_TOL = 1e-13
 REL_TOL = 1e-12
 # Bounds on the standardized mass and |moment| beyond the window.
@@ -126,42 +128,26 @@ def _phi(ts: list) -> list:
 
 
 def _integrate(func, a: float, b: float) -> tuple[float, ...]:
-    """Adaptive pass over [a, b] for the pair (func(t), t * func(t)).
+    """Composite 7-15 rule over [a, b] for the pair (func(t), t * func(t)).
 
-    Returns (integral of func, integral of t * func, their error
-    estimates).  The panel with the largest summed error is bisected until
+    [a, b] is cut at every integer strictly between a and b, one panel per
+    piece.  Returns (integral of func, integral of t * func, their error
+    estimates), each column summed with fsum; ToleranceNotMetError unless
     both errors meet max(ABS_TOL, REL_TOL * |value|).
     """
     if not b > a:
         return 0.0, 0.0, 0.0, 0.0
-    first = _kronrod_panel(func, a, b)
-    panels = [(-(first[2] + first[3]), 0, a, b, first)]
-    value, moment, err, moment_err = first
-    splits = 0
-    while err > max(ABS_TOL, REL_TOL * abs(value)) or moment_err > max(
+    cuts = [a, *range(math.floor(a) + 1, math.ceil(b)), b]
+    panels = [_kronrod_panel(func, x, y) for x, y in zip(cuts, cuts[1:])]
+    value, moment, err, moment_err = (math.fsum(column) for column in zip(*panels))
+    if err > max(ABS_TOL, REL_TOL * abs(value)) or moment_err > max(
         ABS_TOL, REL_TOL * abs(moment)
     ):
-        if splits >= MAX_SUBDIVISIONS:
-            raise ToleranceNotMetError(
-                f"subdivision budget {MAX_SUBDIVISIONS} exhausted on "
-                f"[{a!r}, {b!r}]: error estimates {err:.3e}, {moment_err:.3e}"
-            )
-        _, _, pa, pb, old = heapq.heappop(panels)
-        mid = 0.5 * (pa + pb)
-        if not pa < mid < pb:
-            raise ToleranceNotMetError(
-                f"panel [{pa!r}, {pb!r}] cannot be split further"
-            )
-        splits += 1
-        left = _kronrod_panel(func, pa, mid)
-        right = _kronrod_panel(func, mid, pb)
-        heapq.heappush(panels, (-(left[2] + left[3]), 2 * splits - 1, pa, mid, left))
-        heapq.heappush(panels, (-(right[2] + right[3]), 2 * splits, mid, pb, right))
-        value += left[0] + right[0] - old[0]
-        moment += left[1] + right[1] - old[1]
-        err += left[2] + right[2] - old[2]
-        moment_err += left[3] + right[3] - old[3]
-    return tuple(math.fsum(entry[4][k] for entry in panels) for k in range(4))
+        raise ToleranceNotMetError(
+            f"error estimates {err:.3e}, {moment_err:.3e} on [{a!r}, {b!r}] "
+            f"miss the tolerances"
+        )
+    return value, moment, err, moment_err
 
 
 def centroid_quadrature(
@@ -172,19 +158,23 @@ def centroid_quadrature(
     sigma, cut = params.sigma, TAIL_CUTOFF_SIGMAS
     # The standardized hole edges, clamped to the window.
     edges = [min(max((x - loc) / sigma, -cut), cut) for x in (hole.lower, hole.upper)]
+    if edges[0] <= -cut and edges[1] >= cut:
+        raise DeepTruncationError(
+            f"no support mass inside the window of +-{TAIL_CUTOFF_SIGMAS!r} "
+            f"sigmas (the tail cut-off), as the hole covers it: the exterior "
+            f"mass lies beyond the window; the quadrature oracle declines "
+            f"(the closed form still applies)"
+        )
     left = _integrate(_phi, -cut, edges[0])
     right = _integrate(_phi, edges[1], cut)
-    mass = left[0] + right[0]
-    if mass <= UNDERFLOW_MASS_FLOOR:
-        raise DeepTruncationError(
-            f"support mass {mass:.3e} inside the window of "
-            f"+-{TAIL_CUTOFF_SIGMAS!r} sigmas (the tail cut-off) is at or "
-            f"below {UNDERFLOW_MASS_FLOOR:.0e}: the exterior mass lies beyond "
-            f"the window; the quadrature oracle declines (the closed form "
-            f"still applies)"
-        )
+    # The rounded panels can sum past 1.
+    mass = min(left[0] + right[0], 1.0)
     ratio = (left[1] + right[1]) / mass
     value = loc + sigma * ratio
+    if math.isinf(value):
+        raise DomainError(
+            f"the centroid overflows the float range, mu + shift = {loc!r}"
+        )
     d_mass = left[2] + right[2] + MASS_REMAINDER
     d_moment = left[3] + right[3] + MOMENT_REMAINDER
     bound = math.inf

@@ -94,6 +94,17 @@ def test_standardized_point_is_checked(sigma, lower, upper, shift, error, name):
         shift_comparison(params, hole, shift)
 
 
+def test_edge_minus_mu_overflow_is_standardized_by_parts():
+    # lower - mu overflows, but lower/sigma - mu/sigma = -270 does not: the
+    # answer is bit for bit the oracle's, which standardizes about mu too.
+    params, hole = GaussianParams(1.7e308, 1e306), ExcludedInterval(-1e308, 1.7e308)
+    closed = centroid_exterior(params, hole, 0.0)
+    assert (closed.value, closed.support_mass) == (1.7079788456080286e308, 0.5)
+    assert centroid_quadrature(params, hole, 0.0).value == closed.value
+    moved = shift_comparison(params, hole, 1.0)
+    assert all(map(math.isfinite, (moved.base.value, moved.shifted.value, moved.delta)))
+
+
 def test_one_point_check_names_what_it_was_given():
     # The shift as given, before it is divided by sigma.
     for fn in (centroid_exterior, shift_comparison):

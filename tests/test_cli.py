@@ -86,6 +86,19 @@ def test_deep_truncation_exit_code(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method", ["closed_form", "quadrature"])
+def test_overflowing_centroid_exit_code(method, capsys):
+    # The exact centroid, about 1.798e308, is beyond the float range.
+    argv = ["centroid", "--mu=1.79e308", "--sigma=1e306", "--lower=-1e308",
+            "--upper=1.79e308", "--method", method, "--format", "json"]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the centroid overflows the float range, mu + shift = 1.79e+308\n"
+    )
+
+
 @pytest.mark.parametrize("method", ["closed_form", "quadrature", "monte_carlo"])
 @pytest.mark.parametrize("flag", ["--abs-tol=0", "--rel-tol=-1e-12", "--abs-tol=x"])
 def test_malformed_tolerance_is_usage_error(method, flag, capsys):
@@ -102,7 +115,8 @@ def test_malformed_tolerance_is_usage_error(method, flag, capsys):
     ["--tail-cutoff=12", "--max-subdivisions=60", "--abs-tol=1e-13", "--rel-tol=1e-12"],
 )
 def test_fixed_oracle_settings_are_not_flags(flag, capsys):
-    # The oracle's window, split budget and tolerances are module constants.
+    # The oracle's window and tolerances are module constants, and its
+    # fixed panels have no split budget, so none of these is an option.
     assert run(["centroid", *REF, "--method", "quadrature", flag]) == 2
     assert "unrecognized arguments" in capsys.readouterr().err
     assert run(["centroid", "--help"]) == 0
@@ -131,9 +145,12 @@ def test_quadrature_at_extreme_scale_exits_zero(sigma, capsys):
         GaussianParams(0.0, float(sigma)), ExcludedInterval(-1.0, 1.0), 0.0
     )
     assert result["value"] == closed.value == 0.0
+    # The two rays' rounded masses sum past 1; the oracle caps the sum.
+    assert result["support_mass"] == 1.0
 
 
 EDGE_OVERFLOW = ["--mu=0", "--sigma=1", "--lower=-1", "--upper=1.7e308", "--shift=-1.7e308"]
+MU_OVERFLOW = ["--mu=1.7e308", "--sigma=1e306", "--lower=-1e308", "--upper=1.7e308"]
 BIG = "1.7976931348623157e308"
 
 
@@ -157,8 +174,19 @@ BIG = "1.7976931348623157e308"
              "--shift=-93.36"],
             lambda p: [p["results"][0]["value"]],
         ),
+        # lower - mu overflows where lower/sigma - mu/sigma does not.
+        (["centroid", *MU_OVERFLOW], lambda p: [p["results"][0]["value"]]),
+        (
+            ["compare", *MU_OVERFLOW, "--shift=1"],
+            lambda p: [p["base"]["value"], p["shifted"]["value"], p["delta"]],
+        ),
+        (
+            ["centroid", *MU_OVERFLOW, "--method", "quadrature"],
+            lambda p: [p["results"][0]["value"]],
+        ),
     ],
-    ids=["centroid", "compare", "sample", "far-edge"],
+    ids=["centroid", "compare", "sample", "far-edge", "mu-centroid", "mu-compare",
+         "mu-quadrature"],
 )
 def test_overflowing_edge_distance_exits_zero(argv, answers, capsys):
     assert run([*argv, "--format", "json"]) == 0

@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from trunc_centroid import centroid_exterior, shift_comparison
+from trunc_centroid import centroid_exterior, centroid_quadrature, shift_comparison
 from trunc_centroid.errors import TruncCentroidError
 from trunc_centroid.model import ExcludedInterval, GaussianParams
 from trunc_centroid.sampler import monte_carlo_centroid, sample_exterior
@@ -54,6 +54,10 @@ def _closed_form(params, hole, shift):
     return [centroid_exterior(params, hole, shift).value]
 
 
+def _oracle(params, hole, shift):
+    return [centroid_quadrature(params, hole, shift).value]
+
+
 def _comparison(params, hole, shift):
     moved = shift_comparison(params, hole, shift)
     return [moved.base.value, moved.shifted.value, moved.delta]
@@ -65,7 +69,7 @@ def _sampled(params, hole, shift):
     return [*batch.values.tolist(), estimate.mean, estimate.std_error]
 
 
-@pytest.mark.parametrize("solve", [_closed_form, _comparison, _sampled])
+@pytest.mark.parametrize("solve", [_closed_form, _oracle, _comparison, _sampled])
 def test_finite_value_or_named_error(solve):
     outcomes = {"finite": 0, "refused": 0}
     for params, hole, shift in _problems(20261018, 1000):

@@ -8,6 +8,8 @@ its own reported error estimates.
 """
 
 import math
+import random
+from decimal import Decimal, localcontext
 
 import pytest
 
@@ -31,6 +33,35 @@ from trunc_centroid.special import std_cdf, std_pdf, std_tail
 
 STD = GaussianParams(mu=0.0, sigma=1.0)
 REF_PARAMS, REF_HOLE = GaussianParams(1.0, 2.0), ExcludedInterval(-1.0, 4.0)
+EPS = 2.220446049250313e-16
+# 1 / sqrt(2 pi) to 100 digits.
+INV_SQRT_2PI = Decimal(
+    "0.3989422804014326779399460599343818684758586311649346576659258296706579"
+    "258993018385012523339073069364"
+)
+
+
+def _exact_integrals(a, b):
+    """Phi(b) - Phi(a) and phi(a) - phi(b) for floats a and b, computed at
+    100 digits: Phi(x) - 1/2 is phi(x) times x + x^3/3 + x^5/15 + ..., the
+    sum of x^(2n+1) / (2n+1)!!, all of whose terms are summed."""
+    with localcontext() as ctx:
+        ctx.prec = 100
+
+        def pdf(x):
+            return INV_SQRT_2PI * (-(x * x) / 2).exp()
+
+        def centered_cdf(x):
+            term = total = x
+            n = 1
+            while abs(term) > Decimal("1e-100"):
+                term *= x * x / (2 * n + 1)
+                total += term
+                n += 1
+            return pdf(x) * total
+
+        a, b = Decimal(a), Decimal(b)
+        return float(centered_cdf(b) - centered_cdf(a)), float(pdf(a) - pdf(b))
 
 
 def _rays(params, hole, shift):
@@ -95,14 +126,24 @@ def test_integrate_known_gaussian_masses():
     assert math.isclose(moment, std_pdf(12.0) - std_pdf(1.0), rel_tol=1e-12)
 
 
-def test_integrate_error_estimate_is_honest(monkeypatch):
-    # Halving the tolerances moves the value by less than the reported error.
-    coarse = _integrate(_phi, -12.0, -1.0)
-    monkeypatch.setattr(quadrature, "ABS_TOL", 0.5 * ABS_TOL)
-    monkeypatch.setattr(quadrature, "REL_TOL", 0.5 * REL_TOL)
-    tight_pass = _integrate(_phi, -12.0, -1.0)
-    assert abs(coarse[0] - tight_pass[0]) <= coarse[2]
-    assert abs(coarse[1] - tight_pass[1]) <= coarse[3]
+def test_integrate_error_estimate_is_honest():
+    # On seeded rays in the window the estimates cover the distance to the
+    # exact integrals, and never fall below the rounding floor, 50 eps of
+    # the integral's magnitude.  The edges lie on a grid of 1/64, so every
+    # panel's center and half-width are exact and its ends are the cuts:
+    # the rounding of the ends is abs_error_bound's edge term, not these
+    # estimates'.
+    rng = random.Random(13)
+    for _ in range(200):
+        a, b = sorted(rng.randrange(-768, 769) / 64 for _ in range(2))
+        if a == b:
+            continue
+        value, moment, err, moment_err = _integrate(_phi, a, b)
+        mass, first = _exact_integrals(a, b)
+        assert abs(value - mass) <= err, (a, b)
+        assert abs(moment - first) <= moment_err, (a, b)
+        assert err >= 50.0 * EPS * value * (1.0 - 1e-12), (a, b)
+        assert moment_err >= 50.0 * EPS * abs(moment) * (1.0 - 1e-12), (a, b)
 
 
 def test_integrate_empty_interval():
@@ -110,10 +151,57 @@ def test_integrate_empty_interval():
     assert _integrate(_phi, 2.0, 1.0) == (0.0, 0.0, 0.0, 0.0)
 
 
-def test_integrate_budget_exhaustion(monkeypatch):
-    monkeypatch.setattr(quadrature, "MAX_SUBDIVISIONS", 1)
-    with pytest.raises(ToleranceNotMetError):
+def test_integrate_rough_integrand_misses_tolerance():
+    # A square-root kink inside a unit panel is beyond its 7-15 rule, and
+    # the composite rule says so instead of returning a value.
+    with pytest.raises(ToleranceNotMetError, match="miss the tolerances"):
         _integrate(lambda ts: [abs(t - 0.123456) ** 0.5 for t in ts], -4.0, 9.0)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [(-12.0, 12.0), (-12.0, -1.0), (0.3, 0.7), (-0.5, 2.0), (1.0, 2.5), (-11.999, 11.5)],
+)
+def test_integrate_one_panel_per_whole_sigma(monkeypatch, a, b):
+    # [a, b] is cut at every integer strictly inside it, one panel a piece,
+    # and each column is the fsum of its panels'.
+    panels = []
+
+    def panel(func, x, y):
+        panels.append((x, y, _kronrod_panel(func, x, y)))
+        return panels[-1][2]
+
+    monkeypatch.setattr(quadrature, "_kronrod_panel", panel)
+    result = _integrate(_phi, a, b)
+    assert len(panels) == math.ceil(b) - math.floor(a)
+    assert (panels[0][0], panels[-1][1]) == (a, b)
+    for (_, y, _), (x, _, _) in zip(panels, panels[1:]):
+        assert x == y and float(x).is_integer()
+    assert result == tuple(math.fsum(p[2][k] for p in panels) for k in range(4))
+
+
+def test_full_window_estimates_well_below_tolerance():
+    # 24 unit panels: each estimate is the rounding floor, so the window's
+    # sums are 50 eps times the integrals of phi and |t| phi.
+    value, moment, err, moment_err = _integrate(_phi, -12.0, 12.0)
+    assert max(err, moment_err) < ABS_TOL / 5.0
+    assert math.isclose(err, 50.0 * EPS, rel_tol=1e-4)
+    assert math.isclose(moment_err, 50.0 * EPS * 2.0 * std_pdf(0.0), rel_tol=1e-4)
+
+
+def test_seeded_holes_meet_the_tolerances():
+    # 20 000 seeded edge pairs, the window's edges included: each is
+    # answered, or declined where the hole covers the whole window.
+    rng = random.Random(20261018)
+    declined = 0
+    for _ in range(20_000):
+        lower, upper = sorted(rng.uniform(-13.0, 13.0) for _ in range(2))
+        try:
+            centroid_quadrature(STD, ExcludedInterval(lower, upper), 0.0)
+        except DeepTruncationError:
+            assert lower <= -12.0 and upper >= 12.0
+            declined += 1
+    assert declined > 0
 
 
 def test_exterior_mass_symmetric_hole():
@@ -183,6 +271,35 @@ def test_low_mass_warning_flag():
 def test_deep_truncation_declined():
     with pytest.raises(DeepTruncationError):
         centroid_quadrature(STD, ExcludedInterval(-40.0, 41.0), 0.0)
+
+
+def test_declined_exactly_where_the_hole_covers_the_window():
+    # A ray one ulp long still carries phi(12) * ulp(12), about 4e-47.
+    with pytest.raises(DeepTruncationError, match="no support mass inside the window"):
+        centroid_quadrature(STD, ExcludedInterval(-12.0, 12.0), 0.0)
+    inside = math.nextafter(-12.0, 0.0)
+    for hole in (ExcludedInterval(inside, 12.0), ExcludedInterval(-12.0, -inside)):
+        result = centroid_quadrature(STD, hole, 0.0)
+        assert 1e-47 < result.support_mass < 1e-46
+
+
+def test_support_mass_capped_at_one():
+    # The two rays of a hole 2e-200 sigmas wide sum past 1 once rounded.
+    left, right = _integrate(_phi, -12.0, -1e-200), _integrate(_phi, 1e-200, 12.0)
+    assert left[0] + right[0] > 1.0
+    params, hole = GaussianParams(0.0, 1e200), ExcludedInterval(-1.0, 1.0)
+    result = centroid_quadrature(params, hole, 0.0)
+    assert (result.value, result.support_mass) == (0.0, 1.0)
+
+
+def test_overflowing_centroid_is_a_domain_error():
+    # The exact centroid, about 1.798e308, lies beyond the largest double;
+    # the closed form says the same.
+    params, hole = GaussianParams(1.79e308, 1e306), ExcludedInterval(-1e308, 1.79e308)
+    message = "^the centroid overflows the float range, mu \\+ shift = 1.79e\\+308$"
+    for solve in (centroid_quadrature, centroid_exterior):
+        with pytest.raises(DomainError, match=message):
+            solve(params, hole, 0.0)
 
 
 def test_remainders_below_abs_tol():
