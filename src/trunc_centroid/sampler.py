@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -128,33 +129,62 @@ def sample_exterior(
     return SampleBatch(values=values, seed=seed, acceptance_rate=1.0)
 
 
-def _horner(coefficients: tuple, r: np.ndarray) -> np.ndarray:
-    """A polynomial in r, evaluated in the stdlib's order of operations."""
-    acc = coefficients[0] * r
+def _horner(coefficients: tuple, r: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """A polynomial in r, into out (never r itself), in the stdlib's order."""
+    np.multiply(coefficients[0], r, out=out)
     for c in coefficients[1:-1]:
-        acc += c
-        acc *= r
-    acc += coefficients[-1]
-    return acc
+        out += c
+        out *= r
+    out += coefficients[-1]
+    return out
+
+
+def _piecewise(mask: np.ndarray, x: np.ndarray, on_true, on_false) -> np.ndarray:
+    """on_true(x[mask]) and on_false(x[~mask]) as one array.
+
+    A side that takes every element is handed x itself, and an empty side
+    is skipped: only a mixed mask gathers and scatters.
+    """
+    count = np.count_nonzero(mask)
+    if count in (0, mask.size):
+        return (on_true if count else on_false)(x)
+    out = np.empty_like(x)
+    out[mask] = on_true(x[mask])
+    out[~mask] = on_false(x[~mask])
+    return out
 
 
 def inv_std_cdf(p: np.ndarray) -> np.ndarray:
-    """Phi^-1 at every element of p, which must lie in (0, 1)."""
+    """Phi^-1 at every element of p, which must lie in (0, 1).
+
+    The central branch and the near and far tails each gather and scatter
+    their elements only where the branch mask is mixed (see _piecewise);
+    low-mass batches are all tail, and most tails are all near.
+    """
     q = p - 0.5
-    z = np.empty_like(p)
-    central = np.abs(q) <= 0.425
-    qc = q[central]
-    r = 0.180625 - qc * qc
-    z[central] = _horner(_CENTRAL[0], r) * qc / _horner(_CENTRAL[1], r)
-    tail = ~central
-    pt = p[tail]
-    r = np.sqrt(-np.log(np.minimum(pt, 1.0 - pt)))
-    far = r > 5.0
-    x = np.empty_like(r)
-    for branch, origin, (num, den) in ((~far, 1.6, _NEAR), (far, 5.0, _FAR)):
-        s = r[branch] - origin
-        x[branch] = _horner(num, s) / _horner(den, s)
-    z[tail] = np.copysign(x, q[tail])
+    return _piecewise(np.abs(q, out=q) <= 0.425, p, _inv_central, _inv_tail)
+
+
+def _inv_central(p: np.ndarray) -> np.ndarray:
+    q = p - 0.5
+    r = 0.180625 - q * q
+    z = _horner(_CENTRAL[0], r, np.empty_like(r))
+    z *= q
+    z /= _horner(_CENTRAL[1], r, q)  # q is spent
+    return z
+
+
+def _inv_tail(p: np.ndarray) -> np.ndarray:
+    r = np.minimum(p, 1.0 - p)
+    np.sqrt(np.negative(np.log(r, out=r), out=r), out=r)
+    z = _piecewise(r > 5.0, r, partial(_rational, _FAR, 5.0), partial(_rational, _NEAR, 1.6))
+    return np.copysign(z, p - 0.5, out=z)
+
+
+def _rational(coefficients: tuple, origin: float, r: np.ndarray) -> np.ndarray:
+    s = r - origin
+    z = _horner(coefficients[0], s, np.empty_like(s))
+    z /= _horner(coefficients[1], s, np.empty_like(s))
     return z
 
 

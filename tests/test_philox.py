@@ -13,9 +13,11 @@ import pytest
 from numpy.random import Philox
 
 from trunc_centroid.philox import (
+    CHUNK_BLOCKS,
     CounterStream,
     philox4x64,
     philox4x64_block,
+    stream_blocks,
     uniform_closed_open,
     uniform_open,
 )
@@ -96,6 +98,28 @@ def test_vectorized_matches_scalar_on_random_lanes():
     for i in range(64):
         expected = philox4x64_block(tuple(int(v) for v in c[i]), (1234, 567))
         assert tuple(int(words[w][i]) for w in range(4)) == expected
+
+
+@pytest.mark.parametrize("lanes", [1, 2])
+def test_vectorized_matches_scalar_on_few_lanes(lanes):
+    rng = np.random.default_rng(lanes)
+    c = rng.integers(0, 1 << 63, size=(lanes, 4)).astype(np.uint64) << np.uint64(1)
+    words = philox4x64(c[:, 0], c[:, 1], c[:, 2], c[:, 3], MASK, 3)
+    for i in range(lanes):
+        expected = philox4x64_block(tuple(int(v) for v in c[i]), (MASK, 3))
+        assert tuple(int(words[w][i]) for w in range(4)) == expected
+
+
+def test_stream_blocks_of_no_blocks():
+    assert stream_blocks(5, 2, 7, 0).shape == (0, 4)
+
+
+def test_counter_stream_across_a_chunk_matches_scalar_blocks():
+    # take(n) asks for one full chunk of blocks and then four more.
+    n = 4 * CHUNK_BLOCKS + 13
+    blocks = [philox4x64_block((j, 0, 0, 3), (9, 0)) for j in range((n + 3) // 4)]
+    words = np.array(blocks, dtype=np.uint64).reshape(-1)[:n]
+    assert np.array_equal(CounterStream(9, stream=3).take(n), uniform_closed_open(words))
 
 
 def test_uniform_ranges():
