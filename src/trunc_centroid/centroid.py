@@ -26,6 +26,7 @@ A result carries `low_support_mass` below an exterior mass of 1e-12 and
 from __future__ import annotations
 
 import math
+import sys
 
 from .errors import DomainError, IntervalError, require_finite
 from .model import LOW_MASS_FLOOR, LOW_SUPPORT_MASS  # re-exported here
@@ -41,8 +42,6 @@ _EXP_CAP = 800.0
 _SPLIT_MAX = 2.0**990
 # Below this 1 + x lam - lam**2 cancels less than 300 ulps.
 _VARIANCE_SWITCH = 4.0
-# The smallest normal double.
-_NORMAL_MIN = 2.2250738585072014e-308
 
 
 def _check_point(
@@ -103,7 +102,7 @@ def std_exterior_centroid(shift: float, lower: float, upper: float) -> float:
     """
     shift, lower, upper = _check_point(shift, lower, upper)
     sign, a, b, ra, rb, e, one_minus_e = _edges(shift, lower, upper)
-    if ra >= _NORMAL_MIN:
+    if ra >= sys.float_info.min:
         return shift + sign * one_minus_e / (ra + e * rb)
     # R(a) is subnormal (a beyond about 4.5e307), so 1/R(a) loses bits or
     # overflows; lambda = 1/R = x + r1 from the continued fraction does not.

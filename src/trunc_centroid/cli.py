@@ -329,11 +329,11 @@ def _cmd_verify(args) -> int:
             {
                 "name": r.name,
                 "checks_run": r.checks_run,
-                "violations": [vars(v) for v in r.violations],
-                "untestable": [vars(v) for v in r.untestable],
+                "violations": [v._asdict() for v in r.violations],
+                "untestable": [v._asdict() for v in r.untestable],
                 "min_margin": r.min_margin,
                 "min_margin_at": (
-                    None if r.min_margin_record is None else vars(r.min_margin_record)
+                    None if r.min_margin_record is None else r.min_margin_record._asdict()
                 ),
                 "passed": r.passed,
             }

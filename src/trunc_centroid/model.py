@@ -1,9 +1,12 @@
 """Shared domain types.
 
-Frozen dataclasses validate their own invariants on construction, so a
-GaussianParams or ExcludedInterval that exists is always usable.  Result
-types (CentroidResult and friends) carry no behavior; analytic facts
-about them, such as the sign of a comparison delta, are checked by the
+Every record of the package is a named tuple: immutable, equal and
+hashed by value, and built without importing inspect (about 10 ms).
+GaussianParams and ExcludedInterval, like verification.SweepSpec,
+validate their invariants in __new__, which _make and so _replace go
+through too, so one that exists is always usable.  Result types
+(CentroidResult and friends) carry no behavior; analytic facts about
+them, such as the sign of a comparison delta, are checked by the
 verification sweeps and the test suite rather than enforced here.
 """
 
@@ -11,7 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import IntervalError, ParameterError, require_finite
 
@@ -27,34 +30,30 @@ class Method(str, enum.Enum):
 # Exterior mass below which a result carries the LOW_SUPPORT_MASS flag.
 LOW_MASS_FLOOR = 1e-12
 LOW_SUPPORT_MASS = "low_support_mass"
-# Exterior mass below which the sampler raises DeepTruncationError: this
-# close to float64 underflow (normal floats stop at 2.2e-308) inverted
-# tail masses cannot be trusted.  The quadrature oracle declines only
-# where the hole covers its window, and the closed form divides each tail
-# by its edge's density.
-UNDERFLOW_MASS_FLOOR = 1e-290
 
 
-@dataclass(frozen=True)
-class GaussianParams:
+def _make_checked(cls, iterable):
+    # namedtuple's own _make, which _replace calls, bypasses __new__.
+    return cls(*iterable)
+
+
+class GaussianParams(NamedTuple("GaussianParams", [("mu", float), ("sigma", float)])):
     """Location and scale of the base Gaussian.
 
     sigma is the standard deviation (scale), not the variance.
     """
 
-    mu: float
-    sigma: float
+    __slots__ = ()
+    _make = classmethod(_make_checked)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "mu", require_finite(self.mu, "mu"))
-        sigma = float(self.sigma)
-        if not math.isfinite(sigma) or sigma <= 0.0:
-            raise ParameterError(f"sigma must be finite and > 0, got {self.sigma!r}")
-        object.__setattr__(self, "sigma", sigma)
+    def __new__(cls, mu: float, sigma: float) -> GaussianParams:
+        mu, scale = require_finite(mu, "mu"), float(sigma)
+        if not math.isfinite(scale) or scale <= 0.0:
+            raise ParameterError(f"sigma must be finite and > 0, got {sigma!r}")
+        return super().__new__(cls, mu, scale)
 
 
-@dataclass(frozen=True)
-class ExcludedInterval:
+class ExcludedInterval(NamedTuple("ExcludedInterval", [("lower", float), ("upper", float)])):
     """The open interval (lower, upper) removed from the support.
 
     Both endpoints must be finite: a one-sided hole would turn the
@@ -62,37 +61,31 @@ class ExcludedInterval:
     and is deliberately rejected here.
     """
 
-    lower: float
-    upper: float
+    __slots__ = ()
+    _make = classmethod(_make_checked)
 
-    def __post_init__(self) -> None:
-        lower = float(self.lower)
-        upper = float(self.upper)
-        if not (math.isfinite(lower) and math.isfinite(upper)):
+    def __new__(cls, lower: float, upper: float) -> ExcludedInterval:
+        lo, hi = float(lower), float(upper)
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise IntervalError(
                 f"interval endpoints must be finite (one-sided truncation is "
-                f"unsupported), got ({self.lower!r}, {self.upper!r})"
+                f"unsupported), got ({lower!r}, {upper!r})"
             )
-        if not upper > lower:
-            raise IntervalError(
-                f"excluded interval needs upper > lower, got ({lower!r}, {upper!r})"
-            )
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
+        if not hi > lo:
+            raise IntervalError(f"excluded interval needs upper > lower, got ({lo!r}, {hi!r})")
+        return super().__new__(cls, lo, hi)
 
 
-@dataclass(frozen=True)
-class CentroidResult:
+class CentroidResult(NamedTuple):
     value: float
     method: Method
     support_mass: float
-    warnings: tuple[str, ...] = field(default_factory=tuple)
+    warnings: tuple[str, ...] = ()
     # Certified bound on |value - exact centroid|, where the method has one.
     abs_error_bound: float | None = None
 
 
-@dataclass(frozen=True)
-class ShiftComparison:
+class ShiftComparison(NamedTuple):
     base: CentroidResult
     shifted: CentroidResult
     shift: float

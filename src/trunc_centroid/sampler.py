@@ -29,18 +29,24 @@ the test suite checks it against the closed form at 4 standard errors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DeepTruncationError, DomainError, ParameterError, require_finite
-from .model import UNDERFLOW_MASS_FLOOR, ExcludedInterval, GaussianParams
+from .model import ExcludedInterval, GaussianParams
 from .philox import CHUNK_BLOCKS, stream_blocks, uniform_open
 from .special import _tail
 
 # The sampler's Philox stream id (see philox.py).
 _STREAM = 0
+# Exterior mass below which the sampler raises DeepTruncationError: this
+# close to float64 underflow (normal floats stop at 2.2e-308) inverted
+# tail masses cannot be trusted.  The quadrature oracle declines only
+# where the hole covers its window, and the closed form divides each tail
+# by its edge's density.
+UNDERFLOW_MASS_FLOOR = 1e-290
 
 # AS241 numerator and denominator coefficients, highest degree first, for
 # |p - 1/2| <= 0.425 (in r = 0.180625 - (p - 1/2)^2), then for
@@ -71,16 +77,17 @@ _FAR = (
 )
 
 
-@dataclass(frozen=True, eq=False)
-class SampleBatch:
+class SampleBatch(NamedTuple):
     values: np.ndarray
     seed: int
     # Every word gives a draw, so this is 1.0; the CLI reports it.
     acceptance_rate: float
 
+    # values is an array, so a batch equals and hashes as itself only.
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
-@dataclass(frozen=True)
-class MonteCarloEstimate:
+
+class MonteCarloEstimate(NamedTuple):
     mean: float
     std_error: float
     n: int

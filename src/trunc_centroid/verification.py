@@ -35,13 +35,13 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass
 from typing import Any, Iterable, NamedTuple
 
 import numpy as np
 
 from .centroid import _certificate_from
 from .errors import ParameterError
+from .model import _make_checked
 from .philox import CounterStream
 from .special import std_cdf_array, std_pdf_array, std_tail_array
 
@@ -50,21 +50,20 @@ UNTESTABLE_FLOOR = 1e-280
 _DENSITY_FLOOR = sys.float_info.min
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    l_range: tuple[float, float, float]
-    u_range: tuple[float, float, float]
-    h_range: tuple[float, float, float]
-    mode: str = "grid"
-    n_random: int = 0
-    seed: int = 0
+class SweepSpec(
+    NamedTuple(
+        "SweepSpec",
+        [("l_range", tuple), ("u_range", tuple), ("h_range", tuple),
+         ("mode", str), ("n_random", int), ("seed", int)],
+    )
+):
+    """The grid, or the seeded random cloud, a sweep walks; a range is (min, max, step)."""
 
-    def __post_init__(self) -> None:
-        for name, rng in (
-            ("l_range", self.l_range),
-            ("u_range", self.u_range),
-            ("h_range", self.h_range),
-        ):
+    __slots__ = ()
+    _make = classmethod(_make_checked)
+
+    def __new__(cls, l_range, u_range, h_range, mode="grid", n_random=0, seed=0) -> SweepSpec:
+        for name, rng in (("l_range", l_range), ("u_range", u_range), ("h_range", h_range)):
             lo, hi, step = rng
             if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(step)):
                 raise ParameterError(f"{name} must be finite, got {rng!r}")
@@ -72,14 +71,14 @@ class SweepSpec:
                 raise ParameterError(f"{name} needs min < max, got {rng!r}")
             if not step > 0.0:
                 raise ParameterError(f"{name} needs step > 0, got {rng!r}")
-        if self.mode not in ("grid", "random"):
-            raise ParameterError(f"mode must be grid or random, got {self.mode!r}")
-        if self.mode == "random" and self.n_random < 1:
+        if mode not in ("grid", "random"):
+            raise ParameterError(f"mode must be grid or random, got {mode!r}")
+        if mode == "random" and n_random < 1:
             raise ParameterError("random mode needs n_random >= 1")
+        return super().__new__(cls, l_range, u_range, h_range, mode, n_random, seed)
 
 
-@dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(NamedTuple):
     check: str
     x1: float
     x2: float
@@ -89,8 +88,7 @@ class CheckRecord:
     margin: float
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     name: str
     checks_run: int
     violations: tuple[CheckRecord, ...]
@@ -100,8 +98,8 @@ class VerificationReport:
 
     @property
     def passed(self) -> bool:
-        # A sweep that checked no point has shown nothing.
-        return self.checks_run > 0 and not self.violations
+        # A sweep that checked no point, or no testable one, has shown nothing.
+        return self.checks_run > len(self.untestable) and not self.violations
 
 
 DEFAULT_MONOTONICITY_SPEC = SweepSpec(

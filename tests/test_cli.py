@@ -405,6 +405,21 @@ def test_verify_that_checks_nothing_fails(argv, capsys):
     assert report["checks_run"] == 0 and report["passed"] is False
 
 
+def test_verify_with_only_untestable_points_fails(capsys):
+    # Shifts below 1e-300 leave every margin under the untestable floor: the
+    # sweep checked two points but could test neither.
+    argv = ["verify", "--check", "monotonicity", "--mode", "random", "--seed", "1"]
+    argv += ["--n-random", "1", "--h-range", "0", "1e-300", "1"]
+    assert run(argv) == 0
+    assert capsys.readouterr().out == (
+        "monotonicity: checks=2 violations=0 untestable=2 min_margin=nan FAIL\n"
+    )
+    assert run([*argv, "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)["reports"][0]
+    assert report["checks_run"] == len(report["untestable"]) == 2
+    assert report["passed"] is False
+
+
 def test_sweep_out_of_memory_is_error(monkeypatch, capsys):
     # A fine grid over a wide plane asks numpy for terabytes; whether that
     # allocation fails depends on the host's overcommit setting, so the
