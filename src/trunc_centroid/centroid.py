@@ -146,16 +146,7 @@ def _certificate_from(x1, x2, f1, f2, m):
     """slope_certificate from std_pdf(x1), std_pdf(x2) and m, as floats or
     as numpy arrays, with the same bits either way."""
     d = f1 - f2
-    if isinstance(d, float):  # numpy.float64 included
-        square = d**2
-    else:
-        # numpy's ** squares by multiplication, which differs from libm's
-        # pow in the last bit on about one input in 1200; float_power
-        # calls pow.
-        import numpy as np
-
-        square = np.float_power(d, 2.0)
-    return (x1 * f1 - x2 * f2) * m + m * m - square
+    return (x1 * f1 - x2 * f2) * m + m * m - d * d
 
 
 def slope_certificate(x1: float, x2: float) -> float:

@@ -33,7 +33,6 @@ the --flag=value spelling to survive argument parsing.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
@@ -172,6 +171,7 @@ def _emit(args, payload: dict, csv, lines: list[str], indent: int | None = 2) ->
     17 significant digits, its ints str() and its None an empty cell.
     """
     if args.fmt == "json":
+        import json  # only here: text and csv runs skip its import
         # Strict JSON: NaN and Infinity become null.  Parsing the lenient
         # text back lets the json module find every non-finite float.
         plain = json.loads(json.dumps(payload), parse_constant=lambda _: None)

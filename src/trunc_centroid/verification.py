@@ -19,8 +19,13 @@ certificate over m**2 and in quotient-rule form.  They compute them as
 numpy arrays, so margins have the bits of those formulas, not of
 std_exterior_centroid; exp and erfc run element by element through the
 math module (special.std_*_array), and on a grid on the 1-D axes only,
-broadcast over the plane.  Only the rows a report keeps (violations,
-untestable points, the minimum margin) become CheckRecords.
+broadcast over the plane.  Those libm calls are the floor of a sweep's
+cost.  Only the rows a report keeps (violations, untestable points, the
+minimum margin) become CheckRecords.  A random sweep reads its Philox
+stream (2 to 5, in the order of the verify_* functions below) as one
+contiguous run: n_random lows, n_random highs, then one shift per hole
+kept (a pair whose edges draw equal is dropped), twice over for
+monotonicity.
 
 CSV rendering uses the fixed column set
 
@@ -150,23 +155,31 @@ class _Check(NamedTuple):
     doubtful: Any = False
 
 
+def _floats(column: np.ndarray) -> list[float]:
+    """The column as floats; one nan object keeps equal reports equal under ==."""
+    if np.isnan(column).any():
+        return [math.nan if x != x else x for x in column.tolist()]
+    return column.tolist()
+
+
 def _records(check: _Check, shape, mask) -> list[CheckRecord]:
     """Records of the points `mask` selects, sorted by x1, then x2, then h.
 
     nan sorts last, and points that tie keep their sweep order.
     """
+    if not mask.any():
+        return []
     at = np.unravel_index(np.flatnonzero(mask), shape)
-    columns = check[2:8]  # x1, x2, h, lhs, rhs, margin
-    values = [np.broadcast_to(c, shape)[at] for c in columns]
-    order = np.lexsort(values[2::-1])
-    cells = []
-    for c, v in zip(columns, values):
-        if isinstance(c, float):
-            cells.append(itertools.repeat(c))
-        else:
-            # One nan object keeps equal reports equal under ==.
-            cells.append([math.nan if x != x else x for x in v[order].tolist()])
-    return list(map(CheckRecord, itertools.repeat(check.name), *cells))
+    # A float column is that float in every row: nothing to gather or sort.
+    columns = [
+        c if isinstance(c, float) else np.broadcast_to(c, shape)[at] for c in check[2:8]
+    ]  # x1, x2, h, lhs, rhs, margin
+    order = np.lexsort([c for c in columns[2::-1] if not isinstance(c, float)])
+    cells = [
+        itertools.repeat(c) if isinstance(c, float) else _floats(c[order]) for c in columns
+    ]
+    rows = zip(itertools.repeat(check.name), *cells)
+    return list(map(tuple.__new__, itertools.repeat(CheckRecord), rows))
 
 
 def _report(name: str, checks: Iterable[_Check]) -> VerificationReport:
@@ -182,21 +195,25 @@ def _report(name: str, checks: Iterable[_Check]) -> VerificationReport:
     low = math.inf
     for check in sorted(checks, key=lambda c: c.name):
         shape = np.broadcast_shapes(*(np.shape(a) for a in check[1:]))
-        where = np.broadcast_to(check.where, shape)
         margin = np.broadcast_to(check.margin, shape)
-        unsure = (
-            ~np.isfinite(margin) | (np.abs(margin) < UNTESTABLE_FLOOR) | check.doubtful
-        )
-        testable = where & ~unsure
-        checks_run += int(np.count_nonzero(where))
-        untestable += _records(check, shape, where & unsure)
+        size = np.abs(margin)
+        # nan and the infinities fail one of the two comparisons.  A Python
+        # bool stays out of the masks: numpy ands it with an array slowly.
+        testable = (size >= UNTESTABLE_FLOOR) & (size < math.inf)
+        if check.doubtful is not False:
+            testable &= ~check.doubtful
+        if check.where is not True:
+            testable &= check.where
+        unsure = testable ^ check.where
+        checks_run += int(np.count_nonzero(testable)) + int(np.count_nonzero(unsure))
+        untestable += _records(check, shape, unsure)
         violations += _records(check, shape, testable & (margin <= 0.0))
-        if testable.any():
-            m = np.min(margin, where=testable, initial=math.inf)
-            if m < low:
-                low, lowest = m, []
-            if m == low:
-                lowest += _records(check, shape, testable & (margin == m))
+        # With no testable point m is inf, and no testable margin equals it.
+        m = np.min(margin, where=testable, initial=math.inf)
+        if m < low:
+            low, lowest = m, []
+        if m == low:
+            lowest += _records(check, shape, testable & (margin == m))
     best = lowest[0] if lowest else None
     return VerificationReport(
         name=name,
@@ -228,16 +245,19 @@ def _centroids(shift, lower, upper):
     return psi, mass < _DENSITY_FLOOR
 
 
-def _uniform(stream: CounterStream, lo: float, hi: float, n: int) -> np.ndarray:
-    return lo + stream.take(n) * (hi - lo)
+def _random_points(spec: SweepSpec, stream: int, rows: int) -> list[np.ndarray]:
+    """rows * n_random uniforms from one take of the sweep's stream: n_random
+    lows over l_range, n_random highs over u_range, then shifts over h_range."""
+    draws = CounterStream(spec.seed, stream).take(rows * spec.n_random)
+    runs = np.split(draws, (spec.n_random, 2 * spec.n_random))
+    return [lo + run * (hi - lo) for (lo, hi, _), run in zip(spec[:3], runs)]
 
 
-def _hole_pairs_random(spec: SweepSpec, stream: CounterStream):
-    raw_l = _uniform(stream, spec.l_range[0], spec.l_range[1], spec.n_random)
-    raw_u = _uniform(stream, spec.u_range[0], spec.u_range[1], spec.n_random)
-    lower, upper = np.minimum(raw_l, raw_u), np.maximum(raw_l, raw_u)
-    keep = upper > lower
-    return lower[keep], upper[keep]
+def _random_holes(spec: SweepSpec, stream: int, rows: int):
+    """_random_points as holes (lower, upper) and shifts; pairs that draw equal go."""
+    raw_l, raw_u, hs = _random_points(spec, stream, rows)
+    keep = raw_l != raw_u
+    return np.minimum(raw_l, raw_u)[keep], np.maximum(raw_l, raw_u)[keep], hs
 
 
 def verify_monotonicity(spec: SweepSpec = DEFAULT_MONOTONICITY_SPEC) -> VerificationReport:
@@ -257,10 +277,8 @@ def verify_monotonicity(spec: SweepSpec = DEFAULT_MONOTONICITY_SPEC) -> Verifica
         h1, h2 = hs[:-1], hs[1:]
         where = u > l
     else:
-        stream = CounterStream(spec.seed, stream=2)
-        l, u = _hole_pairs_random(spec, stream)
-        raw_h1 = _uniform(stream, spec.h_range[0], spec.h_range[1], l.size)
-        raw_h2 = _uniform(stream, spec.h_range[0], spec.h_range[1], l.size)
+        l, u, hs = _random_holes(spec, stream=2, rows=4)
+        raw_h1, raw_h2 = hs[: l.size], hs[l.size : 2 * l.size]
         h1, h2 = np.minimum(raw_h1, raw_h2), np.maximum(raw_h1, raw_h2)
         where = raw_h1 != raw_h2
 
@@ -293,9 +311,7 @@ def verify_certificate_positive(
         x1 = _grid(spec.l_range)[:, None]
         x2 = _grid(spec.u_range)[None, :]
     else:
-        stream = CounterStream(spec.seed, stream=3)
-        x1 = _uniform(stream, spec.l_range[0], spec.l_range[1], spec.n_random)
-        x2 = _uniform(stream, spec.u_range[0], spec.u_range[1], spec.n_random)
+        x1, x2, _ = _random_points(spec, stream=3, rows=2)
 
     with np.errstate(all="ignore"):
         m = std_tail_array(x1) + std_cdf_array(x2)
@@ -318,9 +334,7 @@ def verify_bounds(spec: SweepSpec = DEFAULT_BOUNDS_SPEC) -> VerificationReport:
         # The summed form runs over the plane xs1 x xs2.
         col, row = np.s_[:, None], np.s_[None, :]
     else:
-        stream = CounterStream(spec.seed, stream=4)
-        xs1 = _uniform(stream, spec.l_range[0], spec.l_range[1], spec.n_random)
-        xs2 = _uniform(stream, spec.u_range[0], spec.u_range[1], spec.n_random)
+        xs1, xs2, _ = _random_points(spec, stream=4, rows=2)
         # The summed form runs over the pairs (xs1[i], xs2[i]).
         col = row = np.s_[:]
 
@@ -382,9 +396,8 @@ def verify_derivative(spec: SweepSpec = DEFAULT_DERIVATIVE_SPEC) -> Verification
         h = _grid(spec.h_range)
         where = u > l
     else:
-        stream = CounterStream(spec.seed, stream=5)
-        l, u = _hole_pairs_random(spec, stream)
-        h = _uniform(stream, spec.h_range[0], spec.h_range[1], l.size)
+        l, u, hs = _random_holes(spec, stream=5, rows=3)
+        h = hs[: l.size]
         where = np.ones(l.shape, dtype=bool)
 
     with np.errstate(all="ignore"):
@@ -427,18 +440,14 @@ def render_report_csv(reports: Iterable[VerificationReport]) -> str:
     lines = ["check,x1,x2,h,lhs,rhs,margin"]
 
     def row(check: str, r: CheckRecord) -> str:
-        cells = [check] + [
-            format(v, ".17g") for v in (r.x1, r.x2, r.h, r.lhs, r.rhs, r.margin)
-        ]
-        return ",".join(cells)
+        return ",".join([check, *(format(v, ".17g") for v in r[1:])])
 
     for report in reports:
         for r in report.violations:
             lines.append(row(r.check, r))
         for r in report.untestable:
             lines.append(row(f"{r.check}:untestable-strict", r))
-        if report.min_margin_record is not None:
-            r = report.min_margin_record
+        if (r := report.min_margin_record) is not None:
             lines.append(row(f"{r.check}:min_margin", r))
     return "\n".join(lines) + "\n"
 

@@ -154,6 +154,23 @@ def test_certificate_frozen_values():
     )
 
 
+def test_certificate_squares_by_multiplication():
+    # The square (f1 - f2)**2 is d * d, correctly rounded, not libm's pow
+    # (a Python float's **), which differs in the last bit on about one
+    # input in 1200 and moves about a quarter of those certificates.
+    rng = random.Random(1)
+    moved_by_pow = 0
+    for _ in range(20_000):
+        x1, x2 = rng.uniform(-8.0, 8.0), rng.uniform(-8.0, 8.0)
+        f1, f2 = std_pdf(x1), std_pdf(x2)
+        m = std_tail(x1) + std_cdf(x2)
+        d = f1 - f2
+        expected = (x1 * f1 - x2 * f2) * m + m * m - d * d
+        assert slope_certificate(x1, x2) == expected, (x1, x2)
+        moved_by_pow += (x1 * f1 - x2 * f2) * m + m * m - d**2 != expected
+    assert moved_by_pow > 0
+
+
 def test_slope_frozen_values():
     assert math.isclose(
         std_exterior_centroid_slope(0.0, -1.0, 1.5), 2.6861311104040967, rel_tol=1e-13
@@ -331,9 +348,8 @@ def test_tail_means_reference_values():
 
 
 def test_array_helpers_match_scalar_functions():
-    # The certificate helper is shared by slope_certificate and the sweeps.
-    # (f1 - f2) ** 2 is libm's pow on floats; on arrays the helper must not
-    # square by multiplication, which differs on about 1 input in 1200.
+    # The certificate helper is shared by slope_certificate and the sweeps,
+    # and gives floats and arrays the same bits.
     rng = random.Random(8)
     holes = [sorted((rng.uniform(-9.0, 9.0), rng.uniform(-9.0, 9.0))) for _ in range(4000)]
     shifts = [rng.uniform(-3.0, 3.0) for _ in holes]

@@ -2,8 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
 
+from trunc_centroid import verification
 from trunc_centroid.centroid import centroid_exterior
 from trunc_centroid.errors import ParameterError
 from trunc_centroid.figure import (
@@ -14,6 +16,7 @@ from trunc_centroid.figure import (
     render_reference_figure,
     write_reference_figure,
 )
+from trunc_centroid.philox import CounterStream
 from trunc_centroid.special import std_pdf
 from trunc_centroid.verification import (
     CheckRecord,
@@ -117,6 +120,11 @@ def test_bounds_wide_range_sets_faint_densities_aside():
     faint = [r for r in report.untestable if r.check.endswith("ratio_bound")]
     assert all(abs(r.x1) > 37.5 for r in faint)
     assert report.min_margin > 0.0
+    # Their ratios are computed nans (0 / 0); each is the one math.nan
+    # object, so a second run of the sweep compares equal.
+    assert all(type(r) is CheckRecord for r in report.untestable)
+    nans = [v for r in report.untestable for v in r[1:] if v != v]
+    assert nans and all(v is math.nan for v in nans)
     assert verify_bounds(spec) == report
 
 
@@ -125,6 +133,103 @@ def test_derivative_wide_range_zero_mass_raises():
     # 0 for some of these holes.
     with pytest.raises(ZeroDivisionError):
         verify_derivative(SweepSpec(**WIDE_RANDOM, seed=3))
+
+
+class _Served:
+    """A stand-in stream serving fixed values in order, one take after another."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+        self.at = 0
+
+    def take(self, n):
+        self.at += n
+        return self.values[self.at - n : self.at]
+
+
+def _drawn_in_order(stream, spec: SweepSpec, shift_runs: int):
+    """A random sweep's points from sequential takes on `stream`: n_random
+    lows, n_random highs, then `shift_runs` runs of one shift per hole that
+    is kept (a pair whose edges draw equal is dropped)."""
+
+    def take(rng, n):
+        return rng[0] + stream.take(n) * (rng[1] - rng[0])
+
+    raw_l, raw_u = take(spec.l_range, spec.n_random), take(spec.u_range, spec.n_random)
+    if not shift_runs:
+        return raw_l, raw_u
+    lower, upper = np.minimum(raw_l, raw_u), np.maximum(raw_l, raw_u)
+    keep = upper > lower
+    shifts = [take(spec.h_range, int(keep.sum())) for _ in range(shift_runs)]
+    return lower[keep], upper[keep], *shifts
+
+
+def _checks(monkeypatch, sweep, spec: SweepSpec) -> dict:
+    """The checks, by name, that a sweep hands to its report."""
+    seen = {}
+    monkeypatch.setattr(
+        verification, "_report", lambda name, checks: seen.update((c.name, c) for c in checks)
+    )
+    sweep(spec)
+    return seen
+
+
+def _same(a, b) -> bool:
+    return np.array_equal(a, b, equal_nan=True)
+
+
+def _assert_points(monkeypatch, make_stream, spec: SweepSpec) -> None:
+    """Each random sweep evaluates the points of its stream read in order."""
+    x1, x2 = _drawn_in_order(make_stream(spec.seed, 3), spec, 0)
+    check = _checks(monkeypatch, verify_certificate_positive, spec)["certificate_positive"]
+    assert _same(check.x1, x1) and _same(check.x2, x2)
+
+    xs1, xs2 = _drawn_in_order(make_stream(spec.seed, 4), spec, 0)
+    checks = _checks(monkeypatch, verify_bounds, spec)
+    assert _same(checks["tail_ratio_bound"].x1, xs1)
+    assert _same(checks["summed_bound"].x1, xs1) and _same(checks["summed_bound"].x2, xs2)
+
+    l, u, h = _drawn_in_order(make_stream(spec.seed, 5), spec, 1)
+    check = _checks(monkeypatch, verify_derivative, spec)["derivative_positive"]
+    assert _same(check.x1, l) and _same(check.x2, u) and _same(check.h, h)
+
+    l, u, raw_h1, raw_h2 = _drawn_in_order(make_stream(spec.seed, 2), spec, 2)
+    checks = _checks(monkeypatch, verify_monotonicity, spec)
+    rise = checks["monotonicity"]
+    assert _same(rise.x1, l) and _same(rise.x2, u)
+    assert _same(rise.h, np.maximum(raw_h1, raw_h2))
+    assert _same(rise.where, raw_h1 != raw_h2)
+    # rhs is the centroid at the smaller shift of each pair.
+    psi1, _ = verification._centroids(np.minimum(raw_h1, raw_h2), l, u)
+    assert _same(rise.rhs, psi1)
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+def test_random_sweeps_read_their_streams_in_order(monkeypatch, seed):
+    spec = SweepSpec(
+        l_range=(-5.0, 5.0, 0.5),
+        u_range=(-4.0, 6.0, 0.5),
+        h_range=(-3.0, 3.0, 0.5),
+        mode="random",
+        n_random=300,
+        seed=seed,
+    )
+    _assert_points(monkeypatch, CounterStream, spec)
+
+
+def test_hole_whose_edges_draw_equal_shortens_the_shift_runs(monkeypatch):
+    # The second pair draws 0.5 twice and is dropped: three holes remain,
+    # so the shifts are the next three values and, for monotonicity, the
+    # three after those; the values past them are never read.
+    lows, highs = [0.1, 0.5, 0.7, 0.2], [0.3, 0.5, 0.1, 0.9]
+    values = lows + highs + [0.11, 0.12, 0.13, 0.21, 0.22, 0.23, 0.98, 0.99]
+    monkeypatch.setattr(verification, "CounterStream", lambda seed, stream: _Served(values))
+    unit = (0.0, 1.0, 0.5)
+    spec = SweepSpec(unit, unit, unit, mode="random", n_random=4, seed=0)
+    l, u, h1, h2 = _drawn_in_order(_Served(values), spec, 2)
+    assert l.tolist() == [0.1, 0.1, 0.2] and u.tolist() == [0.3, 0.7, 0.9]
+    assert h1.tolist() == [0.11, 0.12, 0.13] and h2.tolist() == [0.21, 0.22, 0.23]
+    _assert_points(monkeypatch, lambda seed, stream: _Served(values), spec)
 
 
 @pytest.mark.parametrize(
