@@ -20,10 +20,40 @@ keeps unrelated consumers off each other's blocks.  Stream ids:
 
 The vectorized rounds keep n counters as two (2, n) arrays, x = (c0, c2),
 the words that get multiplied, and y = (c3, c1), so both products of a
-round are one pass over x; every buffer is allocated once a call.
+round are one pass over x.
+
+Per-thread scratch.  Allocating and freeing a call's work arrays costs
+more than the arithmetic at a few thousand blocks: the allocator hands
+freed memory back to the kernel, and the next call faults it in again.
+So the rounds, the word stack and the sampler's work arrays live in one
+pool per thread (a threading.local) of numbered slots, each a raw buffer
+that grows only, to the largest request it has served.  A request of more
+than SCRATCH_ITEMS = 4 * CHUNK_BLOCKS elements (one chunk of words) gets a
+fresh array instead.  So a slot holds at most 128 KiB, and the pool at
+most 1328 KiB per thread: seven slots of 8-byte words, three of 1-byte
+masks (16 KiB each) and the three multiplier rows (each (2, n), at most
+128 KiB), which are refilled only when the lane count n changes.  The
+slots:
+
+    0 - 5    the round buffers (x, y, lo, x_hi, mid, hi); after the
+             rounds, the sampler's u * mass (0) and inv_std_cdf's work
+             arrays (0 - 5)
+    6        the word stack; the sampler's tail probabilities over its
+             spent words
+    7        the sampler's side mask
+    8, 9     inv_std_cdf's branch masks; the sampler's pin masks
+
+A slot's array is valid until the next request of that slot in the same
+thread.  No public function returns a view into the pool: philox4x64,
+stream_blocks, CounterStream.take, inv_std_cdf and sample_exterior hand
+back arrays of their own, so threads and later calls never see each
+other's words.
 """
 
 from __future__ import annotations
+
+import math
+import threading
 
 import numpy as np
 
@@ -39,10 +69,11 @@ _SHIFT32 = np.array(32, dtype=np.uint64)
 _SHIFT11 = np.uint64(11)
 _INV_2_53 = 1.0 / 9007199254740992.0
 
-# Blocks generated per philox4x64 call by stream consumers; bounds their
-# working set whatever the number of values asked for: nine (2, n) uint64
-# buffers, about 0.6 MB at 4096 blocks.
+# Blocks generated per rounds call by stream consumers; bounds their
+# working set whatever the number of values asked for.
 CHUNK_BLOCKS = 4096
+# The largest array, in elements, that the scratch pool serves.
+SCRATCH_ITEMS = 4 * CHUNK_BLOCKS
 
 # The multipliers (M0, M1), their high and their low 32-bit halves, and
 # the key bumps r * (W1, W0) of rounds r = 0 .. 9, as (2, 1) columns.
@@ -51,26 +82,71 @@ _MULTIPLIER_ROWS = np.stack([_M, _M >> _SHIFT32, _M & _MASK32])
 _BUMPS = np.arange(10, dtype=np.uint64)[:, None, None] * np.array([[PHILOX_W1], [PHILOX_W0]])
 
 
-def philox4x64(
-    c0: np.ndarray,
-    c1: np.ndarray,
-    c2: np.ndarray,
-    c3: np.ndarray,
-    k0: int,
-    k1: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized block function over aligned 1-D uint64 counter arrays.
+class _Scratch(threading.local):
+    """One thread's pool: raw slot buffers and the multiplier rows."""
 
-    Scalar counter words broadcast.  A round multiplies x = (c0, c2) by
-    full-width rows of (M0, M1), from 32-bit halves, in one pass; it puts
-    c0 = hi1 ^ c1 ^ key0 and c2 = hi0 ^ c3 ^ key1 into x, and the low
-    words (lo0, lo1) are the next y = (c3, c1), so lo and y trade
-    buffers.  Four work buffers serve every round, updated in place.
+    def __init__(self) -> None:
+        self.slots: dict[int, np.ndarray] = {}
+        # The multiplier rows of the last pooled lane count.
+        self.rows = np.empty(0, dtype=np.uint64)
+        self.lanes = 0
+
+
+_SCRATCH = _Scratch()
+
+
+def scratch(slot: int, shape: tuple, dtype=np.float64) -> np.ndarray:
+    """This thread's array in `slot`, of shape and dtype; contents undefined.
+
+    Valid until the next request of the same slot in this thread; past
+    SCRATCH_ITEMS elements the array is fresh (see the module docstring).
     """
-    x, y = np.empty((2, 2, *np.broadcast(c0, c1, c2, c3).shape), dtype=np.uint64)
+    size = math.prod(shape)
+    if size > SCRATCH_ITEMS:
+        return np.empty(shape, dtype)
+    slots = _SCRATCH.slots
+    try:
+        return np.ndarray(shape, dtype, slots[slot])
+    except (KeyError, TypeError):  # a new slot, or one too small
+        slots[slot] = np.empty(size * np.dtype(dtype).itemsize, dtype=np.uint8)
+        return np.ndarray(shape, dtype, slots[slot])
+
+
+def _multipliers(n: int) -> np.ndarray:
+    """The rows (mult, m_hi, m_lo) as one contiguous (3, 2, n) array.
+
+    Contiguous rows keep every product of a round one flat pass.  They
+    are pooled while a row fits SCRATCH_ITEMS, and refilled only when n
+    changes.
+    """
+    if 2 * n > SCRATCH_ITEMS:
+        return np.broadcast_to(_MULTIPLIER_ROWS, (3, 2, n)).copy()
+    pool = _SCRATCH
+    if pool.rows.size < 6 * n:
+        pool.rows = np.empty(6 * n, dtype=np.uint64)
+        pool.lanes = 0
+    rows = pool.rows[: 6 * n].reshape(3, 2, n)
+    if pool.lanes != n:
+        np.copyto(rows, _MULTIPLIER_ROWS)
+        pool.lanes = n
+    return rows
+
+
+def _rounds(c0, c1, c2, c3, k0: int, k1: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ten rounds over n lanes in scratch slots 0 - 5: returns (x, y),
+    (2, n) views holding the output words (c0, c2) and (c3, c1).
+
+    The counter words are scalars or 1-D arrays of one length.  A round
+    multiplies x by full-width rows of (M0, M1), from 32-bit halves, in
+    one pass; it puts c0 = hi1 ^ c1 ^ key0 and c2 = hi0 ^ c3 ^ key1 into
+    x, and the low words (lo0, lo1) are the next y = (c3, c1), so lo and
+    y trade buffers.  Six work buffers serve every round, updated in
+    place.
+    """
+    n = math.prod(np.broadcast(c0, c1, c2, c3).shape)
+    x, y, lo, x_hi, mid, hi = (scratch(slot, (2, n), np.uint64) for slot in range(6))
     x[0], x[1], y[0], y[1] = c0, c2, c3, c1
-    mult, m_hi, m_lo = (np.broadcast_to(row, x.shape).copy() for row in _MULTIPLIER_ROWS)
-    lo, x_hi, mid, hi = (np.empty_like(x) for _ in range(4))
+    mult, m_hi, m_lo = _multipliers(n)
     x0, x1 = x
     hi0, hi1 = hi
     # Round keys (key1, key0); the bumps wrap mod 2**64.
@@ -97,7 +173,25 @@ def philox4x64(
         np.bitwise_xor(hi1, y[1], out=x0)
         np.bitwise_xor(hi0, y[0], out=x1)
         lo, y = y, lo
-    return x0, y[1], x1, y[0]
+    return x, y
+
+
+def philox4x64(
+    c0: np.ndarray,
+    c1: np.ndarray,
+    c2: np.ndarray,
+    c3: np.ndarray,
+    k0: int,
+    k1: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Vectorized block function over aligned 1-D uint64 counter arrays.
+
+    Scalar counter words broadcast; four scalars give 0-d words.  The
+    words are copies of the rounds' scratch (see _rounds).
+    """
+    shape = np.broadcast(c0, c1, c2, c3).shape
+    x, y = _rounds(c0, c1, c2, c3, k0, k1)
+    return tuple(w.reshape(shape).copy() for w in (x[0], y[1], x[1], y[0]))
 
 
 def philox4x64_block(
@@ -123,14 +217,32 @@ def philox4x64_block(
     return c0, c1, c2, c3
 
 
+def _stream_words(seed: int, stream: int, start: int, count: int) -> np.ndarray:
+    """stream_blocks as a view into scratch slot 6, the word stack."""
+    x, y = _rounds(np.arange(start, start + count, dtype=np.uint64), 0, 0, stream, seed, 0)
+    return np.stack((x[0], y[1], x[1], y[0]), axis=1, out=scratch(6, (count, 4), np.uint64))
+
+
 def stream_blocks(seed: int, stream: int, start: int, count: int) -> np.ndarray:
     """Words of blocks start .. start + count - 1 of a stream, shape (count, 4).
 
     Row j holds the four output words of counter (start + j, 0, 0, stream)
     under key (seed, 0).
     """
-    c0 = np.arange(start, start + count, dtype=np.uint64)
-    return np.stack(philox4x64(c0, 0, 0, stream, seed, 0), axis=1)
+    return _stream_words(seed, stream, start, count).copy()
+
+
+def _uniform_open(words: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """uniform_open(words) into out; the words are spent."""
+    words >>= _SHIFT11
+    words |= np.uint64(1)
+    return np.multiply(words, _INV_2_53, out=out)
+
+
+def _uniform_closed_open(words: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """uniform_closed_open(words) into out; the words are spent."""
+    words >>= _SHIFT11
+    return np.multiply(words, _INV_2_53, out=out)
 
 
 def uniform_open(words: np.ndarray) -> np.ndarray:
@@ -139,14 +251,12 @@ def uniform_open(words: np.ndarray) -> np.ndarray:
     That is the top 53 bits with the last one set, an odd multiple of
     2^-53, so 1 - u is exact.
     """
-    top = words >> _SHIFT11
-    top |= np.uint64(1)
-    return top * _INV_2_53
+    return _uniform_open(words.copy(), np.empty(words.shape))
 
 
 def uniform_closed_open(words: np.ndarray) -> np.ndarray:
     """Map uint64 words to doubles in [0, 1)."""
-    return (words >> _SHIFT11).astype(np.float64) * _INV_2_53
+    return _uniform_closed_open(words.copy(), np.empty(words.shape))
 
 
 class CounterStream:
@@ -154,6 +264,8 @@ class CounterStream:
 
     take(n) advances an internal block cursor; the sequence for a given
     (seed, stream) is fixed regardless of how consumption is chunked.
+    Words are converted from the word stack straight into the result, and
+    the stream keeps only the unused words of its last block.
     """
 
     def __init__(self, seed: int, stream: int) -> None:
@@ -165,14 +277,16 @@ class CounterStream:
     def take(self, n: int) -> np.ndarray:
         if n < 0:
             raise ValueError(f"cannot take {n} values")
-        parts = [self._buffer]
-        have = self._buffer.size
+        out = np.empty(n, dtype=np.float64)
+        have = min(n, self._buffer.size)
+        _uniform_closed_open(self._buffer[:have], out[:have])
+        self._buffer = self._buffer[have:]
         while have < n:
             count = min(CHUNK_BLOCKS, (n - have + 3) // 4)
-            words = stream_blocks(self._key0, self._stream, self._block, count)
-            parts.append(words.reshape(-1))
+            words = _stream_words(self._key0, self._stream, self._block, count).reshape(-1)
             self._block += count
-            have += words.size
-        buffer = np.concatenate(parts)
-        out, self._buffer = buffer[:n], buffer[n:]
-        return uniform_closed_open(out)
+            used = min(words.size, n - have)
+            _uniform_closed_open(words[:used], out[have : have + used])
+            self._buffer = words[used:].copy()
+            have += used
+        return out

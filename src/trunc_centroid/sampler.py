@@ -20,6 +20,13 @@ Phi^-1 is Wichura's AS241 rational approximation (Applied Statistics 37,
 over numpy arrays; it takes the tail branches from min(p, 1 - p), so
 deep tails keep full relative precision down to the underflow floor.
 
+A chunk's words, uniforms, tail probabilities and masks, and inv_std_cdf's
+branch arrays, are the calling thread's scratch slots (philox.py), so a
+call in steady state allocates only the draws it returns; one chunk of
+draws is the batch's values array itself.  No result is a view into the
+scratch, and threads sample concurrently from pools of their own, so a
+batch has the same bits in any thread.
+
 A draw beyond the float range is a DomainError.  The estimate handed
 back by monte_carlo_centroid is the plain sample mean with its standard
 error, summed in units of the largest |draw| where plain sums overflow;
@@ -36,7 +43,7 @@ import numpy as np
 
 from .errors import DeepTruncationError, DomainError, ParameterError, require_finite
 from .model import ExcludedInterval, GaussianParams
-from .philox import CHUNK_BLOCKS, stream_blocks, uniform_open
+from .philox import CHUNK_BLOCKS, _stream_words, _uniform_open, scratch
 from .special import _tail
 
 # The sampler's Philox stream id (see philox.py).
@@ -116,23 +123,40 @@ def sample_exterior(
             f"exterior mass {mass:.3e} is at underflow scale; its tail "
             f"probabilities cannot be inverted"
         )
-    values = np.empty(n, dtype=np.float64)
-    for start in range(0, n, 4 * CHUNK_BLOCKS):
-        count = min(4 * CHUNK_BLOCKS, n - start)
-        words = stream_blocks(seed, _STREAM, start // 4, (count + 3) // 4)
-        u = uniform_open(words.reshape(-1)[:count])
-        go_left = u * mass <= left
-        z = inv_std_cdf(np.where(go_left, u, 1.0 - u) * mass)
-        x = loc + np.where(go_left, params.sigma, -params.sigma) * z
+    step = 4 * CHUNK_BLOCKS
+    # One chunk's draws are the batch itself; longer batches gather theirs.
+    values = np.empty(n, dtype=np.float64) if n > step else None
+    for start in range(0, n, step):
+        count = min(step, n - start)
+        words = _stream_words(seed, _STREAM, start // 4, (count + 3) // 4).reshape(-1)[:count]
+        # The words are spent, and their slot takes the tail probability
+        # p = where(go_left, u, 1 - u) * mass.
+        u = _uniform_open(words, scratch(0, (count,)))
+        p = np.subtract(1.0, u, out=scratch(6, (count,)))
+        p *= mass
+        u *= mass
+        go_left = np.less_equal(u, left, out=scratch(7, (count,), bool))
+        np.copyto(p, u, where=go_left)
+        # x = loc + where(go_left, sigma, -sigma) * z; -(-sigma * z) is
+        # sigma * z exactly.
+        x = inv_std_cdf(p)
+        x *= -params.sigma
+        np.negative(x, out=x, where=go_left)
+        x += loc
         # Rounding in Phi^-1 or in loc + sigma*z may land a hair inside.
-        inside = (x > hole.lower) & (x < hole.upper)
-        x[inside] = np.where(go_left[inside], hole.lower, hole.upper)
-        values[start : start + count] = x
-    if not np.isfinite(values).all():
-        raise DomainError(
-            f"draws overflow the float range, mu + shift = {loc!r}, "
-            f"sigma = {params.sigma!r}"
-        )
+        inside = np.greater(x, hole.lower, out=scratch(8, (count,), bool))
+        inside &= np.less(x, hole.upper, out=scratch(9, (count,), bool))
+        if inside.any():
+            x[inside] = np.where(go_left[inside], hole.lower, hole.upper)
+        if not np.isfinite(x, out=inside).all():
+            raise DomainError(
+                f"draws overflow the float range, mu + shift = {loc!r}, "
+                f"sigma = {params.sigma!r}"
+            )
+        if values is None:
+            values = x
+        else:
+            values[start : start + count] = x
     return SampleBatch(values=values, seed=seed, acceptance_rate=1.0)
 
 
@@ -146,19 +170,23 @@ def _horner(coefficients: tuple, r: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _piecewise(mask: np.ndarray, x: np.ndarray, on_true, on_false) -> np.ndarray:
-    """on_true(x[mask]) and on_false(x[~mask]) as one array.
+def _piecewise(mask, x, out, on_true, on_false, slots: tuple[int, int]) -> None:
+    """on_true(x[mask]) and on_false(x[~mask]) into out, all 1-D.
 
-    A side that takes every element is handed x itself, and an empty side
-    is skipped: only a mixed mask gathers and scatters.
+    A side that takes every element is handed x and out themselves, and
+    an empty side is skipped: only a mixed mask gathers, with np.compress
+    into scratch slot slots[0], and scatters from slots[1] with np.place.
+    The mask is left as it was.
     """
     count = np.count_nonzero(mask)
     if count in (0, mask.size):
-        return (on_true if count else on_false)(x)
-    out = np.empty_like(x)
-    out[mask] = on_true(x[mask])
-    out[~mask] = on_false(x[~mask])
-    return out
+        (on_true if count else on_false)(x, out)
+        return
+    gathered, results = (scratch(slot, x.shape) for slot in slots)
+    for branch, size in ((on_true, count), (on_false, mask.size - count)):
+        branch(np.compress(mask, x, out=gathered[:size]), results[:size])
+        np.place(out, mask, results[:size])
+        np.logical_not(mask, out=mask)
 
 
 def inv_std_cdf(p: np.ndarray) -> np.ndarray:
@@ -166,33 +194,41 @@ def inv_std_cdf(p: np.ndarray) -> np.ndarray:
 
     The central branch and the near and far tails each gather and scatter
     their elements only where the branch mask is mixed (see _piecewise);
-    low-mass batches are all tail, and most tails are all near.
+    low-mass batches are all tail, and most tails are all near.  The work
+    arrays are scratch slots 0 - 5, 8 and 9 (see philox.py); the result
+    is a new array.
     """
-    q = p - 0.5
-    return _piecewise(np.abs(q, out=q) <= 0.425, p, _inv_central, _inv_tail)
+    out = np.empty(np.shape(p))
+    p, flat = np.ravel(p), out.reshape(-1)
+    q = np.subtract(p, 0.5, out=scratch(0, p.shape))
+    central = np.less_equal(np.abs(q, out=q), 0.425, out=scratch(8, p.shape, bool))
+    _piecewise(central, p, flat, _inv_central, _inv_tail, (0, 1))
+    return out
 
 
-def _inv_central(p: np.ndarray) -> np.ndarray:
-    q = p - 0.5
-    r = 0.180625 - q * q
-    z = _horner(_CENTRAL[0], r, np.empty_like(r))
+def _inv_central(p: np.ndarray, z: np.ndarray) -> None:
+    q = np.subtract(p, 0.5, out=scratch(2, p.shape))
+    r = np.multiply(q, q, out=scratch(3, p.shape))
+    np.subtract(0.180625, r, out=r)
+    _horner(_CENTRAL[0], r, z)
     z *= q
     z /= _horner(_CENTRAL[1], r, q)  # q is spent
-    return z
 
 
-def _inv_tail(p: np.ndarray) -> np.ndarray:
-    r = np.minimum(p, 1.0 - p)
+def _inv_tail(p: np.ndarray, z: np.ndarray) -> None:
+    r = np.subtract(1.0, p, out=scratch(2, p.shape))
+    np.minimum(p, r, out=r)
     np.sqrt(np.negative(np.log(r, out=r), out=r), out=r)
-    z = _piecewise(r > 5.0, r, partial(_rational, _FAR, 5.0), partial(_rational, _NEAR, 1.6))
-    return np.copysign(z, p - 0.5, out=z)
+    far = np.greater(r, 5.0, out=scratch(9, p.shape, bool))
+    _piecewise(far, r, z, partial(_rational, _FAR, 5.0), partial(_rational, _NEAR, 1.6), (4, 5))
+    np.copysign(z, np.subtract(p, 0.5, out=r), out=z)  # r is spent
 
 
-def _rational(coefficients: tuple, origin: float, r: np.ndarray) -> np.ndarray:
-    s = r - origin
-    z = _horner(coefficients[0], s, np.empty_like(s))
-    z /= _horner(coefficients[1], s, np.empty_like(s))
-    return z
+def _rational(coefficients: tuple, origin: float, r: np.ndarray, z: np.ndarray) -> None:
+    """The ratio of the two polynomials in r - origin, into z; r is spent."""
+    r -= origin
+    _horner(coefficients[0], r, z)
+    z /= _horner(coefficients[1], r, scratch(3, r.shape))
 
 
 @np.errstate(over="ignore")

@@ -72,7 +72,8 @@ def _elementwise(fn, x: np.ndarray) -> np.ndarray:
     import numpy as np
 
     x = np.asarray(x, dtype=float)
-    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+    # A memoryview yields the elements as Python floats without a list.
+    return np.fromiter(map(fn, memoryview(x.ravel())), float, x.size).reshape(x.shape)
 
 
 def std_pdf_array(x: np.ndarray) -> np.ndarray:

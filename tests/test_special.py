@@ -199,3 +199,11 @@ def test_array_twins_match_scalars_bit_for_bit():
         got = array_fn(grid)
         assert got.shape == grid.shape
         assert got.ravel().tolist() == [scalar_fn(x) for x in xs]
+        # Non-contiguous views: transposed and strided.
+        for view in (grid.T, grid[::2, ::3], grid[:, ::-7]):
+            got = array_fn(view)
+            assert got.shape == view.shape
+            assert got.ravel().tolist() == [scalar_fn(x) for x in view.ravel().tolist()]
+        # 0-d and empty inputs.
+        assert array_fn(np.array(xs[0])).tolist() == scalar_fn(xs[0])
+        assert array_fn(np.empty((0, 3))).shape == (0, 3)
