@@ -22,9 +22,10 @@ The vectorized rounds keep n counters as two (2, n) arrays, x = (c0, c2),
 the words that get multiplied, and y = (c3, c1), so both products of a
 round are one pass over x.
 
-Per-thread scratch.  Allocating and freeing a call's work arrays costs
-more than the arithmetic at a few thousand blocks: the allocator hands
-freed memory back to the kernel, and the next call faults it in again.
+Per-thread scratch.  Work arrays allocated and freed on every call cost
+a large share of a call's time at a few thousand blocks: the allocator
+hands the freed memory back to the kernel, and the next call faults it
+in again.
 So the rounds, the word stack and the sampler's work arrays live in one
 pool per thread (a threading.local) of numbered slots, each a raw buffer
 that grows only, to the largest request it has served.  A request of more

@@ -21,9 +21,10 @@ over numpy arrays; it takes the tail branches from min(p, 1 - p), so
 deep tails keep full relative precision down to the underflow floor.
 
 A chunk's words, uniforms, tail probabilities and masks, and inv_std_cdf's
-branch arrays, are the calling thread's scratch slots (philox.py), so a
-call in steady state allocates only the draws it returns; one chunk of
-draws is the batch's values array itself.  No result is a view into the
+branch arrays, are the calling thread's scratch slots (philox.py).  So
+in steady state a call allocates the draws it returns, and beyond them
+only each chunk's block counters (8 bytes a block); one chunk of draws
+is the batch's values array itself.  No result is a view into the
 scratch, and threads sample concurrently from pools of their own, so a
 batch has the same bits in any thread.
 
@@ -170,7 +171,9 @@ def _horner(coefficients: tuple, r: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _piecewise(mask, x, out, on_true, on_false, slots: tuple[int, int]) -> None:
+def _piecewise(
+    mask: np.ndarray, x: np.ndarray, out: np.ndarray, on_true, on_false, slots: tuple[int, int]
+) -> None:
     """on_true(x[mask]) and on_false(x[~mask]) into out, all 1-D.
 
     A side that takes every element is handed x and out themselves, and

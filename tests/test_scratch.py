@@ -5,6 +5,7 @@ their own, a repeated call reuses the pool, and the pool stays within
 its byte bound.
 """
 
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -43,7 +44,7 @@ def _pool_bytes():
 def _in_fresh_thread(fn):
     """fn() in a new thread, which starts with an empty pool."""
     with ThreadPoolExecutor(1) as pool:
-        return pool.submit(fn).result()
+        return pool.submit(fn).result(timeout=120)
 
 
 def _outputs(seed, n):
@@ -93,16 +94,27 @@ def _batches(worker):
     ]
 
 
+def _on_four_threads(fn, args):
+    """[fn(a) for a in args] on four threads that start together and
+    switch often."""
+    start = threading.Barrier(4, timeout=60)
+
+    def call(arg):
+        start.wait()
+        return fn(arg)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            return list(pool.map(call, args, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_threads_reproduce_the_serial_batches():
     serial = [_batches(worker) for worker in range(4)]
-    start = threading.Barrier(4)
-
-    def draw(worker):
-        start.wait()
-        return _batches(worker)
-
-    with ThreadPoolExecutor(4) as pool:
-        concurrent = list(pool.map(draw, range(4)))
+    concurrent = _on_four_threads(_batches, range(4))
     for got, expected in zip(concurrent, serial):
         assert all(np.array_equal(a, b) for a, b in zip(got, expected))
 
@@ -120,8 +132,7 @@ def test_threads_reproduce_the_serial_sweeps():
         return [check(spec) for check in checks]
 
     serial = [sweep(spec) for spec in specs]
-    with ThreadPoolExecutor(4) as pool:
-        assert list(pool.map(sweep, specs)) == serial
+    assert _on_four_threads(sweep, specs) == serial
 
 
 def test_a_repeated_call_reuses_the_pool():
