@@ -25,28 +25,15 @@ round are one pass over x.
 Per-thread scratch.  Work arrays allocated and freed on every call cost
 a large share of a call's time at a few thousand blocks: the allocator
 hands the freed memory back to the kernel, and the next call faults it
-in again.
-So the rounds, the word stack and the sampler's work arrays live in one
-pool per thread (a threading.local) of numbered slots, each a raw buffer
-that grows only, to the largest request it has served.  A request of more
-than SCRATCH_ITEMS = 4 * CHUNK_BLOCKS elements (one chunk of words) gets a
-fresh array instead.  So a slot holds at most 128 KiB, and the pool at
-most 1328 KiB per thread: seven slots of 8-byte words, three of 1-byte
-masks (16 KiB each) and the three multiplier rows (each (2, n), at most
-128 KiB), which are refilled only when the lane count n changes.  The
-slots:
-
-    0 - 5    the round buffers (x, y, lo, x_hi, mid, hi); after the
-             rounds, the sampler's u * mass (0) and inv_std_cdf's work
-             arrays (0 - 5)
-    6        the word stack; the sampler's tail probabilities over its
-             spent words
-    7        the sampler's side mask
-    8, 9     inv_std_cdf's branch masks; the sampler's pin masks
-
-A slot's array is valid until the next request of that slot in the same
-thread.  No public function returns a view into the pool: philox4x64,
-stream_blocks, CounterStream.take, inv_std_cdf and sample_exterior hand
+in again.  So work arrays come from one stack of raw buffers per thread
+(a threading.local) that grow only.  `with scratch():` opens a block,
+take(shape, dtype) hands out the next buffer, and the block's end returns
+every buffer taken inside it, so a callee's buffers serve its caller's
+next requests.  Public functions and loop bodies open blocks; helpers
+take in their caller's.  A request past SCRATCH_ITEMS = 4 * CHUNK_BLOCKS
+elements (one chunk of words) gets a fresh array, so a buffer holds at
+most 128 KiB.  No public function returns a view into the stack:
+philox4x64, CounterStream.take, inv_std_cdf and sample_exterior hand
 back arrays of their own, so threads and later calls never see each
 other's words.
 """
@@ -73,69 +60,58 @@ _INV_2_53 = 1.0 / 9007199254740992.0
 # Blocks generated per rounds call by stream consumers; bounds their
 # working set whatever the number of values asked for.
 CHUNK_BLOCKS = 4096
-# The largest array, in elements, that the scratch pool serves.
+# The largest array, in elements, that the scratch stack serves.
 SCRATCH_ITEMS = 4 * CHUNK_BLOCKS
 
 # The multipliers (M0, M1), their high and their low 32-bit halves, and
 # the key bumps r * (W1, W0) of rounds r = 0 .. 9, as (2, 1) columns.
 _M = np.array([[PHILOX_M0], [PHILOX_M1]])
-_MULTIPLIER_ROWS = np.stack([_M, _M >> _SHIFT32, _M & _MASK32])
+_MULTIPLIER_COLUMNS = np.stack([_M, _M >> _SHIFT32, _M & _MASK32])
 _BUMPS = np.arange(10, dtype=np.uint64)[:, None, None] * np.array([[PHILOX_W1], [PHILOX_W0]])
 
 
 class _Scratch(threading.local):
-    """One thread's pool: raw slot buffers and the multiplier rows."""
+    """One thread's stack of raw buffers and the count of those taken."""
 
     def __init__(self) -> None:
-        self.slots: dict[int, np.ndarray] = {}
-        # The multiplier rows of the last pooled lane count.
-        self.rows = np.empty(0, dtype=np.uint64)
-        self.lanes = 0
+        self.buffers: list[np.ndarray] = []
+        self.depth = 0
 
 
 _SCRATCH = _Scratch()
 
 
-def scratch(slot: int, shape: tuple, dtype=np.float64) -> np.ndarray:
-    """This thread's array in `slot`, of shape and dtype; contents undefined.
+class scratch:
+    """A block of take requests; its end returns every buffer taken inside it."""
 
-    Valid until the next request of the same slot in this thread; past
-    SCRATCH_ITEMS elements the array is fresh (see the module docstring).
-    """
+    def __enter__(self) -> None:
+        self.depth = _SCRATCH.depth
+
+    def __exit__(self, *exc_info) -> None:
+        _SCRATCH.depth = self.depth
+
+
+def take(shape: tuple, dtype=np.float64) -> np.ndarray:
+    """The next buffer of this thread's stack as an array of shape and
+    dtype, valid until the enclosing block ends; contents undefined."""
     size = math.prod(shape)
     if size > SCRATCH_ITEMS:
         return np.empty(shape, dtype)
-    slots = _SCRATCH.slots
-    try:
-        return np.ndarray(shape, dtype, slots[slot])
-    except (KeyError, TypeError):  # a new slot, or one too small
-        slots[slot] = np.empty(size * np.dtype(dtype).itemsize, dtype=np.uint8)
-        return np.ndarray(shape, dtype, slots[slot])
-
-
-def _multipliers(n: int) -> np.ndarray:
-    """The rows (mult, m_hi, m_lo) as one contiguous (3, 2, n) array.
-
-    Contiguous rows keep every product of a round one flat pass.  They
-    are pooled while a row fits SCRATCH_ITEMS, and refilled only when n
-    changes.
-    """
-    if 2 * n > SCRATCH_ITEMS:
-        return np.broadcast_to(_MULTIPLIER_ROWS, (3, 2, n)).copy()
     pool = _SCRATCH
-    if pool.rows.size < 6 * n:
-        pool.rows = np.empty(6 * n, dtype=np.uint64)
-        pool.lanes = 0
-    rows = pool.rows[: 6 * n].reshape(3, 2, n)
-    if pool.lanes != n:
-        np.copyto(rows, _MULTIPLIER_ROWS)
-        pool.lanes = n
-    return rows
+    buffers, depth = pool.buffers, pool.depth
+    try:
+        array = np.ndarray(shape, dtype, buffers[depth])
+    except (IndexError, TypeError):  # a new depth, or a buffer too small
+        buffers[depth : depth + 1] = [np.empty(size * np.dtype(dtype).itemsize, np.uint8)]
+        array = np.ndarray(shape, dtype, buffers[depth])
+    pool.depth = depth + 1
+    return array
 
 
 def _rounds(c0, c1, c2, c3, k0: int, k1: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ten rounds over n lanes in scratch slots 0 - 5: returns (x, y),
-    (2, n) views holding the output words (c0, c2) and (c3, c1).
+    """The ten rounds over n lanes in scratch: returns (x, y), (2, n)
+    arrays taken in the caller's block, holding the output words (c0, c2)
+    and (c3, c1).
 
     The counter words are scalars or 1-D arrays of one length.  A round
     multiplies x by full-width rows of (M0, M1), from 32-bit halves, in
@@ -145,9 +121,9 @@ def _rounds(c0, c1, c2, c3, k0: int, k1: int) -> tuple[np.ndarray, np.ndarray]:
     place.
     """
     n = math.prod(np.broadcast(c0, c1, c2, c3).shape)
-    x, y, lo, x_hi, mid, hi = (scratch(slot, (2, n), np.uint64) for slot in range(6))
+    x, y, lo, x_hi, mid, hi, mult, m_hi, m_lo = (take((2, n), np.uint64) for _ in range(9))
     x[0], x[1], y[0], y[1] = c0, c2, c3, c1
-    mult, m_hi, m_lo = _multipliers(n)
+    mult[...], m_hi[...], m_lo[...] = _MULTIPLIER_COLUMNS
     x0, x1 = x
     hi0, hi1 = hi
     # Round keys (key1, key0); the bumps wrap mod 2**64.
@@ -191,8 +167,9 @@ def philox4x64(
     words are copies of the rounds' scratch (see _rounds).
     """
     shape = np.broadcast(c0, c1, c2, c3).shape
-    x, y = _rounds(c0, c1, c2, c3, k0, k1)
-    return tuple(w.reshape(shape).copy() for w in (x[0], y[1], x[1], y[0]))
+    with scratch():
+        x, y = _rounds(c0, c1, c2, c3, k0, k1)
+        return tuple(w.reshape(shape).copy() for w in (x[0], y[1], x[1], y[0]))
 
 
 def philox4x64_block(
@@ -219,45 +196,34 @@ def philox4x64_block(
 
 
 def _stream_words(seed: int, stream: int, start: int, count: int) -> np.ndarray:
-    """stream_blocks as a view into scratch slot 6, the word stack."""
-    x, y = _rounds(np.arange(start, start + count, dtype=np.uint64), 0, 0, stream, seed, 0)
-    return np.stack((x[0], y[1], x[1], y[0]), axis=1, out=scratch(6, (count, 4), np.uint64))
-
-
-def stream_blocks(seed: int, stream: int, start: int, count: int) -> np.ndarray:
-    """Words of blocks start .. start + count - 1 of a stream, shape (count, 4).
+    """Words of blocks start .. start + count - 1 of a stream, shape
+    (count, 4), taken in the caller's scratch block.
 
     Row j holds the four output words of counter (start + j, 0, 0, stream)
     under key (seed, 0).
     """
-    return _stream_words(seed, stream, start, count).copy()
+    words = take((count, 4), np.uint64)
+    with scratch():
+        x, y = _rounds(np.arange(start, start + count, dtype=np.uint64), 0, 0, stream, seed, 0)
+        np.stack((x[0], y[1], x[1], y[0]), axis=1, out=words)
+    return words
 
 
 def _uniform_open(words: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """uniform_open(words) into out; the words are spent."""
+    """Map uint64 words to doubles in (0, 1) into out; the words are spent.
+
+    u = (floor(w / 2^12) + 1/2) / 2^52, the top 53 bits with the last one
+    set: an odd multiple of 2^-53, so 1 - u is exact.
+    """
     words >>= _SHIFT11
     words |= np.uint64(1)
     return np.multiply(words, _INV_2_53, out=out)
 
 
 def _uniform_closed_open(words: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """uniform_closed_open(words) into out; the words are spent."""
+    """Map uint64 words to doubles in [0, 1) into out; the words are spent."""
     words >>= _SHIFT11
     return np.multiply(words, _INV_2_53, out=out)
-
-
-def uniform_open(words: np.ndarray) -> np.ndarray:
-    """Map uint64 words to doubles in (0, 1): (floor(w / 2^12) + 1/2) / 2^52.
-
-    That is the top 53 bits with the last one set, an odd multiple of
-    2^-53, so 1 - u is exact.
-    """
-    return _uniform_open(words.copy(), np.empty(words.shape))
-
-
-def uniform_closed_open(words: np.ndarray) -> np.ndarray:
-    """Map uint64 words to doubles in [0, 1)."""
-    return _uniform_closed_open(words.copy(), np.empty(words.shape))
 
 
 class CounterStream:
@@ -284,10 +250,11 @@ class CounterStream:
         self._buffer = self._buffer[have:]
         while have < n:
             count = min(CHUNK_BLOCKS, (n - have + 3) // 4)
-            words = _stream_words(self._key0, self._stream, self._block, count).reshape(-1)
+            with scratch():
+                words = _stream_words(self._key0, self._stream, self._block, count).reshape(-1)
+                used = min(words.size, n - have)
+                _uniform_closed_open(words[:used], out[have : have + used])
+                self._buffer = words[used:].copy()
             self._block += count
-            used = min(words.size, n - have)
-            _uniform_closed_open(words[:used], out[have : have + used])
-            self._buffer = words[used:].copy()
             have += used
         return out

@@ -21,11 +21,11 @@ over numpy arrays; it takes the tail branches from min(p, 1 - p), so
 deep tails keep full relative precision down to the underflow floor.
 
 A chunk's words, uniforms, tail probabilities and masks, and inv_std_cdf's
-branch arrays, are the calling thread's scratch slots (philox.py).  So
-in steady state a call allocates the draws it returns, and beyond them
+branch arrays, are taken from the calling thread's scratch (philox.py).
+So in steady state a call allocates the draws it returns, and beyond them
 only each chunk's block counters (8 bytes a block); one chunk of draws
 is the batch's values array itself.  No result is a view into the
-scratch, and threads sample concurrently from pools of their own, so a
+scratch, and threads sample concurrently from stacks of their own, so a
 batch has the same bits in any thread.
 
 A draw beyond the float range is a DomainError.  The estimate handed
@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import DeepTruncationError, DomainError, ParameterError, require_finite
 from .model import ExcludedInterval, GaussianParams
-from .philox import CHUNK_BLOCKS, _stream_words, _uniform_open, scratch
+from .philox import CHUNK_BLOCKS, _stream_words, _uniform_open, scratch, take
 from .special import _tail
 
 # The sampler's Philox stream id (see philox.py).
@@ -129,31 +129,33 @@ def sample_exterior(
     values = np.empty(n, dtype=np.float64) if n > step else None
     for start in range(0, n, step):
         count = min(step, n - start)
-        words = _stream_words(seed, _STREAM, start // 4, (count + 3) // 4).reshape(-1)[:count]
-        # The words are spent, and their slot takes the tail probability
-        # p = where(go_left, u, 1 - u) * mass.
-        u = _uniform_open(words, scratch(0, (count,)))
-        p = np.subtract(1.0, u, out=scratch(6, (count,)))
-        p *= mass
-        u *= mass
-        go_left = np.less_equal(u, left, out=scratch(7, (count,), bool))
-        np.copyto(p, u, where=go_left)
-        # x = loc + where(go_left, sigma, -sigma) * z; -(-sigma * z) is
-        # sigma * z exactly.
-        x = inv_std_cdf(p)
-        x *= -params.sigma
-        np.negative(x, out=x, where=go_left)
-        x += loc
-        # Rounding in Phi^-1 or in loc + sigma*z may land a hair inside.
-        inside = np.greater(x, hole.lower, out=scratch(8, (count,), bool))
-        inside &= np.less(x, hole.upper, out=scratch(9, (count,), bool))
-        if inside.any():
-            x[inside] = np.where(go_left[inside], hole.lower, hole.upper)
-        if not np.isfinite(x, out=inside).all():
-            raise DomainError(
-                f"draws overflow the float range, mu + shift = {loc!r}, "
-                f"sigma = {params.sigma!r}"
-            )
+        blocks = (count + 3) // 4
+        with scratch():
+            words = _stream_words(seed, _STREAM, start // 4, blocks).reshape(-1)[:count]
+            # The words are spent, and their buffer takes the tail
+            # probability p = where(go_left, u, 1 - u) * mass.
+            u = _uniform_open(words, take((count,)))
+            p = np.subtract(1.0, u, out=words.view(np.float64))
+            p *= mass
+            u *= mass
+            go_left = np.less_equal(u, left, out=take((count,), bool))
+            np.copyto(p, u, where=go_left)
+            # x = loc + where(go_left, sigma, -sigma) * z; -(-sigma * z) is
+            # sigma * z exactly.
+            x = inv_std_cdf(p)
+            x *= -params.sigma
+            np.negative(x, out=x, where=go_left)
+            x += loc
+            # Rounding in Phi^-1 or in loc + sigma*z may land a hair inside.
+            inside = np.greater(x, hole.lower, out=take((count,), bool))
+            inside &= np.less(x, hole.upper, out=take((count,), bool))
+            if inside.any():
+                x[inside] = np.where(go_left[inside], hole.lower, hole.upper)
+            if not np.isfinite(x, out=inside).all():
+                raise DomainError(
+                    f"draws overflow the float range, mu + shift = {loc!r}, "
+                    f"sigma = {params.sigma!r}"
+                )
         if values is None:
             values = x
         else:
@@ -171,21 +173,19 @@ def _horner(coefficients: tuple, r: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _piecewise(
-    mask: np.ndarray, x: np.ndarray, out: np.ndarray, on_true, on_false, slots: tuple[int, int]
-) -> None:
+def _piecewise(mask: np.ndarray, x: np.ndarray, out: np.ndarray, on_true, on_false) -> None:
     """on_true(x[mask]) and on_false(x[~mask]) into out, all 1-D.
 
     A side that takes every element is handed x and out themselves, and
     an empty side is skipped: only a mixed mask gathers, with np.compress
-    into scratch slot slots[0], and scatters from slots[1] with np.place.
-    The mask is left as it was.
+    into scratch, and scatters from scratch with np.place.  The mask is
+    left as it was.
     """
     count = np.count_nonzero(mask)
     if count in (0, mask.size):
         (on_true if count else on_false)(x, out)
         return
-    gathered, results = (scratch(slot, x.shape) for slot in slots)
+    gathered, results = take(x.shape), take(x.shape)
     for branch, size in ((on_true, count), (on_false, mask.size - count)):
         branch(np.compress(mask, x, out=gathered[:size]), results[:size])
         np.place(out, mask, results[:size])
@@ -198,20 +198,21 @@ def inv_std_cdf(p: np.ndarray) -> np.ndarray:
     The central branch and the near and far tails each gather and scatter
     their elements only where the branch mask is mixed (see _piecewise);
     low-mass batches are all tail, and most tails are all near.  The work
-    arrays are scratch slots 0 - 5, 8 and 9 (see philox.py); the result
-    is a new array.
+    arrays are taken from scratch (see philox.py); the result is a new
+    array.
     """
     out = np.empty(np.shape(p))
     p, flat = np.ravel(p), out.reshape(-1)
-    q = np.subtract(p, 0.5, out=scratch(0, p.shape))
-    central = np.less_equal(np.abs(q, out=q), 0.425, out=scratch(8, p.shape, bool))
-    _piecewise(central, p, flat, _inv_central, _inv_tail, (0, 1))
+    with scratch():
+        q = np.subtract(p, 0.5, out=take(p.shape))
+        central = np.less_equal(np.abs(q, out=q), 0.425, out=take(p.shape, bool))
+        _piecewise(central, p, flat, _inv_central, _inv_tail)
     return out
 
 
 def _inv_central(p: np.ndarray, z: np.ndarray) -> None:
-    q = np.subtract(p, 0.5, out=scratch(2, p.shape))
-    r = np.multiply(q, q, out=scratch(3, p.shape))
+    q = np.subtract(p, 0.5, out=take(p.shape))
+    r = np.multiply(q, q, out=take(p.shape))
     np.subtract(0.180625, r, out=r)
     _horner(_CENTRAL[0], r, z)
     z *= q
@@ -219,11 +220,11 @@ def _inv_central(p: np.ndarray, z: np.ndarray) -> None:
 
 
 def _inv_tail(p: np.ndarray, z: np.ndarray) -> None:
-    r = np.subtract(1.0, p, out=scratch(2, p.shape))
+    r = np.subtract(1.0, p, out=take(p.shape))
     np.minimum(p, r, out=r)
     np.sqrt(np.negative(np.log(r, out=r), out=r), out=r)
-    far = np.greater(r, 5.0, out=scratch(9, p.shape, bool))
-    _piecewise(far, r, z, partial(_rational, _FAR, 5.0), partial(_rational, _NEAR, 1.6), (4, 5))
+    far = np.greater(r, 5.0, out=take(p.shape, bool))
+    _piecewise(far, r, z, partial(_rational, _FAR, 5.0), partial(_rational, _NEAR, 1.6))
     np.copysign(z, np.subtract(p, 0.5, out=r), out=z)  # r is spent
 
 
@@ -231,7 +232,7 @@ def _rational(coefficients: tuple, origin: float, r: np.ndarray, z: np.ndarray) 
     """The ratio of the two polynomials in r - origin, into z; r is spent."""
     r -= origin
     _horner(coefficients[0], r, z)
-    z /= _horner(coefficients[1], r, scratch(3, r.shape))
+    z /= _horner(coefficients[1], r, take(r.shape))
 
 
 @np.errstate(over="ignore")

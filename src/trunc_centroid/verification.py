@@ -131,8 +131,11 @@ DEFAULT_DERIVATIVE_SPEC = SweepSpec(
 
 def _grid(rng: tuple[float, float, float]) -> np.ndarray:
     lo, hi, step = rng
-    count = int(math.floor((hi - lo) / step + 1e-9))
-    return np.array([lo + k * step for k in range(count + 1)], dtype=float)
+    # Past 2^53 points the indices round, and an overflowing span is inf.
+    steps = (hi - lo) / step + 1e-9
+    if not steps < 2.0**53:
+        raise ParameterError(f"range {rng!r} has too many points to grid")
+    return lo + np.arange(math.floor(steps) + 1) * step
 
 
 class _Check(NamedTuple):

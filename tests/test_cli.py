@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -84,6 +85,29 @@ def test_deep_truncation_exit_code(capsys):
     assert run(["sample", *argv, "--n", "10", "--seed", "1"]) == 1
     assert run(["centroid", *argv, "--method", "quadrature"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_range_whose_point_count_overflows_exit_code(capsys):
+    # 1e300 / 1e-300 steps overflow to inf.
+    assert run(["verify", "--check", "certificate", "--l-range", "0", "1e300", "1e-300"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: range (0.0, 1e+300, 1e-300) has too many points to grid\n"
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_range_of_2_53_points_or_more_exit_code():
+    # 1e200 points are refused before any is built.  The process runs with
+    # a timeout and 1 GiB of address space, so a grid that is built after
+    # all fails fast.
+    proc = _console_script("verify", "--check", "monotonicity", "--h-range", "0", "1", "1e-200",
+                           preexec_fn=_cap_address_space)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: range (0.0, 1.0, 1e-200) has too many points to grid\n"
 
 
 @pytest.mark.parametrize("method", ["closed_form", "quadrature"])
@@ -647,7 +671,7 @@ def test_parser_builds():
     assert args.sigma == 2.0
 
 
-def _console_script(*args: str) -> subprocess.CompletedProcess:
+def _console_script(*args: str, **options) -> subprocess.CompletedProcess:
     # The console script's entry point, run as `python -m trunc_centroid`
     # in a fresh process so that no install is needed; the package is
     # found through the same sys.path as this test run.
@@ -658,6 +682,7 @@ def _console_script(*args: str) -> subprocess.CompletedProcess:
         text=True,
         timeout=60,
         env=env,
+        **options,
     )
 
 

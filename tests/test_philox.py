@@ -15,11 +15,12 @@ from numpy.random import Philox
 from trunc_centroid.philox import (
     CHUNK_BLOCKS,
     CounterStream,
+    _stream_words,
+    _uniform_closed_open,
+    _uniform_open,
     philox4x64,
     philox4x64_block,
-    stream_blocks,
-    uniform_closed_open,
-    uniform_open,
+    scratch,
 )
 
 MASK = (1 << 64) - 1
@@ -111,7 +112,10 @@ def test_vectorized_matches_scalar_on_few_lanes(lanes):
 
 
 def test_stream_blocks_of_no_blocks():
-    assert stream_blocks(5, 2, 7, 0).shape == (0, 4)
+    with scratch():
+        assert _stream_words(5, 2, 7, 0).shape == (0, 4)
+    empty = np.zeros(0, dtype=np.uint64)
+    assert [w.shape for w in philox4x64(empty, empty, empty, empty, 5, 0)] == [(0,)] * 4
 
 
 def test_counter_stream_across_a_chunk_matches_scalar_blocks():
@@ -119,13 +123,19 @@ def test_counter_stream_across_a_chunk_matches_scalar_blocks():
     n = 4 * CHUNK_BLOCKS + 13
     blocks = [philox4x64_block((j, 0, 0, 3), (9, 0)) for j in range((n + 3) // 4)]
     words = np.array(blocks, dtype=np.uint64).reshape(-1)[:n]
-    assert np.array_equal(CounterStream(9, stream=3).take(n), uniform_closed_open(words))
+    expected = _uniform_closed_open(words, np.empty(n))
+    assert np.array_equal(CounterStream(9, stream=3).take(n), expected)
+
+
+def _uniforms(core, words):
+    """core over a copy of words, into a new array."""
+    return core(np.array(words, dtype=np.uint64), np.empty(len(words)))
 
 
 def test_uniform_ranges():
-    words = np.array([0, MASK], dtype=np.uint64)
-    oo = uniform_open(words)
-    co = uniform_closed_open(words)
+    words = [0, MASK]
+    oo = _uniforms(_uniform_open, words)
+    co = _uniforms(_uniform_closed_open, words)
     assert oo[0] == 2.0**-53
     assert oo[1] == 1.0 - 2.0**-53
     assert co[0] == 0.0
@@ -133,7 +143,7 @@ def test_uniform_ranges():
     assert np.all(oo > 0.0) and np.all(oo < 1.0)
     assert np.all(co >= 0.0) and np.all(co < 1.0)
     # Odd multiples of 2^-53, so 1 - u is exact.
-    u = uniform_open(np.array([1 << 12, 12345 << 20, MASK >> 1], dtype=np.uint64))
+    u = _uniforms(_uniform_open, [1 << 12, 12345 << 20, MASK >> 1])
     assert np.all(np.mod(u * 2.0**53, 2.0) == 1.0)
     assert np.all(1.0 - (1.0 - u) == u)
 

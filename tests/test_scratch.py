@@ -1,8 +1,8 @@
-"""The per-thread scratch pool of philox.py and its contract.
+"""The per-thread scratch stack of philox.py and its contract.
 
-No public result is a view into the pool, threads draw from pools of
-their own, a repeated call reuses the pool, and the pool stays within
-its byte bound.
+No public result is a view into the stack, threads draw from stacks of
+their own, every call closes the blocks it opens, a repeated call reuses
+the stack's buffers, and the stack stays within its byte bound.
 """
 
 import sys
@@ -10,15 +10,12 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+import pytest
 
 from trunc_centroid import philox, verification
+from trunc_centroid.errors import DomainError
 from trunc_centroid.model import ExcludedInterval, GaussianParams
-from trunc_centroid.philox import (
-    CHUNK_BLOCKS,
-    CounterStream,
-    philox4x64,
-    stream_blocks,
-)
+from trunc_centroid.philox import CHUNK_BLOCKS, SCRATCH_ITEMS, CounterStream, philox4x64
 from trunc_centroid.sampler import inv_std_cdf, sample_exterior
 
 STD = GaussianParams(0.0, 1.0)
@@ -29,12 +26,12 @@ HIGH_MASS = ExcludedInterval(-1.88, 1.88)
 LOW_MASS = ExcludedInterval(-8.6, 8.2)
 # The draw counts of the benchmark's two classes, and a two-chunk batch.
 SIZES = (1_250, 12_500, 20_000)
-# The pool's bound per thread, stated in philox.py: 1328 KiB.
+# The stack's bound per thread after the largest pooled requests.
 POOL_BOUND = 1_500_000
 
 
 def _pool_buffers():
-    return [*philox._SCRATCH.slots.values(), philox._SCRATCH.rows]
+    return philox._SCRATCH.buffers
 
 
 def _pool_bytes():
@@ -48,7 +45,7 @@ def _in_fresh_thread(fn):
 
 
 def _outputs(seed, n):
-    """Every public result that is computed in the pool."""
+    """Every public result that is computed in scratch."""
     blocks = (n + 3) // 4
     # Array counter words, as the benchmark's traced run passes them.
     c0 = np.full(blocks, seed, dtype=np.uint64)
@@ -59,7 +56,6 @@ def _outputs(seed, n):
         sample_exterior(STD, HIGH_MASS, 0.0, n, seed).values,
         sample_exterior(STD, LOW_MASS, 0.0, n, seed).values,
         *philox4x64(c0, c1, zeros, zeros, seed, 0),
-        stream_blocks(seed, 0, 0, blocks),
         CounterStream(seed, 2).take(n),
         inv_std_cdf(p),
     ]
@@ -135,19 +131,47 @@ def test_threads_reproduce_the_serial_sweeps():
     assert _on_four_threads(sweep, specs) == serial
 
 
+def test_every_block_closes():
+    # Past SCRATCH_ITEMS elements inv_std_cdf's own work arrays are fresh
+    # and its branches' are pooled; under errstate(divide="raise") a p of
+    # 0 makes the tail branch raise while it holds pooled buffers.
+    half = SCRATCH_ITEMS // 2
+    past = np.concatenate([np.full(half, 0.5), np.full(half + 1, 0.01)])
+    calls = [
+        lambda: _outputs(1, 1_250),
+        lambda: _outputs(2, 20_000),
+        lambda: inv_std_cdf(past),
+        lambda: CounterStream(3, 2).take(5 + 4 * CHUNK_BLOCKS),
+        lambda: sample_exterior(STD, HIGH_MASS, 0.0, 20_000, 4),
+    ]
+    raising = [
+        (DomainError, lambda: sample_exterior(GaussianParams(0.0, 1e308), HIGH_MASS, 0.0, 100, 5)),
+        (FloatingPointError, lambda: inv_std_cdf(np.concatenate([past, [0.0]]))),
+    ]
+
+    def depths():
+        got = []
+        for call in calls:
+            call()
+            got.append(philox._SCRATCH.depth)
+        for error, call in raising:
+            with np.errstate(divide="raise"), pytest.raises(error):
+                call()
+            got.append(philox._SCRATCH.depth)
+        return got
+
+    assert _in_fresh_thread(depths) == [0] * (len(calls) + len(raising))
+
+
 def test_a_repeated_call_reuses_the_pool():
     def twice():
         sample_exterior(STD, LOW_MASS, 0.0, 12_500, 7)
-        before = {slot: b.ctypes.data for slot, b in philox._SCRATCH.slots.items()}
-        rows = philox._SCRATCH.rows.ctypes.data
+        before = [b.ctypes.data for b in _pool_buffers()]
         sample_exterior(STD, LOW_MASS, 0.0, 12_500, 8)
-        after = {slot: b.ctypes.data for slot, b in philox._SCRATCH.slots.items()}
-        return before, after, rows == philox._SCRATCH.rows.ctypes.data
+        return before, [b.ctypes.data for b in _pool_buffers()]
 
-    before, after, same_rows = _in_fresh_thread(twice)
-    assert before == after and same_rows
-    # Every slot of the module docstring's map serves a sampler call.
-    assert sorted(after) == list(range(10))
+    before, after = _in_fresh_thread(twice)
+    assert before and before == after
 
 
 def test_the_pool_stays_within_its_bound():

@@ -254,6 +254,17 @@ def test_sweep_spec_validation(kwargs):
         SweepSpec(**base)
 
 
+@pytest.mark.parametrize(
+    "check", [verify_monotonicity, verify_certificate_positive, verify_bounds, verify_derivative]
+)
+def test_grid_whose_point_count_overflows_is_refused(check):
+    # 1e300 / 1e-300 steps overflow to inf; the spec is valid, and only
+    # grid mode refuses it.
+    spec = SweepSpec((0.0, 1e300, 1e-300), (-1.0, 1.0, 0.5), (0.0, 1.0, 1.0))
+    with pytest.raises(ParameterError, match="too many points to grid"):
+        check(spec)
+
+
 def test_report_csv_rendering_exact():
     bad = CheckRecord("monotonicity", -1.0, 1.0, 0.5, 0.25, 0.5, -0.25)
     tiny = CheckRecord("certificate_positive", 8.0, -8.0, math.nan, 1e-290, 0.0, 1e-290)
