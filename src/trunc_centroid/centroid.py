@@ -4,17 +4,21 @@ In standardized coordinates, with a = upper - shift and b = shift - lower
 mirrored so that a <= b (a is the nearer edge, negative when the shift
 lies beyond it), the centroid of the shifted standard normal outside the
 hole is shift + (std_pdf(a) - std_pdf(b)) / (std_tail(a) + std_tail(b)).
-Divided by std_pdf(a) that is one formula for every point,
+Divided by std_pdf(a) that is
 
     offset = (1 - e) / (R(a) + e R(b)),  e = exp(-(b - a)(b + a) / 2) <= 1,
 
 R the Mills ratio, negated when mirrored; nothing in it underflows.
 b - a, b + a and their product are formed in double-double, so e keeps
-its relative accuracy near the middle of a wide hole.  Where R(a) is
-subnormal, the same offset is (1 - e) lam(a) / (1 + e lam(a) / lam(b)),
-lam = 1/R from the continued fraction.  The answer in observable units
-is mu + sigma * std_exterior_centroid; a centroid, or a shift of it,
-beyond the float range is a DomainError.
+its relative accuracy near the middle of a wide hole.  From a = 4 up, so
+that a deep shift cannot cancel against the offset, the centroid is taken
+from the nearer edge (u, or l mirrored), with lam = 1/R = x + r1 fitted:
+
+    centroid - edge = (r1(a) - e lam(a) (1 + a/lam(b))) / (1 + e lam(a)/lam(b)),
+
+in observable units the observable edge + sigma (centroid - edge), which
+keeps a small centroid of a huge mu; below 4 mu + sigma * centroid.  A
+centroid, or a shift of it, beyond the float range is a DomainError.
 
 The shift is the natural parameter of the exterior law, so the slope is
 that law's variance.  slope_certificate is the paper's form of the same
@@ -26,12 +30,11 @@ A result carries `low_support_mass` below an exterior mass of 1e-12 and
 from __future__ import annotations
 
 import math
-import sys
 
 from .errors import DomainError, IntervalError, require_finite
 from .model import LOW_MASS_FLOOR, LOW_SUPPORT_MASS  # re-exported here
 from .model import CentroidResult, ExcludedInterval, GaussianParams, Method, ShiftComparison
-from .special import _mills, _mills_tails, _tail, _two_prod, std_pdf
+from .special import _TABLE_FROM, _mills, _r1, _tail, _tail_variance, _two_prod, std_pdf
 
 # Support mass below which a result carries the deep_truncation flag.
 DEEP_MASS_FLOOR = 1e-300
@@ -40,8 +43,6 @@ DEEP_TRUNCATION = "deep_truncation"
 _EXP_CAP = 800.0
 # Dekker's product splits its factors, which overflows from about 2**996.
 _SPLIT_MAX = 2.0**990
-# Below this 1 + x lam - lam**2 cancels less than 300 ulps.
-_VARIANCE_SWITCH = 4.0
 
 
 def _check_point(
@@ -67,31 +68,45 @@ def _two_sum(a: float, b: float) -> tuple[float, float]:
 
 
 def _edges(h: float, l: float, u: float):
-    """(sign, a, b, R(a), R(b), e, 1 - e), sign -1.0 where the nearer edge
-    is the lower one; R(b) is 0.0 where e is, as that tail has no weight."""
+    """(sign, a, b, e, 1 - e), sign -1.0 where the nearer edge is the lower one."""
     a, b, sign = u - h, h - l, 1.0
     # (b - a)/2 = h - (l + u)/2 and (b + a)/2 = (u - l)/2 in double-double;
     # halves overflow only where b - a does, and x is then inf or nan.
     m, m_err = _two_sum(0.5 * l, 0.5 * u)
     s, s_err = _two_sum(0.5 * u, -0.5 * l)
     d, d_err = _two_sum(h, -m)
-    d_err -= m_err
+    # Renormalized: where h is near m, d_err - m_err can exceed d itself.
+    d, d_err = _two_sum(d, d_err - m_err)
     # a and b round equal when b - a is below their ulp, and d is nan when
     # b - a overflows.
     if a > b or d + d_err < 0.0:
         a, b, sign, d, d_err = b, a, -1.0, -d, -d_err
     x = 2.0 * d * s  # (b - a)(b + a)/2
     if not x < _EXP_CAP:
-        return sign, a, b, _mills(a), 0.0, 0.0, 1.0
+        return sign, a, b, 0.0, 1.0
     x_err = 0.0
     if abs(d) < _SPLIT_MAX and s < _SPLIT_MAX:
         x, x_err = _two_prod(2.0 * d, s)
     x_err += 2.0 * (d * s_err + d_err * s)
     # exp(-(x + x_err)) = exp(-x) (1 - x_err), to first order.
     g = math.exp(-x)
-    e = g - g * x_err
-    rb = _mills(b) if e else 0.0
-    return sign, a, b, _mills(a), rb, e, g * x_err - math.expm1(-x)
+    return sign, a, b, g - g * x_err, g * x_err - math.expm1(-x)
+
+
+def _offset(h: float, l: float, u: float):
+    """(sign, near, offset): the centroid is h + sign * offset, or where near
+    (a >= 4) the nearer edge, u if sign is 1.0 and l if -1.0, + sign * offset."""
+    sign, a, b, e, one_minus_e = _edges(h, l, u)
+    if a < _TABLE_FROM:
+        rb = _mills(b) if e else 0.0
+        return sign, False, one_minus_e / (_mills(a) + e * rb)
+    r1 = _r1(a)
+    if not e:
+        return sign, True, r1
+    # ((r1 - w) lam(b) - w a) / (lam(b) + w), w = e lam(a); halved, m cannot overflow.
+    lam_b, w = b + _r1(b), e * (a + r1)
+    m = 0.5 * lam_b + 0.5 * w
+    return sign, True, (r1 - w) * (0.5 * lam_b / m) - w * (0.5 * a / m)
 
 
 def std_exterior_centroid(shift: float, lower: float, upper: float) -> float:
@@ -101,13 +116,9 @@ def std_exterior_centroid(shift: float, lower: float, upper: float) -> float:
     sweeps exercise that claim.
     """
     shift, lower, upper = _check_point(shift, lower, upper)
-    sign, a, b, ra, rb, e, one_minus_e = _edges(shift, lower, upper)
-    if ra >= sys.float_info.min:
-        return shift + sign * one_minus_e / (ra + e * rb)
-    # R(a) is subnormal (a beyond about 4.5e307), so 1/R(a) loses bits or
-    # overflows; lambda = 1/R = x + r1 from the continued fraction does not.
-    lam_a, lam_b = (x + _mills_tails(x)[0] for x in (a, b))
-    return shift + sign * one_minus_e * lam_a / (1.0 + e * (lam_a / lam_b))
+    sign, near, offset = _offset(shift, lower, upper)
+    origin = (upper if sign > 0.0 else lower) if near else shift
+    return origin + sign * offset
 
 
 def centroid_exterior(
@@ -129,7 +140,9 @@ def centroid_exterior(
     flags = [DEEP_TRUNCATION] if mass < DEEP_MASS_FLOOR else []
     if mass < LOW_MASS_FLOOR:
         flags.append(LOW_SUPPORT_MASS)
-    value = mu + sigma * std_exterior_centroid(h, l, u)
+    sign, near, offset = _offset(h, l, u)
+    origin, base = ((hole.upper if sign > 0.0 else hole.lower), 0.0) if near else (mu, h)
+    value = origin + sigma * (base + sign * offset)
     if math.isinf(value):
         raise DomainError(
             f"the centroid overflows the float range, mu + shift = {mu + shift!r}"
@@ -165,18 +178,6 @@ def slope_certificate(x1: float, x2: float) -> float:
     return _certificate_from(x1, x2, std_pdf(x1), std_pdf(x2), m)
 
 
-def _tail_variance(x: float, r: float) -> float:
-    """Variance of Z given Z >= x: 1 + x lam - lam**2, lam = 1/r the tail's
-    mean, or from _VARIANCE_SWITCH up, where that cancels, the same value
-    (r2 - r1) / (x + r2) from the tails of the continued fraction."""
-    if x >= _VARIANCE_SWITCH:
-        r1, r2 = _mills_tails(x)
-        return (r2 - r1) / (x + r2)
-    lam = 1.0 / r
-    # lam is 0.0 where the density at x underflows: the tail is the line.
-    return 1.0 + x * lam - lam * lam if lam else 1.0
-
-
 def std_exterior_centroid_slope(shift: float, lower: float, upper: float) -> float:
     """Derivative of std_exterior_centroid with respect to `shift`.
 
@@ -185,7 +186,8 @@ def std_exterior_centroid_slope(shift: float, lower: float, upper: float) -> flo
     variances v and means lam(a) and -lam(b), lam = 1/R; w_b/w_a = e R(b)/R(a).
     """
     shift, lower, upper = _check_point(shift, lower, upper)
-    _, a, b, ra, rb, e, _ = _edges(shift, lower, upper)
+    _, a, b, e, _ = _edges(shift, lower, upper)
+    ra, rb = _mills(a), _mills(b) if e else 0.0
     t = e * rb / ra
     if not t:
         return _tail_variance(a, ra)

@@ -410,7 +410,7 @@ def run(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:
-        print(f"error: {exc or 'out of memory'}", file=sys.stderr)
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

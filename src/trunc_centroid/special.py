@@ -1,4 +1,4 @@
-"""Standard normal density, tails, and Mills-ratio bounds.
+"""Standard normal density, tails, Mills ratio and its bounds.
 
 The centroid formulas divide tail probabilities by densities in regimes
 where naive expressions cancel or underflow, so both tails are routed
@@ -10,10 +10,10 @@ through erfc evaluated on its decaying side:
 This keeps full relative accuracy out to |x| ~ 37.5 and makes the
 reflection identity std_tail(-x) == std_cdf(x) hold bit for bit.
 
-Log variants extend the usable range far beyond the underflow point of
-the linear-scale functions.  log_std_tail switches to a continued
-fraction for the Mills ratio once erfc loses precision, so ratios of
-astronomically small tail masses remain representable.
+From x = 4 up, the Mills ratio is R(x) = 1 / (x + r1(x)) and the tail
+variance v(x) = Var(Z | Z >= x), with x r1(x) and x*x v(x) each 1 - z
+P(z)/Q(z), z = 1/x**2: rationals fitted by tools/make_mills_table.py after
+Cody 1969 (Math. Comp. 23).  Where x*x overflows, z = 0 gives r1 = 1/x.
 
 The two algebraic tail bounds certify strict inequalities used by the
 monotonicity argument:
@@ -21,8 +21,8 @@ monotonicity argument:
     std_tail(x) / (2 std_pdf(x)) > 1 / (x + sqrt(x*x + 4))
     std_cdf(x)  / (2 std_pdf(x)) > 1 / (-x + sqrt(x*x + 4))
 
-Both right-hand sides are evaluated in the cancellation-free form
-(sqrt(x*x + 4) -/+ x) / 4 so the bound itself never loses digits.
+The root is hypot(x, 2), which does not overflow, and where the bound
+decays it is taken as that reciprocal, so no digits cancel.
 
 std_pdf_array, std_tail_array and std_cdf_array evaluate the density and
 the tails over numpy arrays, element for element the same bits as the
@@ -47,10 +47,20 @@ INV_SQRT2 = 1.0 / math.sqrt(2.0)
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
-# erfc keeps full precision on the decaying side well past this point;
-# beyond it the continued fraction for the Mills ratio takes over.
-_MILLS_SWITCH = 33.0
-_MILLS_TERMS = 40
+# From here up R and v come from the fits: (P, Q) pairs, highest power first.
+_TABLE_FROM = 4.0
+_R1_TABLE = (
+    (56981.646025735005, 2150016.5140057807), (1568450.4016683039, 3736335.6100944346),
+    (1711341.4270882483, 2010695.5724214185), (578894.9275970075, 471880.3269169649),
+    (83227.74415091594, 54735.73846949212), (5625.472743133937, 3238.1594814581154),
+    (174.96924395642782, 92.48462197821387), (2.0, 1.0),
+)
+_VARIANCE_TABLE = (
+    (72556.13003268682, 11693409.71197925), (11448514.066278066, 13443185.767233243),
+    (10337967.262544762, 5273655.659063961), (2959368.4728412246, 957923.0400041506),
+    (366414.44260708324, 89595.58310765102), (21594.351926008214, 4403.449828413643),
+    (591.3216453366803, 106.8869408894466), (6.0, 1.0),
+)
 # sqrt(pi / 2) correctly rounded, and 1/sqrt(2) - INV_SQRT2.
 _SQRT_HALF_PI = 1.2533141373155003
 _INV_SQRT2_TAIL = 6.268583589525109e-17
@@ -124,21 +134,38 @@ def _two_prod(a: float, b: float) -> tuple[float, float]:
     return hi, ((ah * bh - hi) + ah * bl + al * bh) + al * bl
 
 
-def _mills_tails(x: float) -> tuple[float, float]:
-    """(r1, r2): R(x) = 1 / (x + r1), r_k = k / (x + r_(k+1)), r_41 = 0."""
-    r = 0.0
-    for k in range(_MILLS_TERMS, 1, -1):
-        r = k / (x + r)
-    return 1 / (x + r), r
+def _fitted(table, x: float) -> float:
+    """1 - z P(z)/Q(z), z = 1/x**2, for x >= 4 and one fitted table."""
+    z = 1.0 / (x * x)
+    p = q = 0.0
+    for c, d in table:
+        p = p * z + c
+        q = q * z + d
+    return 1.0 - z * (p / q)
+
+
+def _r1(x: float) -> float:
+    """1/R(x) - x for x >= 4."""
+    return _fitted(_R1_TABLE, x) / x
+
+
+def _tail_variance(x: float, r: float) -> float:
+    """v(x) with r = R(x): 1 + x lam - lam**2, lam = 1/r the tail's mean,
+    or from 4 up, where that cancels, the fitted x*x v(x) over x*x."""
+    if x >= _TABLE_FROM:
+        return _fitted(_VARIANCE_TABLE, x) / x / x
+    lam = 1.0 / r
+    # lam is 0.0 where the density at x underflows: the tail is the line.
+    return 1.0 + x * lam - lam * lam if lam else 1.0
 
 
 def _mills(x: float) -> float:
     """mills_ratio for either sign of x, unchecked; inf where std_pdf(x)
-    underflows.  The rounding errors dsq of x*x and dt of x/sqrt(2), which
-    exp and erfc would magnify to x**2 ulps, take one derivative term each:
-    erfc(t + dt) = erfc(t) - 2 exp(-t*t) dt / sqrt(pi)."""
-    if x >= _MILLS_SWITCH:
-        return 1.0 / (x + _mills_tails(x)[0])
+    underflows.  Below 4, the rounding errors dsq of x*x and dt of
+    x/sqrt(2), which exp and erfc would magnify to x**2 ulps, take one
+    derivative term each: erfc(t + dt) = erfc(t) - 2 exp(-t*t) dt / sqrt(pi)."""
+    if x >= _TABLE_FROM:
+        return 1.0 / (x + _r1(x))
     sq, dsq = _two_prod(x, x)
     g = math.exp(-0.5 * sq)
     if not g:
@@ -149,12 +176,9 @@ def _mills(x: float) -> float:
 
 
 def mills_ratio(x: float) -> float:
-    """std_tail(x) / std_pdf(x) for x > 0, stable for arbitrarily large x.
-
-    Uses the linear-scale quotient while erfc still has full precision and
-    the classical continued fraction R(x) = 1 / (x + 1 / (x + 2 / (x + ...)))
-    beyond that.  The closed form calls _mills, unchecked, for either sign.
-    """
+    """std_tail(x) / std_pdf(x) for x > 0, stable for arbitrarily large x: the
+    erfc quotient below 4, 1 / (x + r1(x)) from the fitted table from 4 up.
+    The closed form calls _mills, unchecked, for either sign."""
     x = require_finite(x, "x")
     if x <= 0.0:
         raise DomainError(f"mills_ratio requires x > 0, got {x!r}")
@@ -162,17 +186,12 @@ def mills_ratio(x: float) -> float:
 
 
 def log_std_tail(x: float) -> float:
-    """log of the upper tail probability, usable far past underflow.
-
-    Three regimes:
-      x >= 33   log std_pdf plus log of the continued-fraction Mills
-                ratio; valid for arbitrarily large x.
-      x >= -1   direct log of std_tail, which is well scaled there.
-      x < -1    tail is close to 1; log1p on the opposite small tail.
-    """
+    """log of the upper tail probability, usable far past underflow: log
+    std_pdf + log R from 4 up, log std_tail, which is well scaled there,
+    down to -1, and below that log1p of the opposite small tail."""
     x = require_finite(x, "x")
-    if x >= _MILLS_SWITCH:
-        return log_std_pdf(x) + math.log(mills_ratio(x))
+    if x >= _TABLE_FROM:
+        return log_std_pdf(x) + math.log(_mills(x))
     if x >= -1.0:
         return math.log(_tail(x))
     return math.log1p(-_tail(-x))
@@ -184,19 +203,12 @@ def log_std_cdf(x: float) -> float:
 
 
 def mills_lower_bound_tail(x: float) -> float:
-    """Strict lower bound for std_tail(x) / (2 std_pdf(x)).
-
-    Equals 1 / (x + sqrt(x*x + 4)), computed as (sqrt(x*x + 4) - x) / 4
-    so no digits cancel when x is large and positive.
-    """
+    """Strict lower bound 1 / (x + sqrt(x*x + 4)) for std_tail(x) / (2 std_pdf(x))."""
     x = require_finite(x, "x")
-    return (math.sqrt(x * x + 4.0) - x) / 4.0
+    root = math.hypot(x, 2.0)
+    return 1.0 / (x + root) if x > 0.0 else (root - x) / 4.0
 
 
 def mills_lower_bound_cdf(x: float) -> float:
-    """Strict lower bound for std_cdf(x) / (2 std_pdf(x)).
-
-    Mirror image of mills_lower_bound_tail: 1 / (-x + sqrt(x*x + 4)).
-    """
-    x = require_finite(x, "x")
-    return (math.sqrt(x * x + 4.0) + x) / 4.0
+    """Strict lower bound 1 / (-x + sqrt(x*x + 4)) for std_cdf(x) / (2 std_pdf(x))."""
+    return mills_lower_bound_tail(-require_finite(x, "x"))

@@ -350,7 +350,8 @@ def verify_bounds(spec: SweepSpec = DEFAULT_BOUNDS_SPEC) -> VerificationReport:
         root = np.sqrt(x * x + 4.0)
         faint = f < _DENSITY_FLOOR
         checks = []
-        # The right-hand sides are mills_lower_bound_tail and _cdf.
+        # The right-hand sides are the paper's forms (sqrt(x*x + 4) -/+ x) / 4
+        # of the bounds that mills_lower_bound_tail and _cdf evaluate.
         lhs = tail / (2.0 * f)
         rhs = (root - x) / 4.0
         checks.append(

@@ -260,6 +260,17 @@ def test_deep_slope_positive():
         assert std_exterior_centroid_slope(h, l, u) > 0.0
 
 
+def test_hole_a_few_ulps_wide_far_from_zero():
+    # (l + u)/2 rounds by 8, half of h - l: e = exp(-384) needs the
+    # double-double h - (l + u)/2 renormalized, or its first-order
+    # correction reads e = 1 - 384.  Exact (80-digit mpmath): the centroid
+    # rounds to l, the slope is 0.0038175623701787832.
+    h, l, u = 1.12650029902087e17, 1.1265002990208699e17, 1.1265002990208704e17
+    assert std_exterior_centroid(h, l, u) == l
+    slope = std_exterior_centroid_slope(h, l, u)
+    assert math.isclose(slope, 0.0038175623701787832, rel_tol=1e-14)
+
+
 def test_low_mass_flag_threshold():
     # mass 2Q(8) ~ 1.2e-15 < 1e-12
     result = centroid_exterior(

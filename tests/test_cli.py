@@ -461,6 +461,20 @@ def test_sweep_out_of_memory_is_error(monkeypatch, capsys):
     assert captured.err == "error: Unable to allocate 18.6 TiB for an array\n"
 
 
+def test_bare_out_of_memory_says_so(monkeypatch, capsys):
+    # A MemoryError raised without a message still names its cause.
+    from trunc_centroid import cli
+
+    def bare(args):
+        raise MemoryError()
+
+    monkeypatch.setitem(cli._COMMANDS, "figure", bare)
+    assert run(["figure"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: out of memory\n"
+
+
 def test_verify_json_report(capsys):
     argv = [
         "verify",

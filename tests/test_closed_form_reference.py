@@ -29,13 +29,15 @@ TABLE = json.loads(
 )
 
 # (centroid ulps, slope relative error): twice the largest error of the
-# edge-referenced closed form on the regime's points, rounded up.
+# closed form on the regime's points, rounded up; inside, where the shift
+# lies 4 to 80 inside the hole, 4 ulps and 1e-15 (2.8 ulps and 5.6e-16).
 BOUNDS = {
     "moderate": (4, 4e-14),
-    "wide": (12, 2e-13),
-    "deep": (4, 3e-15),
+    "wide": (6, 2e-13),
+    "deep": (1, 3e-15),
     "degenerate": (1, 6e-16),
-    "far": (1, 4e-16),
+    "far": (1, 2e-16),
+    "inside": (4, 1e-15),
 }
 
 
@@ -43,7 +45,8 @@ def test_table_covers_every_regime():
     regimes = [p["regime"] for p in TABLE["points"]]
     assert TABLE["digits"] == 60
     assert {r: regimes.count(r) for r in BOUNDS} == {
-        "moderate": 100, "wide": 100, "deep": 100, "degenerate": 100, "far": 4
+        "moderate": 100, "wide": 100, "deep": 100, "degenerate": 100, "far": 4,
+        "inside": 100,
     }
 
 

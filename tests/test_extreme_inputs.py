@@ -115,3 +115,13 @@ def test_overflowing_centroid_and_draws_are_named():
     wide = ExcludedInterval(-1.7e308, 1.7e308)
     with pytest.raises(TruncCentroidError, match="moves by more than"):
         shift_comparison(GaussianParams(1e300, 1.0), wide, -2e300)
+
+
+def test_small_centroid_of_a_huge_mu_keeps_its_digits():
+    # (lower - mu)/sigma rounds to an ulp of mu/sigma, about 2e291, so mu +
+    # sigma * centroid would cancel back to that ulp.  Taken from the nearer
+    # edge, the answer is the exact centroid (800-digit mpmath) to the bit.
+    params = GaussianParams(5.569648038916882e307, 3.196226724189726)
+    hole = ExcludedInterval(16.168560000397946, 1.4370780088164235e308)
+    result = centroid_exterior(params, hole, 7.099804699747895e-13)
+    assert result.value == 16.168560000397946

@@ -6,6 +6,7 @@ independent arbitrary-precision erfc and rounded to nearest double.
 
 import math
 import random
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -115,8 +116,8 @@ def test_mills_ratio_matches_quotient_in_linear_range():
 
 
 def test_mills_ratio_continued_fraction_frozen_values():
-    # 50-digit references rounded to doubles; the continued fraction
-    # lands within one ulp of each.
+    # 50-digit references rounded to doubles; the fitted table, which
+    # replaced the continued fraction, lands within one ulp of each.
     for x, want in (
         (33.0, 0.030275280136159863),
         (40.0, 0.02498440420572057),
@@ -171,6 +172,19 @@ def test_bound_stable_for_large_arguments():
         tail_bound = mills_lower_bound_tail(x)
         assert 0.0 < tail_bound < 1.0 / x
         assert mills_lower_bound_cdf(x) > x / 2.0
+
+
+@pytest.mark.parametrize("x", [1e4, 1e8, 1e200, -1e200])
+def test_bound_keeps_its_digits_where_the_paper_form_fails(x):
+    # (sqrt(x*x + 4) - x) / 4 cancels from x of about 1e4 up and x*x
+    # overflows from about 1.3e154; the bound is 1 / (x + sqrt(x*x + 4)),
+    # here with digits enough for its cancellation at -1e200.
+    with localcontext() as ctx:
+        ctx.prec = 1000
+        d = Decimal(x)
+        want = float(1 / (d + (d * d + 4).sqrt()))
+    assert math.isclose(mills_lower_bound_tail(x), want, rel_tol=4e-16)
+    assert mills_lower_bound_cdf(-x) == mills_lower_bound_tail(x)
 
 
 @pytest.mark.parametrize(

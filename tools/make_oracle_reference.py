@@ -31,6 +31,12 @@ bound:
                 within 0.5 of its middle
     far         the holes (-1e5, 5e4), (-1e8, 5e7), (-1e10, 5e9) and
                 (-1e160, 5e159) at shift 0
+    inside      the shift 4 to 80 inside the hole from its nearer edge,
+                which lies within 2 of 0, the far edge 1e-3 to 32 farther
+                still (log-uniform), mirrored half the time: the centroid
+                is of order 1 where the far edge has no weight
+
+The inside points come last, after the far holes, from the same stream.
 
 The slope is 1 + (a phi(a) + b phi(b))/m - offset**2, with a = upper -
 shift, b = shift - lower and m the exterior mass; its terms cancel like
@@ -116,6 +122,13 @@ def _reference(p: dict) -> tuple[str, str]:
 
 
 def _point(rng: random.Random, regime: str) -> dict:
+    if regime == "inside":
+        u = rng.uniform(-2.0, 2.0)
+        h = u - rng.uniform(4.0, 80.0)
+        l = h - (u - h) - 10.0 ** rng.uniform(-3.0, 1.5)
+        if rng.random() < 0.5:
+            h, l, u = -h, -u, -l
+        return {"regime": regime, "shift": h, "lower": l, "upper": u}
     edge, shift_bound = CLOSED_FORM_REGIMES[regime]
     l = rng.uniform(-edge, edge)
     if regime == "degenerate":
@@ -185,6 +198,7 @@ def main() -> None:
     points += [
         {"regime": "far", "shift": 0.0, "lower": l, "upper": u} for l, u in FAR_HOLES
     ]
+    points += [_point(rng, "inside") for _ in range(CLOSED_FORM_PER_REGIME)]
     with mpmath.workdps(DIGITS):
         for p in points:
             p["centroid"], p["slope"] = _closed_form_reference(p)
