@@ -29,7 +29,6 @@ from .errors import (
     ToleranceNotMetError,
     TruncCentroidError,
 )
-from .figure import write_reference_figure
 from .model import (
     CentroidResult,
     ExcludedInterval,
@@ -39,8 +38,6 @@ from .model import (
 )
 from .quadrature import centroid_quadrature
 from .special import (
-    log_std_cdf,
-    log_std_pdf,
     log_std_tail,
     mills_lower_bound_cdf,
     mills_lower_bound_tail,
@@ -90,8 +87,6 @@ __all__ = [
     "VerificationReport",
     "centroid_exterior",
     "centroid_quadrature",
-    "log_std_cdf",
-    "log_std_pdf",
     "log_std_tail",
     "mills_lower_bound_cdf",
     "mills_lower_bound_tail",
@@ -109,6 +104,4 @@ __all__ = [
     "verify_certificate_positive",
     "verify_derivative",
     "verify_monotonicity",
-    "write_reference_figure",
-    "write_report_csv",
 ]

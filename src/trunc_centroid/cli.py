@@ -14,8 +14,9 @@ text lines, and _emit is the one place that picks --format and writes
 
 Exit codes: 0 success, 1 domain/computation error (sigma <= 0, bad hole,
 deep truncation for oracle or sampler, a centroid or a draw beyond the
-float range, a sweep too large for memory), 2 usage error (an unknown
-option or an --output that cannot be written included).
+float range, a sweep too large for memory, a sample, a sweep grid or a
+random sweep of 2^53 points or more), 2 usage error (an unknown option or
+an --output that cannot be written included).
 
 JSON output is strict: a non-finite float (an unused CSV cell, an
 untestable ratio, the Monte Carlo support mass) is written as null.

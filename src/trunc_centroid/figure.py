@@ -47,11 +47,3 @@ def render_reference_figure() -> tuple[str, float, float]:
         )
     lines.append(f"centroid,{format(base, '.17g')},{format(shifted, '.17g')}")
     return "\n".join(lines) + "\n", base, shifted
-
-
-def write_reference_figure(output_path: str) -> tuple[float, float]:
-    """Write the reference-example CSV; returns (base, shifted) centroids."""
-    text, base, shifted = render_reference_figure()
-    with open(output_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    return base, shifted

@@ -110,8 +110,8 @@ def sample_exterior(
     seed: int,
 ) -> SampleBatch:
     """n independent draws from N(mu + shift, sigma^2) given the exterior."""
-    if n < 1:
-        raise ParameterError(f"need n >= 1, got {n!r}")
+    if not 1 <= n < 2**53:
+        raise ParameterError(f"need 1 <= n < 2^53, got {n!r}")
     seed = int(seed)
     loc = require_finite(params.mu + shift, "mu + shift")
     # A standardized edge may overflow; its tail is then exactly 0 or 1.

@@ -119,12 +119,6 @@ def std_tail(x: float) -> float:
     return _tail(x)
 
 
-def log_std_pdf(x: float) -> float:
-    """log of std_pdf(x); exact reflection symmetry like std_pdf."""
-    x = require_finite(x, "x")
-    return -0.5 * (x * x) - _LOG_SQRT_2PI
-
-
 def _two_prod(a: float, b: float) -> tuple[float, float]:
     """hi + lo == a * b exactly (Dekker 1971), from 26-bit halves of a, b."""
     c, d = _SPLITTER * a, _SPLITTER * b
@@ -191,15 +185,10 @@ def log_std_tail(x: float) -> float:
     down to -1, and below that log1p of the opposite small tail."""
     x = require_finite(x, "x")
     if x >= _TABLE_FROM:
-        return log_std_pdf(x) + math.log(_mills(x))
+        return (-0.5 * (x * x) - _LOG_SQRT_2PI) + math.log(_mills(x))
     if x >= -1.0:
         return math.log(_tail(x))
     return math.log1p(-_tail(-x))
-
-
-def log_std_cdf(x: float) -> float:
-    """log of the lower tail probability; reflection of log_std_tail."""
-    return log_std_tail(-float(x))
 
 
 def mills_lower_bound_tail(x: float) -> float:

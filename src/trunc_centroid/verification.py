@@ -251,7 +251,10 @@ def _centroids(shift, lower, upper):
 def _random_points(spec: SweepSpec, stream: int, rows: int) -> list[np.ndarray]:
     """rows * n_random uniforms from one take of the sweep's stream: n_random
     lows over l_range, n_random highs over u_range, then shifts over h_range."""
-    draws = CounterStream(spec.seed, stream).take(rows * spec.n_random)
+    count = rows * spec.n_random
+    if count >= 2**53:
+        raise ParameterError(f"{rows} x n_random = {count} is too many draws (2^53 or more)")
+    draws = CounterStream(spec.seed, stream).take(count)
     runs = np.split(draws, (spec.n_random, 2 * spec.n_random))
     return [lo + run * (hi - lo) for (lo, hi, _), run in zip(spec[:3], runs)]
 
@@ -454,8 +457,3 @@ def render_report_csv(reports: Iterable[VerificationReport]) -> str:
         if (r := report.min_margin_record) is not None:
             lines.append(row(f"{r.check}:min_margin", r))
     return "\n".join(lines) + "\n"
-
-
-def write_report_csv(reports: Iterable[VerificationReport], output_path: str) -> None:
-    with open(output_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(render_report_csv(reports))

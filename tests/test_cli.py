@@ -10,6 +10,7 @@ import pytest
 
 from trunc_centroid.centroid import centroid_exterior, shift_comparison
 from trunc_centroid.cli import build_parser, run
+from trunc_centroid.figure import render_reference_figure
 from trunc_centroid.model import ExcludedInterval, GaussianParams
 from trunc_centroid.quadrature import centroid_quadrature
 
@@ -45,7 +46,9 @@ def test_missing_required_flag(capsys):
 def test_non_finite_input_rejected_at_parse(capsys):
     assert run(["centroid", "--mu=nan", "--sigma=2", "--lower=-1", "--upper=4"]) == 2
     assert run(["centroid", "--mu=1", "--sigma=inf", "--lower=-1", "--upper=4"]) == 2
-    capsys.readouterr()
+    assert "must be finite" in capsys.readouterr().err
+    assert run(["centroid", "--mu=abc", "--sigma=2", "--lower=-1", "--upper=4"]) == 2
+    assert "argument --mu: not a number: 'abc'" in capsys.readouterr().err
 
 
 def test_bad_sigma_is_domain_error(capsys):
@@ -72,7 +75,10 @@ def test_monte_carlo_needs_n_and_seed(capsys):
 
 def test_verify_random_needs_seed(capsys):
     assert run(["verify", "--check", "certificate", "--mode", "random"]) == 2
-    capsys.readouterr()
+    assert capsys.readouterr().err == "usage error: --mode random requires --seed\n"
+    argv = ["verify", "--check", "certificate", "--mode", "random", "--seed", "1"]
+    assert run([*argv, "--n-random", "0"]) == 2
+    assert capsys.readouterr().err == "usage error: --n-random must be >= 1\n"
 
 
 def test_sample_needs_two_draws(capsys):
@@ -88,11 +94,25 @@ def test_deep_truncation_exit_code(capsys):
 
 
 def test_range_whose_point_count_overflows_exit_code(capsys):
-    # 1e300 / 1e-300 steps overflow to inf.
-    assert run(["verify", "--check", "certificate", "--l-range", "0", "1e300", "1e-300"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: range (0.0, 1e+300, 1e-300) has too many points to grid\n"
+    # 1e300 / 1e-300 steps overflow to inf.  Counts of 2^53 or more, which
+    # numpy would refuse with a ValueError, are refused before any draw.
+    sweep = ["verify", "--mode", "random", "--seed", "1", "--n-random"]
+    sample = ["sample", "--mu=0", "--sigma=1", "--lower=-1", "--upper=1", "--seed", "1", "--n"]
+    cases = [
+        (["verify", "--check", "certificate", "--l-range", "0", "1e300", "1e-300"],
+         "range (0.0, 1e+300, 1e-300) has too many points to grid"),
+        ([*sample, "2000000000000000000"], "need 1 <= n < 2^53, got 2000000000000000000"),
+        ([*sample, "10000000000000000000"], "need 1 <= n < 2^53, got 10000000000000000000"),
+        ([*sweep, "10000000000000000000", "--check", "bounds"],
+         "2 x n_random = 20000000000000000000 is too many draws (2^53 or more)"),
+        ([*sweep, "1000000000000000000", "--check", "certificate"],
+         "2 x n_random = 2000000000000000000 is too many draws (2^53 or more)"),
+    ]
+    for argv, message in cases:
+        assert run(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
 
 def _cap_address_space():
@@ -329,12 +349,26 @@ def test_centroid_warning_surface(capsys):
 
 
 def test_centroid_output_file(tmp_path, capsys):
-    target = tmp_path / "result.json"
-    argv = ["centroid", *REF, "--format", "json", "--output", str(target)]
-    assert run(argv) == 0
-    assert capsys.readouterr().out == ""
-    payload = json.loads(target.read_text(encoding="utf-8"))
-    assert payload["results"][0]["method"] == "closed_form"
+    # --output gets the bytes stdout would get, with "\n" line ends.
+    from trunc_centroid import verification
+
+    written = {}
+    for argv in (
+        ["centroid", *REF, "--format", "json"],
+        ["verify", "--check", "certificate", "--format", "csv"],
+    ):
+        assert run(argv) == 0
+        stdout = capsys.readouterr().out
+        target = tmp_path / argv[0]
+        assert run([*argv, "--output", str(target)]) == 0
+        assert capsys.readouterr().out == ""
+        raw = target.read_bytes()
+        assert b"\r" not in raw
+        assert raw.decode("utf-8") == stdout
+        written[argv[0]] = stdout
+    assert json.loads(written["centroid"])["results"][0]["method"] == "closed_form"
+    certificate = verification.verify_certificate_positive()
+    assert written["verify"] == verification.render_report_csv([certificate])
 
 
 @pytest.mark.parametrize(
@@ -665,8 +699,9 @@ def test_figure_file_modes(tmp_path, capsys):
     assert run(["figure", "--output", str(target)]) == 0
     out = capsys.readouterr().out
     assert str(target) in out
-    text = target.read_text(encoding="utf-8")
-    assert text.splitlines()[0] == "x,fX_masked,fY_masked"
+    raw = target.read_bytes()
+    assert b"\r" not in raw
+    assert raw.decode("utf-8") == render_reference_figure()[0]
     target2 = tmp_path / "fig2.csv"
     assert run(["figure", "--output", str(target2), "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)

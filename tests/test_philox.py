@@ -152,6 +152,8 @@ def test_counter_stream_deterministic_and_chunk_invariant():
     a = CounterStream(99, stream=2)
     b = CounterStream(99, stream=2)
     whole = a.take(16)
+    with pytest.raises(ValueError):
+        b.take(-1)
     parts = np.concatenate([b.take(7), b.take(9)])
     assert np.array_equal(whole, parts)
     again = CounterStream(99, stream=2).take(16)

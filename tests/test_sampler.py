@@ -136,6 +136,10 @@ def test_monte_carlo_needs_two_samples():
 def test_sample_count_validation():
     with pytest.raises(ParameterError):
         sample_exterior(REF_PARAMS, REF_HOLE, 0.0, 0, seed=5)
+    # Counts of 2^53 or more are refused before any array is allocated.
+    for n in (2**53, 10**19):
+        with pytest.raises(ParameterError, match=r"need 1 <= n < 2\^53"):
+            sample_exterior(REF_PARAMS, REF_HOLE, 0.0, n, seed=5)
 
 
 def test_deep_truncation_refused():

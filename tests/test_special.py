@@ -13,8 +13,6 @@ import pytest
 
 from trunc_centroid.errors import DomainError
 from trunc_centroid.special import (
-    log_std_cdf,
-    log_std_pdf,
     log_std_tail,
     mills_lower_bound_cdf,
     mills_lower_bound_tail,
@@ -49,7 +47,6 @@ def test_cdf_tail_reflection_is_bitwise():
     for x in GRID:
         assert std_tail(-x) == std_cdf(x)
         assert std_pdf(-x) == std_pdf(x)
-        assert log_std_pdf(-x) == log_std_pdf(x)
 
 
 def test_cdf_tail_sum_to_one():
@@ -67,11 +64,6 @@ def test_cdf_monotone_and_in_range():
 def test_pdf_positive_and_peaked_at_zero():
     assert std_pdf(0.0) == max(std_pdf(x) for x in GRID)
     assert all(std_pdf(x) > 0.0 for x in GRID)
-
-
-def test_log_pdf_matches_direct_log():
-    for x in GRID:
-        assert math.isclose(log_std_pdf(x), math.log(std_pdf(x)), rel_tol=1e-14)
 
 
 def test_log_tail_matches_direct_log_in_linear_range():
@@ -103,11 +95,6 @@ def test_log_tail_branch_formulas_agree_at_same_abscissa():
     for x in (-0.999999, -1.0, -1.000001, -1.5):
         via_log1p = math.log1p(-std_tail(-x))
         assert math.isclose(log_std_tail(x), via_log1p, rel_tol=1e-13)
-
-
-def test_log_cdf_is_reflection():
-    for x in GRID:
-        assert log_std_cdf(x) == log_std_tail(-x)
 
 
 def test_mills_ratio_matches_quotient_in_linear_range():
@@ -189,8 +176,7 @@ def test_bound_keeps_its_digits_where_the_paper_form_fails(x):
 
 @pytest.mark.parametrize(
     "func",
-    [std_pdf, std_cdf, std_tail, log_std_pdf, log_std_tail, log_std_cdf,
-     mills_lower_bound_tail, mills_lower_bound_cdf],
+    [std_pdf, std_cdf, std_tail, log_std_tail, mills_lower_bound_tail, mills_lower_bound_cdf],
 )
 def test_nonfinite_inputs_rejected(func):
     for bad in (math.nan, math.inf, -math.inf):

@@ -14,7 +14,6 @@ from trunc_centroid.figure import (
     REFERENCE_SHIFT,
     reference_example_rows,
     render_reference_figure,
-    write_reference_figure,
 )
 from trunc_centroid.philox import CounterStream
 from trunc_centroid.special import std_pdf
@@ -27,7 +26,6 @@ from trunc_centroid.verification import (
     verify_certificate_positive,
     verify_derivative,
     verify_monotonicity,
-    write_report_csv,
 )
 
 WIDE_RANDOM = dict(
@@ -265,6 +263,18 @@ def test_grid_whose_point_count_overflows_is_refused(check):
         check(spec)
 
 
+@pytest.mark.parametrize(
+    "check", [verify_monotonicity, verify_certificate_positive, verify_bounds, verify_derivative]
+)
+def test_random_sweep_of_2_53_draws_or_more_is_refused(check):
+    # Every sweep reads at least two draws a hole, so 2^52 holes reach 2^53
+    # draws; they are refused before any is taken.
+    unit = (0.0, 1.0, 1.0)
+    spec = SweepSpec(unit, unit, unit, mode="random", n_random=2**52, seed=1)
+    with pytest.raises(ParameterError, match=r"is too many draws \(2\^53 or more\)"):
+        check(spec)
+
+
 def test_report_csv_rendering_exact():
     bad = CheckRecord("monotonicity", -1.0, 1.0, 0.5, 0.25, 0.5, -0.25)
     tiny = CheckRecord("certificate_positive", 8.0, -8.0, math.nan, 1e-290, 0.0, 1e-290)
@@ -287,20 +297,6 @@ def test_report_csv_rendering_exact():
     assert lines[3] == "monotonicity:min_margin,-1,1,0.5,0.25,0.5,-0.25"
     assert len(lines) == 4
     assert text.endswith("\n")
-
-
-def test_report_csv_round_trips_to_disk(tmp_path):
-    report = verify_certificate_positive(
-        SweepSpec(
-            l_range=(-2.0, 2.0, 1.0),
-            u_range=(-2.0, 2.0, 1.0),
-            h_range=(0.0, 1.0, 1.0),
-        )
-    )
-    path = tmp_path / "report.csv"
-    write_report_csv([report], str(path))
-    assert path.read_bytes().decode("utf-8") == render_report_csv([report])
-    assert b"\r" not in path.read_bytes()
 
 
 def test_reference_rows_shape_and_mask():
@@ -336,17 +332,6 @@ def test_reference_figure_text():
     assert abs(base - 0.0025) < 5e-4
     assert abs(shifted - 4.7995) < 5e-4
     assert "\r" not in text
-
-
-def test_reference_figure_file(tmp_path):
-    path = tmp_path / "figure.csv"
-    base, shifted = write_reference_figure(str(path))
-    raw = path.read_bytes()
-    assert b"\r" not in raw
-    text = raw.decode("utf-8")
-    expected_text, expected_base, expected_shifted = render_reference_figure()
-    assert text == expected_text
-    assert (base, shifted) == (expected_base, expected_shifted)
     assert base == centroid_exterior(REFERENCE_PARAMS, REFERENCE_HOLE, 0.0).value
     assert (
         shifted
