@@ -9,14 +9,15 @@ Subcommands
     figure     reference-example CSV (masked densities + centroids)
 
 Every command builds its result once, as a JSON payload, CSV rows and
-text lines, and _emit is the one place that picks --format and writes
---output.
+text lines, and _emit is the one place that picks --format, formats the
+CSV and writes --output: the library modules hand over rows, never text.
 
 Exit codes: 0 success, 1 domain/computation error (sigma <= 0, bad hole,
 deep truncation for oracle or sampler, a centroid or a draw beyond the
 float range, a sweep too large for memory, a sample, a sweep grid or a
-random sweep of 2^53 points or more), 2 usage error (an unknown option or
-an --output that cannot be written included).
+random sweep of 2^53 points or more, a random sweep over a range whose
+width overflows), 2 usage error (an unknown option or an --output that
+cannot be written included).
 
 JSON output is strict: a non-finite float (an unused CSV cell, an
 untestable ratio, the Monte Carlo support mass) is written as null.
@@ -39,7 +40,7 @@ import sys
 
 from .centroid import centroid_exterior, shift_comparison
 from .errors import TruncCentroidError
-from .figure import render_reference_figure
+from .figure import reference_figure
 from .model import ExcludedInterval, GaussianParams
 from .quadrature import centroid_quadrature
 
@@ -165,34 +166,32 @@ def _cell(value) -> str:
     return _g17(value) if isinstance(value, float) else str(value)
 
 
-def _emit(args, payload: dict, csv, lines: list[str], indent: int | None = 2) -> int:
-    """Render one result in --format and write it to --output.
+def _csv(header: str, rows) -> str:
+    """The header, then a line per row: floats to 17 digits, ints str(), None empty."""
+    return "\n".join([header, *(",".join(map(_cell, row)) for row in rows)]) + "\n"
 
-    csv is finished CSV text or a (header, rows) pair; a row's floats get
-    17 significant digits, its ints str() and its None an empty cell.
-    """
-    if args.fmt == "json":
+
+def _emit(fmt, output, payload: dict, csv, lines: list[str], indent: int | None = 2) -> int:
+    """Write one result in fmt to output (- is stdout); csv is _csv's (header, rows)."""
+    if fmt == "json":
         import json  # only here: text and csv runs skip its import
         # Strict JSON: NaN and Infinity become null.  Parsing the lenient
         # text back lets the json module find every non-finite float.
         plain = json.loads(json.dumps(payload), parse_constant=lambda _: None)
         text = json.dumps(plain, indent=indent, allow_nan=False) + "\n"
-    elif args.fmt == "text":
+    elif fmt == "text":
         text = "\n".join(lines) + "\n"
-    elif isinstance(csv, str):
-        text = csv
     else:
-        header, rows = csv
-        text = "\n".join([header, *(",".join(map(_cell, row)) for row in rows)]) + "\n"
-    if args.output == "-":
+        text = _csv(*csv)
+    if output == "-":
         sys.stdout.write(text)
         return 0
     try:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
+        with open(output, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     except OSError as exc:
         reason = exc.strerror or exc
-        raise _UsageError(f"cannot write {args.output}: {reason}") from None
+        raise _UsageError(f"cannot write {output}: {reason}") from None
     return 0
 
 
@@ -270,7 +269,7 @@ def _cmd_centroid(args) -> int:
         lines.append(line)
     lines += [f"{key}={_g17(value)}" for key, value in discrepancies.items()]
     csv = ("method,value,support_mass,std_error,n,warnings", rows)
-    return _emit(args, payload, csv, lines)
+    return _emit(args.fmt, args.output, payload, csv, lines)
 
 
 def _cmd_compare(args) -> int:
@@ -294,7 +293,8 @@ def _cmd_compare(args) -> int:
         f"shifted: {_g17(shifted.value)}",
         f"delta:   {_g17(comparison.delta)}",
     ]
-    return _emit(args, payload, ("quantity,value,support_mass,warnings", rows), lines)
+    csv = ("quantity,value,support_mass,warnings", rows)
+    return _emit(args.fmt, args.output, payload, csv, lines)
 
 
 def _cmd_verify(args) -> int:
@@ -311,13 +311,17 @@ def _cmd_verify(args) -> int:
         "derivative": (v.verify_derivative, v.DEFAULT_DERIVATIVE_SPEC),
     }
     names = _CHECKS if args.check == "all" else [args.check]
+    # A range given replaces the check's default; the others stay.
+    ranges = {
+        key: tuple(value)
+        for key in ("l_range", "u_range", "h_range")
+        if (value := getattr(args, key))
+    }
     reports = []
     for name in names:
         runner, default_spec = checks[name]
-        spec = v.SweepSpec(
-            l_range=tuple(args.l_range) if args.l_range else default_spec.l_range,
-            u_range=tuple(args.u_range) if args.u_range else default_spec.u_range,
-            h_range=tuple(args.h_range) if args.h_range else default_spec.h_range,
+        spec = default_spec._replace(
+            **ranges,
             mode=args.mode,
             n_random=args.n_random if args.mode == "random" else 0,
             seed=args.seed if args.seed is not None else 0,
@@ -347,7 +351,8 @@ def _cmd_verify(args) -> int:
         + ("PASS" if r.passed else "FAIL")
         for r in reports
     ]
-    return _emit(args, payload, v.render_report_csv(reports), lines)
+    csv = (",".join(v.CheckRecord._fields), v.report_rows(reports))
+    return _emit(args.fmt, args.output, payload, csv, lines)
 
 
 def _cmd_sample(args) -> int:
@@ -366,14 +371,14 @@ def _cmd_sample(args) -> int:
         f"n={r['n']} acceptance_rate={_g17(r['acceptance_rate'])}"
     )
     csv = ("mean,std_error,n,acceptance_rate,seed", [row])
-    return _emit(args, payload, csv, [line])
+    return _emit(args.fmt, args.output, payload, csv, [line])
 
 
 def _cmd_figure(args) -> int:
     # The CSV goes to --output in every format; a file gets a one-line
     # summary on stdout in --format.
-    text, base, shifted = render_reference_figure()
-    _emit(argparse.Namespace(fmt="csv", output=args.output), {}, text, [])
+    rows, base, shifted = reference_figure()
+    _emit("csv", args.output, {}, ("x,fX_masked,fY_masked", rows), [])
     if args.output == "-":
         return 0
     payload = {
@@ -383,8 +388,7 @@ def _cmd_figure(args) -> int:
         "centroid_shifted": shifted,
     }
     line = f"wrote {args.output}: base={_g17(base)} shifted={_g17(shifted)}"
-    summary = argparse.Namespace(fmt=args.fmt, output="-")
-    return _emit(summary, payload, line + "\n", [line], indent=None)
+    return _emit(args.fmt, "-", payload, (line, []), [line], indent=None)
 
 
 _COMMANDS = {

@@ -1,4 +1,4 @@
-"""The reference example as CSV: masked densities plus both centroids.
+"""The reference example as CSV rows: masked densities plus both centroids.
 
 Base density N(1, 4) with hole (-1, 4), shifted by 2.  Everything here is
 scalar closed-form work, so the `figure` command runs without numpy.
@@ -36,14 +36,8 @@ def reference_example_rows() -> list[tuple[float, float, float]]:
     return rows
 
 
-def render_reference_figure() -> tuple[str, float, float]:
-    """Reference-example CSV text plus the (base, shifted) centroids."""
+def reference_figure() -> tuple[list[tuple], float, float]:
+    """Reference-example rows, ending in the centroid row, and the two centroids."""
     base = centroid_exterior(REFERENCE_PARAMS, REFERENCE_HOLE, 0.0).value
     shifted = centroid_exterior(REFERENCE_PARAMS, REFERENCE_HOLE, REFERENCE_SHIFT).value
-    lines = ["x,fX_masked,fY_masked"]
-    for x, fx, fy in reference_example_rows():
-        lines.append(
-            f"{format(x, '.17g')},{format(fx, '.17g')},{format(fy, '.17g')}"
-        )
-    lines.append(f"centroid,{format(base, '.17g')},{format(shifted, '.17g')}")
-    return "\n".join(lines) + "\n", base, shifted
+    return [*reference_example_rows(), ("centroid", base, shifted)], base, shifted

@@ -27,12 +27,12 @@ contiguous run: n_random lows, n_random highs, then one shift per hole
 kept (a pair whose edges draw equal is dropped), twice over for
 monotonicity.
 
-CSV rendering uses the fixed column set
+report_rows lists a report's rows under CheckRecord's fixed columns
 
     check,x1,x2,h,lhs,rhs,margin
 
-with 17-significant-digit decimals; columns a check does not use hold
-nan.  The reference-example CSV lives in the numpy-free figure module.
+where a column a check does not use holds nan; the CLI formats them.
+The reference-example rows live in the numpy-free figure module.
 """
 
 from __future__ import annotations
@@ -254,6 +254,10 @@ def _random_points(spec: SweepSpec, stream: int, rows: int) -> list[np.ndarray]:
     count = rows * spec.n_random
     if count >= 2**53:
         raise ParameterError(f"{rows} x n_random = {count} is too many draws (2^53 or more)")
+    # With rows = 2 no shift is drawn, so h_range may be as wide as it likes.
+    for name, rng in zip(("l_range", "u_range", "h_range")[:rows], spec):
+        if not math.isfinite(rng[1] - rng[0]):
+            raise ParameterError(f"{name} {rng!r} is too wide to draw from: max - min overflows")
     draws = CounterStream(spec.seed, stream).take(count)
     runs = np.split(draws, (spec.n_random, 2 * spec.n_random))
     return [lo + run * (hi - lo) for (lo, hi, _), run in zip(spec[:3], runs)]
@@ -437,23 +441,17 @@ def verify_derivative(spec: SweepSpec = DEFAULT_DERIVATIVE_SPEC) -> Verification
         )
 
 
-def render_report_csv(reports: Iterable[VerificationReport]) -> str:
-    """Fixed-schema CSV for one or more sweep reports.
+def report_rows(reports: Iterable[VerificationReport]) -> list[CheckRecord]:
+    """The rows of one or more sweep reports, under CheckRecord's columns.
 
-    Emits every violation row, every untestable-strict row (check name
-    suffixed ':untestable-strict'), and one ':min_margin' summary row
-    per report, in that order.
+    Every violation, every untestable-strict point (check name suffixed
+    ':untestable-strict'), and one ':min_margin' summary row per report,
+    in that order.
     """
-    lines = ["check,x1,x2,h,lhs,rhs,margin"]
-
-    def row(check: str, r: CheckRecord) -> str:
-        return ",".join([check, *(format(v, ".17g") for v in r[1:])])
-
+    rows = []
     for report in reports:
-        for r in report.violations:
-            lines.append(row(r.check, r))
-        for r in report.untestable:
-            lines.append(row(f"{r.check}:untestable-strict", r))
+        rows += report.violations
+        rows += [r._replace(check=f"{r.check}:untestable-strict") for r in report.untestable]
         if (r := report.min_margin_record) is not None:
-            lines.append(row(f"{r.check}:min_margin", r))
-    return "\n".join(lines) + "\n"
+            rows.append(r._replace(check=f"{r.check}:min_margin"))
+    return rows

@@ -6,6 +6,8 @@ fails loudly on any regression.  Seeds are fixed; runtime budgets are
 asserted where a check is meant to stay desk-scale.
 """
 
+import contextlib
+import io
 import math
 import time
 
@@ -17,11 +19,12 @@ from trunc_centroid.centroid import (
     std_exterior_centroid,
     std_exterior_centroid_slope,
 )
+from trunc_centroid.cli import run
 from trunc_centroid.figure import (
     REFERENCE_HOLE,
     REFERENCE_PARAMS,
     REFERENCE_SHIFT,
-    render_reference_figure,
+    reference_figure,
 )
 from trunc_centroid.model import ExcludedInterval, GaussianParams
 from trunc_centroid.philox import CounterStream
@@ -56,14 +59,17 @@ def _verdict(tag: str, ok: bool, detail: str) -> None:
 
 def test_01_reference_figure_regression():
     t0 = time.perf_counter()
-    text, base, shifted = render_reference_figure()
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = run(["figure"])
+    text = out.getvalue()
+    _, base, shifted = reference_figure()
     quad_base = centroid_quadrature(REFERENCE_PARAMS, REFERENCE_HOLE, 0.0).value
     quad_shifted = centroid_quadrature(
         REFERENCE_PARAMS, REFERENCE_HOLE, REFERENCE_SHIFT
     ).value
     elapsed = time.perf_counter() - t0
     lines = text.splitlines()
-    csv_ok = len(lines) == 2003 and lines[0] == "x,fX_masked,fY_masked"
+    csv_ok = code == 0 and len(lines) == 2003 and lines[0] == "x,fX_masked,fY_masked"
     footer = lines[-1].split(",")
     csv_ok = csv_ok and footer[0] == "centroid" and float(footer[1]) == base
     ok = (

@@ -10,7 +10,7 @@ import pytest
 
 from trunc_centroid.centroid import centroid_exterior, shift_comparison
 from trunc_centroid.cli import build_parser, run
-from trunc_centroid.figure import render_reference_figure
+from trunc_centroid.figure import reference_example_rows
 from trunc_centroid.model import ExcludedInterval, GaussianParams
 from trunc_centroid.quadrature import centroid_quadrature
 
@@ -95,8 +95,11 @@ def test_deep_truncation_exit_code(capsys):
 
 def test_range_whose_point_count_overflows_exit_code(capsys):
     # 1e300 / 1e-300 steps overflow to inf.  Counts of 2^53 or more, which
-    # numpy would refuse with a ValueError, are refused before any draw.
+    # numpy would refuse with a ValueError, are refused before any draw, and
+    # so is a range whose width overflows (1e308 is written in fixed point,
+    # as argparse reads -1e308 as an option).
     sweep = ["verify", "--mode", "random", "--seed", "1", "--n-random"]
+    big = f"{1e308:.0f}"
     sample = ["sample", "--mu=0", "--sigma=1", "--lower=-1", "--upper=1", "--seed", "1", "--n"]
     cases = [
         (["verify", "--check", "certificate", "--l-range", "0", "1e300", "1e-300"],
@@ -107,6 +110,9 @@ def test_range_whose_point_count_overflows_exit_code(capsys):
          "2 x n_random = 20000000000000000000 is too many draws (2^53 or more)"),
         ([*sweep, "1000000000000000000", "--check", "certificate"],
          "2 x n_random = 2000000000000000000 is too many draws (2^53 or more)"),
+        ([*sweep, "4", "--check", "certificate", "--l-range", f"-{big}", big, "1",
+          "--u-range", "-1", "1", "1"],
+         "l_range (-1e+308, 1e+308, 1.0) is too wide to draw from: max - min overflows"),
     ]
     for argv, message in cases:
         assert run(argv) == 1, argv
@@ -367,8 +373,12 @@ def test_centroid_output_file(tmp_path, capsys):
         assert raw.decode("utf-8") == stdout
         written[argv[0]] = stdout
     assert json.loads(written["centroid"])["results"][0]["method"] == "closed_form"
+    # The default certificate sweep finds only its minimum-margin row.
     certificate = verification.verify_certificate_positive()
-    assert written["verify"] == verification.render_report_csv([certificate])
+    assert not certificate.violations and not certificate.untestable
+    r = certificate.min_margin_record
+    min_row = ",".join([f"{r.check}:min_margin", *map(_g17, r[1:])])
+    assert written["verify"] == f"check,x1,x2,h,lhs,rhs,margin\n{min_row}\n"
 
 
 @pytest.mark.parametrize(
@@ -701,7 +711,14 @@ def test_figure_file_modes(tmp_path, capsys):
     assert str(target) in out
     raw = target.read_bytes()
     assert b"\r" not in raw
-    assert raw.decode("utf-8") == render_reference_figure()[0]
+    base = centroid_exterior(REF_PARAMS, REF_HOLE, 0.0).value
+    shifted = centroid_exterior(REF_PARAMS, REF_HOLE, 2.0).value
+    lines = [
+        "x,fX_masked,fY_masked",
+        *(",".join(map(_g17, row)) for row in reference_example_rows()),
+        f"centroid,{_g17(base)},{_g17(shifted)}",
+    ]
+    assert raw.decode("utf-8") == "\n".join(lines) + "\n"
     target2 = tmp_path / "fig2.csv"
     assert run(["figure", "--output", str(target2), "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -206,6 +206,22 @@ def test_verify_layout(capsys):
     )
 
 
+def test_figure_summary_layout(tmp_path, capsys):
+    # With --output the CSV goes to the file in every format, and --format
+    # shapes only the one-line summary on stdout; its JSON is unindented.
+    target = str(tmp_path / "figure.csv")
+    base = centroid_exterior(REF_PARAMS, REF_HOLE, 0.0).value
+    shifted = centroid_exterior(REF_PARAMS, REF_HOLE, 2.0).value
+    line = f"wrote {target}: base={g(base)} shifted={g(shifted)}\n"
+    argv = ["figure", "--output", target]
+    assert _stdout([*argv, "--format", "text"], capsys) == line
+    assert _stdout([*argv, "--format", "csv"], capsys) == line
+    assert _stdout([*argv, "--format", "json"], capsys) == (
+        f'{{"command": "figure", "output": {json.dumps(target)}, '
+        f'"centroid_base": {j(base)}, "centroid_shifted": {j(shifted)}}}\n'
+    )
+
+
 NUMBER = r"-?\d[\d.e+-]*|nan"
 
 

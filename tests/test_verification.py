@@ -7,13 +7,14 @@ import pytest
 
 from trunc_centroid import verification
 from trunc_centroid.centroid import centroid_exterior
+from trunc_centroid.cli import _csv, run
 from trunc_centroid.errors import ParameterError
 from trunc_centroid.figure import (
     REFERENCE_HOLE,
     REFERENCE_PARAMS,
     REFERENCE_SHIFT,
     reference_example_rows,
-    render_reference_figure,
+    reference_figure,
 )
 from trunc_centroid.philox import CounterStream
 from trunc_centroid.special import std_pdf
@@ -21,7 +22,7 @@ from trunc_centroid.verification import (
     CheckRecord,
     SweepSpec,
     VerificationReport,
-    render_report_csv,
+    report_rows,
     verify_bounds,
     verify_certificate_positive,
     verify_derivative,
@@ -275,6 +276,26 @@ def test_random_sweep_of_2_53_draws_or_more_is_refused(check):
         check(spec)
 
 
+@pytest.mark.parametrize(
+    "check", [verify_monotonicity, verify_certificate_positive, verify_bounds, verify_derivative]
+)
+def test_random_range_whose_width_overflows_is_refused(check):
+    # max - min overflows to inf, and min + u * inf lies outside the range.
+    # The plane sweeps (certificate, bounds) draw no shift, so a wide
+    # h_range is theirs to ignore.
+    wide, unit = (-1e308, 1e308, 1.0), (0.0, 1.0, 1.0)
+    random = dict(mode="random", n_random=4, seed=1)
+    refused = [SweepSpec(wide, unit, unit, **random), SweepSpec(unit, wide, unit, **random)]
+    wide_h = SweepSpec(unit, unit, wide, **random)
+    if check in (verify_certificate_positive, verify_bounds):
+        assert check(wide_h).checks_run > 0
+    else:
+        refused.append(wide_h)
+    for spec in refused:
+        with pytest.raises(ParameterError, match=r"_range \(-1e\+308, 1e\+308, 1\.0\) is too wide"):
+            check(spec)
+
+
 def test_report_csv_rendering_exact():
     bad = CheckRecord("monotonicity", -1.0, 1.0, 0.5, 0.25, 0.5, -0.25)
     tiny = CheckRecord("certificate_positive", 8.0, -8.0, math.nan, 1e-290, 0.0, 1e-290)
@@ -286,7 +307,7 @@ def test_report_csv_rendering_exact():
         min_margin=-0.25,
         min_margin_record=bad,
     )
-    text = render_report_csv([report])
+    text = _csv(",".join(CheckRecord._fields), report_rows([report]))
     lines = text.splitlines()
     assert lines[0] == "check,x1,x2,h,lhs,rhs,margin"
     assert lines[1] == "monotonicity,-1,1,0.5,0.25,0.5,-0.25"
@@ -316,8 +337,11 @@ def test_reference_rows_shape_and_mask():
     assert by_x[-2.0][1] == std_pdf(-2.5) / 2.0
 
 
-def test_reference_figure_text():
-    text, base, shifted = render_reference_figure()
+def test_reference_figure_text(capsys):
+    assert run(["figure"]) == 0
+    text = capsys.readouterr().out
+    rows, base, shifted = reference_figure()
+    assert rows[-1] == ("centroid", base, shifted)
     lines = text.splitlines()
     assert len(lines) == 2003
     assert lines[0] == "x,fX_masked,fY_masked"

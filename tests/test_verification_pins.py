@@ -7,19 +7,24 @@ minimum-margin tie-break.  The two wide monotonicity pins are the
 exception: they hold holes whose support mass is subnormal, which the
 scalar sweeps sent to a log-space centroid and the array sweeps set aside
 as untestable, so they were rendered by the array sweeps.
+
+The reports are formatted by the CLI's CSV code, as `verify --format csv`
+prints them.
 """
 
 import hashlib
 
 import pytest
 
+from trunc_centroid.cli import _csv
 from trunc_centroid.verification import (
     DEFAULT_BOUNDS_SPEC,
     DEFAULT_CERTIFICATE_SPEC,
     DEFAULT_DERIVATIVE_SPEC,
     DEFAULT_MONOTONICITY_SPEC,
+    CheckRecord,
     SweepSpec,
-    render_report_csv,
+    report_rows,
     verify_bounds,
     verify_certificate_positive,
     verify_derivative,
@@ -27,6 +32,11 @@ from trunc_centroid.verification import (
 )
 
 HEADER = "check,x1,x2,h,lhs,rhs,margin\n"
+
+
+def render(report) -> str:
+    return _csv(",".join(CheckRecord._fields), report_rows([report]))
+
 
 SWEEPS = {
     "monotonicity": (verify_monotonicity, DEFAULT_MONOTONICITY_SPEC),
@@ -108,21 +118,21 @@ WIDE_PINS = [
 @pytest.mark.parametrize("check", sorted(DEFAULT_CSV))
 def test_default_report_bytes(check):
     run, _ = SWEEPS[check]
-    assert render_report_csv([run()]) == HEADER + DEFAULT_CSV[check]
+    assert render(run()) == HEADER + DEFAULT_CSV[check]
 
 
 @pytest.mark.parametrize("check,seed", sorted(SEEDED_CSV))
 def test_seeded_report_bytes(check, seed):
     run, d = SWEEPS[check]
     spec = SweepSpec(d.l_range, d.u_range, d.h_range, mode="random", n_random=1000, seed=seed)
-    assert render_report_csv([run(spec)]) == HEADER + SEEDED_CSV[(check, seed)]
+    assert render(run(spec)) == HEADER + SEEDED_CSV[(check, seed)]
 
 
 @pytest.mark.parametrize("pin", WIDE_PINS, ids=lambda p: f"{p[0]}-{p[1].mode}")
 def test_wide_report_pins(pin):
     check, spec, checks_run, untestable, min_row, digest = pin
     report = SWEEPS[check][0](spec)
-    text = render_report_csv([report])
+    text = render(report)
     assert report.checks_run == checks_run
     assert len(report.untestable) == untestable
     assert text.splitlines()[-1] == min_row
