@@ -157,7 +157,7 @@ def centroid_exterior(
 
 def _certificate_from(x1, x2, f1, f2, m):
     """slope_certificate from std_pdf(x1), std_pdf(x2) and m, as floats or
-    as numpy arrays, with the same bits either way."""
+    as arrays, with the same bits either way."""
     d = f1 - f2
     return (x1 * f1 - x2 * f2) * m + m * m - d * d
 

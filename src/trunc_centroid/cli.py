@@ -16,8 +16,9 @@ Exit codes: 0 success, 1 domain/computation error (sigma <= 0, bad hole,
 deep truncation for oracle or sampler, a centroid or a draw beyond the
 float range, a sweep too large for memory, a sample, a sweep grid or a
 random sweep of 2^53 points or more, a random sweep over a range whose
-width overflows), 2 usage error (an unknown option or an --output that
-cannot be written included).
+width overflows, a derivative sweep that meets a support mass of 0), 2
+usage error (an unknown option or an --output that cannot be written
+included).
 
 JSON output is strict: a non-finite float (an unused CSV cell, an
 untestable ratio, the Monte Carlo support mass) is written as null.
@@ -39,7 +40,7 @@ import math
 import sys
 
 from .centroid import centroid_exterior, shift_comparison
-from .errors import TruncCentroidError
+from .errors import DomainError, TruncCentroidError
 from .figure import reference_figure
 from .model import ExcludedInterval, GaussianParams
 from .quadrature import centroid_quadrature
@@ -326,7 +327,13 @@ def _cmd_verify(args) -> int:
             n_random=args.n_random if args.mode == "random" else 0,
             seed=args.seed if args.seed is not None else 0,
         )
-        reports.append(runner(spec))
+        try:
+            reports.append(runner(spec))
+        except ZeroDivisionError:  # verify_derivative, at a support mass of 0
+            raise DomainError(
+                f"{name} sweep: the support mass underflows to 0 where both edges"
+                " lie about 38.5 or more from the shift"
+            ) from None
     payload = {
         "command": "verify",
         "inputs": _inputs(args, "check", "mode", "n_random", "seed"),

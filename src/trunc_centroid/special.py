@@ -23,25 +23,13 @@ monotonicity argument:
 
 The root is hypot(x, 2), which does not overflow, and where the bound
 decays it is taken as that reciprocal, so no digits cancel.
-
-std_pdf_array, std_tail_array and std_cdf_array evaluate the density and
-the tails over numpy arrays, element for element the same bits as the
-scalar functions: they call math.exp and math.erfc on each element,
-because numpy's exp differs from math.exp in the last bit on some inputs
-and numpy has no erfc.  They skip the finiteness check.  They import
-numpy on their first call; the scalar functions need only math, so the
-closed form runs without numpy.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
 
 from .errors import DomainError, require_finite
-
-if TYPE_CHECKING:
-    import numpy as np
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -75,30 +63,6 @@ def std_pdf(x: float) -> float:
     """
     x = require_finite(x, "x")
     return INV_SQRT_2PI * math.exp(-0.5 * (x * x))
-
-
-def _elementwise(fn, x: np.ndarray) -> np.ndarray:
-    """fn applied to every element of x, in an array of x's shape."""
-    import numpy as np
-
-    x = np.asarray(x, dtype=float)
-    # A memoryview yields the elements as Python floats without a list.
-    return np.fromiter(map(fn, memoryview(x.ravel())), float, x.size).reshape(x.shape)
-
-
-def std_pdf_array(x: np.ndarray) -> np.ndarray:
-    """std_pdf at every element of x."""
-    return INV_SQRT_2PI * _elementwise(math.exp, -0.5 * (x * x))
-
-
-def std_cdf_array(x: np.ndarray) -> np.ndarray:
-    """std_cdf at every element of x."""
-    return 0.5 * _elementwise(math.erfc, -x * INV_SQRT2)
-
-
-def std_tail_array(x: np.ndarray) -> np.ndarray:
-    """std_tail at every element of x."""
-    return 0.5 * _elementwise(math.erfc, x * INV_SQRT2)
 
 
 def _tail(x: float) -> float:

@@ -17,22 +17,22 @@ The sweeps evaluate the paper's formulas, which its argument is about:
 the centroid ratio h + (pdf(u - h) - pdf(l - h)) / m, and the slope as the
 certificate over m**2 and in quotient-rule form.  They compute them as
 numpy arrays, so margins have the bits of those formulas, not of
-std_exterior_centroid; exp and erfc run element by element through the
-math module (special.std_*_array), and on a grid on the 1-D axes only,
-broadcast over the plane.  Those libm calls are the floor of a sweep's
-cost.  Only the rows a report keeps (violations, untestable points, the
-minimum margin) become CheckRecords.  A random sweep reads its Philox
-stream (2 to 5, in the order of the verify_* functions below) as one
-contiguous run: n_random lows, n_random highs, then one shift per hole
-kept (a pair whose edges draw equal is dropped), twice over for
-monotonicity.
+std_exterior_centroid.  std_*_array call math.exp and math.erfc on each
+element, unchecked (numpy's exp differs in the last bit on some inputs;
+numpy has no erfc), for the bits of special's scalar functions; on a
+grid they run on the 1-D axes only, broadcast over the plane.  Those
+libm calls are the floor of a sweep's cost.  Only the rows a report
+keeps (violations, untestable points, the minimum margin) become
+CheckRecords.  A random sweep reads its Philox stream (2 to 5, in the
+order of the verify_* functions below) as one contiguous run: n_random
+lows, n_random highs, then one shift per hole kept (a pair whose edges
+draw equal is dropped), twice over for monotonicity.
 
 report_rows lists a report's rows under CheckRecord's fixed columns
 
     check,x1,x2,h,lhs,rhs,margin
 
 where a column a check does not use holds nan; the CLI formats them.
-The reference-example rows live in the numpy-free figure module.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from .centroid import _certificate_from
 from .errors import ParameterError
 from .model import _make_checked
 from .philox import CounterStream
-from .special import std_cdf_array, std_pdf_array, std_tail_array
+from .special import INV_SQRT2, INV_SQRT_2PI
 
 UNTESTABLE_FLOOR = 1e-280
 # Dividing by a density or a mass below this (a subnormal) leaves too few digits.
@@ -129,6 +129,28 @@ DEFAULT_DERIVATIVE_SPEC = SweepSpec(
 )
 
 
+def _elementwise(fn, x: np.ndarray) -> np.ndarray:
+    """fn applied to every element of x, in an array of x's shape."""
+    x = np.asarray(x, dtype=float)
+    # A memoryview yields the elements as Python floats without a list.
+    return np.fromiter(map(fn, memoryview(x.ravel())), float, x.size).reshape(x.shape)
+
+
+def std_pdf_array(x: np.ndarray) -> np.ndarray:
+    """std_pdf at every element of x."""
+    return INV_SQRT_2PI * _elementwise(math.exp, -0.5 * (x * x))
+
+
+def std_cdf_array(x: np.ndarray) -> np.ndarray:
+    """std_cdf at every element of x."""
+    return 0.5 * _elementwise(math.erfc, -x * INV_SQRT2)
+
+
+def std_tail_array(x: np.ndarray) -> np.ndarray:
+    """std_tail at every element of x."""
+    return 0.5 * _elementwise(math.erfc, x * INV_SQRT2)
+
+
 def _grid(rng: tuple[float, float, float]) -> np.ndarray:
     lo, hi, step = rng
     # Past 2^53 points the indices round, and an overflowing span is inf.
@@ -142,9 +164,8 @@ class _Check(NamedTuple):
     """One check of a sweep, over arrays that broadcast together.
 
     Its rows are the points `where` selects, taken in C order, which is
-    the order the sweep enumerates them.  A column given as a Python float
-    (nan for a column the check does not use) is that float in every row.
-    `doubtful` marks points that are untestable whatever their margin.
+    the order the sweep enumerates them.  `doubtful` marks points that
+    are untestable whatever their margin.
     """
 
     name: str
@@ -160,28 +181,21 @@ class _Check(NamedTuple):
 
 def _floats(column: np.ndarray) -> list[float]:
     """The column as floats; one nan object keeps equal reports equal under ==."""
-    if np.isnan(column).any():
-        return [math.nan if x != x else x for x in column.tolist()]
-    return column.tolist()
+    cells = column.astype(object)
+    cells[np.isnan(column)] = math.nan
+    return cells.tolist()
 
 
 def _records(check: _Check, shape, mask) -> list[CheckRecord]:
-    """Records of the points `mask` selects, sorted by x1, then x2, then h.
-
-    nan sorts last, and points that tie keep their sweep order.
-    """
+    """Records of the points `mask` selects, sorted by x1, then x2, then h:
+    nan sorts last, and points that tie keep their sweep order."""
     if not mask.any():
         return []
     at = np.unravel_index(np.flatnonzero(mask), shape)
-    # A float column is that float in every row: nothing to gather or sort.
-    columns = [
-        c if isinstance(c, float) else np.broadcast_to(c, shape)[at] for c in check[2:8]
-    ]  # x1, x2, h, lhs, rhs, margin
-    order = np.lexsort([c for c in columns[2::-1] if not isinstance(c, float)])
-    cells = [
-        itertools.repeat(c) if isinstance(c, float) else _floats(c[order]) for c in columns
-    ]
-    rows = zip(itertools.repeat(check.name), *cells)
+    # x1, x2, h, lhs, rhs, margin; a constant column ties in the sort.
+    columns = [np.broadcast_to(c, shape)[at] for c in check[2:8]]
+    order = np.lexsort(columns[2::-1])
+    rows = zip(itertools.repeat(check.name), *(_floats(c[order]) for c in columns))
     return list(map(tuple.__new__, itertools.repeat(CheckRecord), rows))
 
 

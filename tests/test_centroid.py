@@ -23,15 +23,13 @@ from trunc_centroid.centroid import (
 from trunc_centroid.errors import DomainError, IntervalError, ParameterError
 from trunc_centroid.model import ExcludedInterval, GaussianParams, Method
 from trunc_centroid.quadrature import _integrate, _phi, centroid_quadrature
-from trunc_centroid.special import (
-    std_cdf,
+from trunc_centroid.special import std_cdf, std_pdf, std_tail
+from trunc_centroid.verification import (
+    _quotient_slope_from,
     std_cdf_array,
-    std_pdf,
     std_pdf_array,
-    std_tail,
     std_tail_array,
 )
-from trunc_centroid.verification import _quotient_slope_from
 
 REF_PARAMS = GaussianParams(mu=1.0, sigma=2.0)
 REF_HOLE = ExcludedInterval(lower=-1.0, upper=4.0)

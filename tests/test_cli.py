@@ -97,7 +97,8 @@ def test_range_whose_point_count_overflows_exit_code(capsys):
     # 1e300 / 1e-300 steps overflow to inf.  Counts of 2^53 or more, which
     # numpy would refuse with a ValueError, are refused before any draw, and
     # so is a range whose width overflows (1e308 is written in fixed point,
-    # as argparse reads -1e308 as an option).
+    # as argparse reads -1e308 as an option).  The derivative sweep divides
+    # by a support mass of 0 at the holes with both edges beyond about 38.5.
     sweep = ["verify", "--mode", "random", "--seed", "1", "--n-random"]
     big = f"{1e308:.0f}"
     sample = ["sample", "--mu=0", "--sigma=1", "--lower=-1", "--upper=1", "--seed", "1", "--n"]
@@ -113,6 +114,10 @@ def test_range_whose_point_count_overflows_exit_code(capsys):
         ([*sweep, "4", "--check", "certificate", "--l-range", f"-{big}", big, "1",
           "--u-range", "-1", "1", "1"],
          "l_range (-1e+308, 1e+308, 1.0) is too wide to draw from: max - min overflows"),
+        (["verify", "--check", "derivative", "--mode", "random", "--seed", "3", "--n-random",
+          "500", "--l-range", "-60", "60", "1", "--u-range", "-60", "60", "1"],
+         "derivative sweep: the support mass underflows to 0 where both edges lie about"
+         " 38.5 or more from the shift"),
     ]
     for argv, message in cases:
         assert run(argv) == 1, argv

@@ -1,7 +1,9 @@
 """numpy is imported only by the commands and names that compute arrays."""
 
+import ast
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -110,3 +112,30 @@ def test_lazy_names_resolve():
         tc.no_such_name
     with pytest.raises(ImportError):
         exec("from trunc_centroid import no_such_name", {})
+
+
+def _numpy_imports(tree: ast.Module):
+    """(top level, line) of every import of numpy or a numpy submodule."""
+    top = set(map(id, tree.body))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name == "numpy" or name.startswith("numpy.") for name in names):
+            yield id(node) in top, node.lineno
+
+
+def test_numpy_is_imported_at_the_top_of_three_modules_only():
+    # An import inside a function, an if block (TYPE_CHECKING included) or
+    # a try block counts as not at the top.
+    package = pathlib.Path(tc.__file__).parent
+    found = {}
+    for path in sorted(package.glob("*.py")):
+        for at_top, line in _numpy_imports(ast.parse(path.read_text(), str(path))):
+            found.setdefault(path.name, []).append((at_top, line))
+    assert sorted(found) == ["philox.py", "sampler.py", "verification.py"]
+    for name, imports in found.items():
+        assert all(at_top for at_top, _ in imports), (name, imports)

@@ -18,12 +18,10 @@ from trunc_centroid.special import (
     mills_lower_bound_tail,
     mills_ratio,
     std_cdf,
-    std_cdf_array,
     std_pdf,
-    std_pdf_array,
     std_tail,
-    std_tail_array,
 )
+from trunc_centroid.verification import std_cdf_array, std_pdf_array, std_tail_array
 
 GRID = [x * 0.25 for x in range(-32, 33)]
 
