@@ -21,12 +21,15 @@ std_exterior_centroid.  std_*_array call math.exp and math.erfc on each
 element, unchecked (numpy's exp differs in the last bit on some inputs;
 numpy has no erfc), for the bits of special's scalar functions; on a
 grid they run on the 1-D axes only, broadcast over the plane.  Those
-libm calls are the floor of a sweep's cost.  Only the rows a report
-keeps (violations, untestable points, the minimum margin) become
-CheckRecords.  A random sweep reads its Philox stream (2 to 5, in the
-order of the verify_* functions below) as one contiguous run: n_random
-lows, n_random highs, then one shift per hole kept (a pair whose edges
-draw equal is dropped), twice over for monotonicity.
+libm calls are the floor of a sweep's cost.  The element-wise arithmetic
+runs in tiles of at most 8192 points (one row at least): runs of rows of
+the outer axis (x1, or the hole's lower edge), or of a random cloud's
+points, so no temporary spans the plane.  The report folds the tiles:
+only the rows it keeps (violations, untestable points, the minimum
+margin) become CheckRecords.  A random sweep reads its Philox stream (2
+to 5, in the order of the verify_* functions below) as one contiguous
+run: n_random lows, n_random highs, then one shift per hole kept (a pair
+whose edges draw equal is dropped), twice over for monotonicity.
 
 report_rows lists a report's rows under CheckRecord's fixed columns
 
@@ -39,6 +42,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import sys
 from typing import Any, Iterable, NamedTuple
 
@@ -53,6 +57,17 @@ from .special import INV_SQRT2, INV_SQRT_2PI
 UNTESTABLE_FLOOR = 1e-280
 # Dividing by a density or a mass below this (a subnormal) leaves too few digits.
 _DENSITY_FLOOR = sys.float_info.min
+# Points in a tile of a sweep: a float64 temporary of 64 KiB stays under
+# glibc's 128 KiB mmap threshold, so the heap reuses it, not faulted in anew.
+_TILE_POINTS = 8192
+
+
+def _integer(value, name: str) -> int:
+    """value as an int, as operator.index takes it (a bool, a numpy integer)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ParameterError(f"{name} must be an integer, got {value!r}") from None
 
 
 class SweepSpec(
@@ -78,6 +93,7 @@ class SweepSpec(
                 raise ParameterError(f"{name} needs step > 0, got {rng!r}")
         if mode not in ("grid", "random"):
             raise ParameterError(f"mode must be grid or random, got {mode!r}")
+        n_random, seed = _integer(n_random, "n_random"), _integer(seed, "seed")
         if mode == "random" and n_random < 1:
             raise ParameterError("random mode needs n_random >= 1")
         return super().__new__(cls, l_range, u_range, h_range, mode, n_random, seed)
@@ -179,6 +195,17 @@ class _Check(NamedTuple):
     doubtful: Any = False
 
 
+def _tiled(checks, *axes):
+    """The _Checks of checks(*tile) for each tile of axes, in order.  A tile
+    cuts each array (none is 0-d) to one run of rows along axis 0: at most
+    _TILE_POINTS points, or one row where a row has more.  An array whose
+    axis 0 has length 1 is broadcast over the rows: every tile takes it whole."""
+    rows = max(len(a) for a in axes)
+    step = max(1, _TILE_POINTS // max(1, *(math.prod(a.shape[1:]) for a in axes)))
+    for start in range(0, rows, step):
+        yield from checks(*(a[start : start + step] if len(a) > 1 else a for a in axes))
+
+
 def _floats(column: np.ndarray) -> list[float]:
     """The column as floats; one nan object keeps equal reports equal under ==."""
     cells = column.astype(object)
@@ -186,31 +213,38 @@ def _floats(column: np.ndarray) -> list[float]:
     return cells.tolist()
 
 
-def _records(check: _Check, shape, mask) -> list[CheckRecord]:
-    """Records of the points `mask` selects, sorted by x1, then x2, then h:
-    nan sorts last, and points that tie keep their sweep order."""
+def _kept(check: _Check, shape, mask) -> list[list[np.ndarray]]:
+    """[x1, x2, h, lhs, rhs, margin at the points mask selects, in C order], or []."""
     if not mask.any():
         return []
     at = np.unravel_index(np.flatnonzero(mask), shape)
-    # x1, x2, h, lhs, rhs, margin; a constant column ties in the sort.
-    columns = [np.broadcast_to(c, shape)[at] for c in check[2:8]]
+    # A constant column ties in the sort.
+    return [[np.broadcast_to(c, shape)[at] for c in check[2:8]]]
+
+
+def _records(name: str, kept: list[list[np.ndarray]]) -> list[CheckRecord]:
+    """Records of one check's rows that _kept gathered, tile by tile, sorted by
+    x1, then x2, then h: nan sorts last, and rows that tie keep sweep order."""
+    if not kept:
+        return []
+    columns = [np.concatenate(c) for c in zip(*kept)]
     order = np.lexsort(columns[2::-1])
-    rows = zip(itertools.repeat(check.name), *(_floats(c[order]) for c in columns))
+    rows = zip(itertools.repeat(name), *(_floats(c[order]) for c in columns))
     return list(map(tuple.__new__, itertools.repeat(CheckRecord), rows))
 
 
 def _report(name: str, checks: Iterable[_Check]) -> VerificationReport:
-    """Counts, sorted violations and untestable rows, and the minimum margin.
+    """Counts, sorted violations and untestable rows, and the minimum margin,
+    folded over checks that may give one check's points tile by tile.
 
     Rows sort by check name, then as _records sorts them.  The minimum is
     the first row in that order among the testable rows of least margin.
     """
-    checks_run = 0
-    violations: list[CheckRecord] = []
-    untestable: list[CheckRecord] = []
-    lowest: list[CheckRecord] = []
-    low = math.inf
-    for check in sorted(checks, key=lambda c: c.name):
+    # Per check: checks_run, kept untestable and violating rows, the least
+    # margin, its kept rows, and the last tile that holds it, still unkept.
+    folds: dict[str, list] = {}
+    for check in checks:
+        fold = folds.setdefault(check.name, [0, [], [], math.inf, [], None])
         shape = np.broadcast_shapes(*(np.shape(a) for a in check[1:]))
         margin = np.broadcast_to(check.margin, shape)
         size = np.abs(margin)
@@ -222,24 +256,24 @@ def _report(name: str, checks: Iterable[_Check]) -> VerificationReport:
         if check.where is not True:
             testable &= check.where
         unsure = testable ^ check.where
-        checks_run += int(np.count_nonzero(testable)) + int(np.count_nonzero(unsure))
-        untestable += _records(check, shape, unsure)
-        violations += _records(check, shape, testable & (margin <= 0.0))
-        # With no testable point m is inf, and no testable margin equals it.
+        fold[0] += int(np.count_nonzero(testable)) + int(np.count_nonzero(unsure))
+        fold[1] += _kept(check, shape, unsure)
+        fold[2] += _kept(check, shape, testable & (margin <= 0.0))
+        # With no testable point m is inf.  A lower margin drops the rows
+        # kept so far, and a tie keeps them.
         m = np.min(margin, where=testable, initial=math.inf)
+        if m < fold[3] or m == fold[3] < math.inf:
+            lowest = fold[4] + _kept(*fold[5]) if m == fold[3] else []
+            fold[3:] = m, lowest, (check, shape, testable & (margin == m))
+    checks_run, violations, untestable, low, best = 0, [], [], math.inf, None
+    for check, (run, unsure, bad, m, lowest, last) in sorted(folds.items()):
+        checks_run += run
+        untestable += _records(check, unsure)
+        violations += _records(check, bad)
         if m < low:
-            low, lowest = m, []
-        if m == low:
-            lowest += _records(check, shape, testable & (margin == m))
-    best = lowest[0] if lowest else None
-    return VerificationReport(
-        name=name,
-        checks_run=checks_run,
-        violations=tuple(violations),
-        untestable=tuple(untestable),
-        min_margin=math.nan if best is None else best.margin,
-        min_margin_record=best,
-    )
+            low, best = m, _records(check, lowest + _kept(*last))[0]
+    least = math.nan if best is None else best.margin
+    return VerificationReport(name, checks_run, tuple(violations), tuple(untestable), least, best)
 
 
 def _offset_from(f_ru, f_rl, mass):
@@ -253,13 +287,18 @@ def _quotient_slope_from(ru, rl, f_ru, f_rl, m):
     return 1.0 + (ru * f_ru - rl * f_rl) / m - ratio * ratio
 
 
-def _centroids(shift, lower, upper):
-    """The paper's centroid ratio over arrays, and where its mass is subnormal."""
+def _densities(shift, lower, upper):
+    """The libm calls of _centroids: std_tail and std_pdf at upper - shift,
+    std_cdf and std_pdf at lower - shift."""
     ru = upper - shift
     rl = lower - shift
-    mass = std_tail_array(ru) + std_cdf_array(rl)
-    psi = shift + _offset_from(std_pdf_array(ru), std_pdf_array(rl), mass)
-    return psi, mass < _DENSITY_FLOOR
+    return std_tail_array(ru), std_pdf_array(ru), std_cdf_array(rl), std_pdf_array(rl)
+
+
+def _centroids(shift, tail_ru, f_ru, cdf_rl, f_rl):
+    """The paper's centroid ratio from _densities, and where its mass is subnormal."""
+    mass = tail_ru + cdf_rl
+    return shift + _offset_from(f_ru, f_rl, mass), mass < _DENSITY_FLOOR
 
 
 def _random_points(spec: SweepSpec, stream: int, rows: int) -> list[np.ndarray]:
@@ -297,8 +336,8 @@ def verify_monotonicity(spec: SweepSpec = DEFAULT_MONOTONICITY_SPEC) -> Verifica
     if spec.mode == "grid":
         l = _grid(spec.l_range)[:, None, None]
         u = _grid(spec.u_range)[None, :, None]
-        hs = _grid(spec.h_range)
-        h1, h2 = hs[:-1], hs[1:]
+        hs = _grid(spec.h_range)[None, None, :]
+        h1, h2 = hs[..., :-1], hs[..., 1:]
         where = u > l
     else:
         l, u, hs = _random_holes(spec, stream=2, rows=4)
@@ -306,26 +345,25 @@ def verify_monotonicity(spec: SweepSpec = DEFAULT_MONOTONICITY_SPEC) -> Verifica
         h1, h2 = np.minimum(raw_h1, raw_h2), np.maximum(raw_h1, raw_h2)
         where = raw_h1 != raw_h2
 
-    with np.errstate(all="ignore"):
-        psi1, faint1 = _centroids(h1, l, u)
-        psi2, faint2 = _centroids(h2, l, u)
-        psi0, faint0 = _centroids(0.0, l, u)
+    def tile(l, u, h1, h2, where, *densities):
+        psi1, faint1 = _centroids(h1, *densities[:4])
+        psi2, faint2 = _centroids(h2, *densities[4:8])
+        psi0, faint0 = _centroids(0.0, *densities[8:])
         moved = where & (h2 != 0.0)
         delta = psi2 - psi0
         signed = np.where(h2 > 0.0, delta, -delta)
         rise = psi2 - psi1
-        return _report(
-            "monotonicity",
-            [
-                _Check("monotonicity", where, l, u, h2, psi2, psi1, rise, faint1 | faint2),
-                _Check("shift_sign", moved, l, u, h2, delta, 0.0, signed, faint2 | faint0),
-            ],
-        )
+        return [
+            _Check("monotonicity", where, l, u, h2, psi2, psi1, rise, faint1 | faint2),
+            _Check("shift_sign", moved, l, u, h2, delta, 0.0, signed, faint2 | faint0),
+        ]
+
+    with np.errstate(all="ignore"):
+        densities = [d for h in (h1, h2, 0.0) for d in _densities(h, l, u)]
+        return _report("monotonicity", _tiled(tile, l, u, h1, h2, where, *densities))
 
 
-def verify_certificate_positive(
-    spec: SweepSpec = DEFAULT_CERTIFICATE_SPEC,
-) -> VerificationReport:
+def verify_certificate_positive(spec: SweepSpec = DEFAULT_CERTIFICATE_SPEC) -> VerificationReport:
     """The slope certificate is positive over the (x1, x2) plane.
 
     l_range and u_range parameterize the two arguments directly; there
@@ -337,13 +375,13 @@ def verify_certificate_positive(
     else:
         x1, x2, _ = _random_points(spec, stream=3, rows=2)
 
+    def tile(x1, x2, tail1, cdf2, f1, f2):
+        value = _certificate_from(x1, x2, f1, f2, tail1 + cdf2)
+        return [_Check("certificate_positive", True, x1, x2, math.nan, value, 0.0, value)]
+
     with np.errstate(all="ignore"):
-        m = std_tail_array(x1) + std_cdf_array(x2)
-        value = _certificate_from(x1, x2, std_pdf_array(x1), std_pdf_array(x2), m)
-        return _report(
-            "certificate_positive",
-            [_Check("certificate_positive", True, x1, x2, math.nan, value, 0.0, value)],
-        )
+        libm = std_tail_array(x1), std_cdf_array(x2), std_pdf_array(x1), std_pdf_array(x2)
+        return _report("certificate_positive", _tiled(tile, x1, x2, *libm))
 
 
 def verify_bounds(spec: SweepSpec = DEFAULT_BOUNDS_SPEC) -> VerificationReport:
@@ -355,7 +393,7 @@ def verify_bounds(spec: SweepSpec = DEFAULT_BOUNDS_SPEC) -> VerificationReport:
     if spec.mode == "grid":
         xs1 = _grid(spec.l_range)
         xs2 = _grid(spec.u_range)
-        # The summed form runs over the plane xs1 x xs2.
+        # The summed form runs over the plane xs1 x xs2, in tiles of rows.
         col, row = np.s_[:, None], np.s_[None, :]
     else:
         xs1, xs2, _ = _random_points(spec, stream=4, rows=2)
@@ -370,36 +408,24 @@ def verify_bounds(spec: SweepSpec = DEFAULT_BOUNDS_SPEC) -> VerificationReport:
         cdf = std_cdf_array(x)
         root = np.sqrt(x * x + 4.0)
         faint = f < _DENSITY_FLOOR
-        checks = []
         # The right-hand sides are the paper's forms (sqrt(x*x + 4) -/+ x) / 4
         # of the bounds that mills_lower_bound_tail and _cdf evaluate.
-        lhs = tail / (2.0 * f)
-        rhs = (root - x) / 4.0
-        checks.append(
-            _Check("tail_ratio_bound", True, x, nan, nan, lhs, rhs, lhs - rhs, faint)
-        )
-        lhs = cdf / (2.0 * f)
-        rhs = (root + x) / 4.0
-        checks.append(
-            _Check("cdf_ratio_bound", True, x, nan, nan, lhs, rhs, lhs - rhs, faint)
-        )
-        lhs = 2.0 * tail + x * f
-        rhs = root * f
-        checks.append(
-            _Check("tail_linear_bound", True, x, nan, nan, lhs, rhs, lhs - rhs)
-        )
-        lhs = 2.0 * cdf - x * f
-        checks.append(
-            _Check("cdf_linear_bound", True, x, nan, nan, lhs, rhs, lhs - rhs)
-        )
+        sides = [
+            ("tail_ratio_bound", tail / (2.0 * f), (root - x) / 4.0, faint),
+            ("cdf_ratio_bound", cdf / (2.0 * f), (root + x) / 4.0, faint),
+            ("tail_linear_bound", 2.0 * tail + x * f, root * f, False),
+            ("cdf_linear_bound", 2.0 * cdf - x * f, root * f, False),
+        ]
+        checks = [_Check(c, True, x, nan, nan, lhs, rhs, lhs - rhs, d) for c, lhs, rhs, d in sides]
 
-        x1, f1, tail1, root1 = (a[col] for a in (x, f, tail, root))
+        def summed(x1, f1, tail1, root1, x2, f2, cdf2):
+            lhs = 2.0 * (tail1 + cdf2) + (x1 * f1 - x2 * f2)
+            rhs = root1 * f1 + np.sqrt(x2 * x2 + 4.0) * f2
+            return [_Check("summed_bound", True, x1, x2, nan, lhs, rhs, lhs - rhs)]
+
         x2 = xs2[row]
-        f2 = std_pdf_array(x2)
-        lhs = 2.0 * (tail1 + std_cdf_array(x2)) + (x1 * f1 - x2 * f2)
-        rhs = root1 * f1 + np.sqrt(x2 * x2 + 4.0) * f2
-        checks.append(_Check("summed_bound", True, x1, x2, nan, lhs, rhs, lhs - rhs))
-        return _report("bounds", checks)
+        axes = *(a[col] for a in (x, f, tail, root)), x2, std_pdf_array(x2), std_cdf_array(x2)
+        return _report("bounds", itertools.chain(checks, _tiled(summed, *axes)))
 
 
 def verify_derivative(spec: SweepSpec = DEFAULT_DERIVATIVE_SPEC) -> VerificationReport:
@@ -418,21 +444,15 @@ def verify_derivative(spec: SweepSpec = DEFAULT_DERIVATIVE_SPEC) -> Verification
     if spec.mode == "grid":
         l = _grid(spec.l_range)[:, None, None]
         u = _grid(spec.u_range)[None, :, None]
-        h = _grid(spec.h_range)
+        h = _grid(spec.h_range)[None, None, :]
         where = u > l
     else:
         l, u, hs = _random_holes(spec, stream=5, rows=3)
         h = hs[: l.size]
         where = np.ones(l.shape, dtype=bool)
 
-    with np.errstate(all="ignore"):
-        ru = u - h
-        rl = l - h
-        f_ru = std_pdf_array(ru)
-        f_rl = std_pdf_array(rl)
-        m = std_tail_array(ru) + std_cdf_array(rl)
-        if np.any(where & (m == 0.0)):
-            raise ZeroDivisionError("float division by zero")
+    def tile(l, u, h, where, ru, rl, tail_ru, f_ru, cdf_rl, f_rl, *near):
+        m = tail_ru + cdf_rl
         slope = _certificate_from(ru, rl, f_ru, f_rl, m) / (m * m)
         faint = m * m < _DENSITY_FLOOR
         quotient = _quotient_slope_from(ru, rl, f_ru, f_rl, m)
@@ -440,19 +460,24 @@ def verify_derivative(spec: SweepSpec = DEFAULT_DERIVATIVE_SPEC) -> Verification
         scale = np.fmax(np.fmax(1.0, np.abs(slope)), np.abs(quotient))
         forms = 1e-10 * scale - np.abs(slope - quotient)
         steep = where & (np.abs(slope) > 1e-8)
-        up, faint_up = _centroids(h + eps, l, u)
-        down, faint_down = _centroids(h - eps, l, u)
+        up, faint_up = _centroids(h + eps, *near[:4])
+        down, faint_down = _centroids(h - eps, *near[4:])
         fd = (up - down) / (2.0 * eps)
         fd_margin = 1e-6 - np.abs(slope - fd) / np.maximum(np.abs(fd), 1e-300)
         fd_faint = faint | faint_up | faint_down
-        return _report(
-            "derivative",
-            [
-                _Check("derivative_positive", where, l, u, h, slope, 0.0, slope, faint),
-                _Check("derivative_forms", where, l, u, h, slope, quotient, forms, faint),
-                _Check("derivative_fd", steep, l, u, h, slope, fd, fd_margin, fd_faint),
-            ],
-        )
+        return [
+            _Check("derivative_positive", where, l, u, h, slope, 0.0, slope, faint),
+            _Check("derivative_forms", where, l, u, h, slope, quotient, forms, faint),
+            _Check("derivative_fd", steep, l, u, h, slope, fd, fd_margin, fd_faint),
+        ]
+
+    with np.errstate(all="ignore"):
+        tail_ru, f_ru, cdf_rl, f_rl = _densities(h, l, u)
+        if any(_tiled(lambda w, t, c: [np.any(w & (t + c == 0.0))], where, tail_ru, cdf_rl)):
+            raise ZeroDivisionError("float division by zero")
+        near = [d for shift in (h + eps, h - eps) for d in _densities(shift, l, u)]
+        axes = l, u, h, where, u - h, l - h, tail_ru, f_ru, cdf_rl, f_rl, *near
+        return _report("derivative", _tiled(tile, *axes))
 
 
 def report_rows(reports: Iterable[VerificationReport]) -> list[CheckRecord]:

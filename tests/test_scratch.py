@@ -116,18 +116,22 @@ def test_threads_reproduce_the_serial_batches():
 
 
 def test_threads_reproduce_the_serial_sweeps():
-    # Random sweeps read their streams through CounterStream.take.
+    # Random sweeps read their streams through CounterStream.take; the
+    # plane sweeps walk their grids (161 x 161 and up) in several tiles.
+    v = verification
     specs = [
-        verification.SweepSpec((-5.0, 5.0, 0.5), (-4.0, 6.0, 0.5), (-3.0, 3.0, 0.5),
-                               mode="random", n_random=3_000, seed=seed)
+        (v.SweepSpec((-5.0, 5.0, 0.5), (-4.0, 6.0, 0.5), (-3.0, 3.0, 0.5),
+                     mode="random", n_random=3_000, seed=seed),
+         v.SweepSpec((-8.0, 8.0 + seed, 0.1), (-8.0 - seed, 8.0, 0.1), (0.0, 1.0, 1.0)))
         for seed in range(4)
     ]
-    checks = (verification.verify_monotonicity, verification.verify_derivative)
 
-    def sweep(spec):
-        return [check(spec) for check in checks]
+    def sweep(pair):
+        cloud, grid = pair
+        return [v.verify_monotonicity(cloud), v.verify_derivative(cloud),
+                v.verify_certificate_positive(grid), v.verify_bounds(grid)]
 
-    serial = [sweep(spec) for spec in specs]
+    serial = [sweep(pair) for pair in specs]
     assert _on_four_threads(sweep, specs) == serial
 
 

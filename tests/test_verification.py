@@ -1,6 +1,7 @@
 """Sweep-report tests: counts, determinism, CSV rendering, reference CSV."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -127,6 +128,22 @@ def test_bounds_wide_range_sets_faint_densities_aside():
     assert verify_bounds(spec) == report
 
 
+@pytest.mark.parametrize("sweep", [verify_certificate_positive, verify_bounds])
+def test_plane_sweeps_run_in_bounded_memory(sweep):
+    # A grid runs in tiles of rows, so no temporary spans its plane: on
+    # 1601 x 1601 points (20 MB a float64 plane) the peak stays under
+    # 4 MiB.  numpy reports its allocations to tracemalloc.
+    spec = SweepSpec((-8.0, 8.0, 0.01), (-8.0, 8.0, 0.01), (0.0, 1.0, 1.0))
+    tracemalloc.start()
+    try:
+        report = sweep(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.checks_run >= 1601 * 1601 and report.passed
+    assert peak < 4 * 2**20
+
+
 def test_derivative_wide_range_zero_mass_raises():
     # The quotient-rule form divides by the support mass, which is exactly
     # 0 for some of these holes.
@@ -199,7 +216,8 @@ def _assert_points(monkeypatch, make_stream, spec: SweepSpec) -> None:
     assert _same(rise.h, np.maximum(raw_h1, raw_h2))
     assert _same(rise.where, raw_h1 != raw_h2)
     # rhs is the centroid at the smaller shift of each pair.
-    psi1, _ = verification._centroids(np.minimum(raw_h1, raw_h2), l, u)
+    h1 = np.minimum(raw_h1, raw_h2)
+    psi1, _ = verification._centroids(h1, *verification._densities(h1, l, u))
     assert _same(rise.rhs, psi1)
 
 
@@ -240,6 +258,11 @@ def test_hole_whose_edges_draw_equal_shortens_the_shift_runs(monkeypatch):
         dict(l_range=(0.0, math.inf, 0.5)),
         dict(mode="fuzz"),
         dict(mode="random", n_random=0),
+        dict(mode="random", n_random=2.5),
+        dict(mode="random", n_random="3"),
+        dict(mode="random", n_random=1, seed=1.5),
+        dict(mode="random", n_random=1, seed=None),
+        dict(n_random=2.0),
     ],
 )
 def test_sweep_spec_validation(kwargs):
@@ -251,6 +274,16 @@ def test_sweep_spec_validation(kwargs):
     base.update(kwargs)
     with pytest.raises(ParameterError):
         SweepSpec(**base)
+
+
+@pytest.mark.parametrize("field,value", [("n_random", 2.5), ("n_random", "3"), ("seed", None)])
+def test_sweep_spec_names_a_count_that_is_not_an_integer(field, value):
+    unit = (0.0, 1.0, 1.0)
+    with pytest.raises(ParameterError, match=f"^{field} must be an integer, got {value!r}$"):
+        SweepSpec(unit, unit, unit, mode="random", **{"n_random": 1, field: value})
+    # Whatever operator.index takes passes: a bool, a numpy integer.
+    spec = SweepSpec(unit, unit, unit, "random", True, np.int64(7))
+    assert spec == SweepSpec(unit, unit, unit, "random", 1, 7) and type(spec.seed) is int
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,9 @@ reproduce them exactly: same rows, same 17-digit values, same
 minimum-margin tie-break.  The two wide monotonicity pins are the
 exception: they hold holes whose support mass is subnormal, which the
 scalar sweeps sent to a log-space centroid and the array sweeps set aside
-as untestable, so they were rendered by the array sweeps.
+as untestable, so they were rendered by the array sweeps.  So were the
+four pins that span several tiles, over the whole plane or cloud at once,
+before the sweeps ran in tiles.
 
 The reports are formatted by the CLI's CSV code, as `verify --format csv`
 prints them.
@@ -72,9 +74,12 @@ SEEDED_CSV = {
 
 WIDE = dict(l_range=(-60.0, 60.0, 1.0), u_range=(-60.0, 60.0, 1.0), h_range=(-30.0, 30.0, 1.0))
 
-# (check, spec) -> (checks_run, untestable rows, min_margin row, sha256 of the CSV)
-WIDE_PINS = [
-    (
+# An x1 axis whose values repeat: at 1e16 a step of 0.5 rounds to 0 or 2.
+REPEATED_X1 = SweepSpec((1e16, 1e16 + 64.0, 0.5), (-40.0, 40.0, 0.05), (0.0, 1.0, 1.0))
+
+# id -> (check, spec, checks_run, untestable rows, min_margin row, sha256 of the CSV)
+WIDE_PINS = {
+    "certificate-random": (
         "certificate",
         SweepSpec(**WIDE, mode="random", n_random=1000, seed=1),
         1000,
@@ -83,7 +88,7 @@ WIDE_PINS = [
         "nan,4.1954194256000599e-279,0,4.1954194256000599e-279",
         "b1113aa92f97e3fc515ac852b230647bb61d43e3981530237110a57bfb8c5291",
     ),
-    (
+    "monotonicity-random": (
         # About half of these holes have a support mass below 1e-300, and
         # 134 rows compare a centroid whose mass is subnormal.
         "monotonicity",
@@ -94,7 +99,7 @@ WIDE_PINS = [
         "0.25885874690285249,0.00025952086720337775,0,0.00025952086720337775",
         "d28bc4cdc2086d42cd47cb551e26d7f3cbd45e7465c7bc43dd2d6b0c17795e86",
     ),
-    (
+    "certificate-grid": (
         "certificate",
         SweepSpec((-40.0, 40.0, 0.5), (-40.0, 40.0, 0.5), (0.0, 1.0, 1.0)),
         25921,
@@ -103,7 +108,7 @@ WIDE_PINS = [
         "1.4807800082705503e-278",
         "db8872d1f7bc037ac2a017533c08627b24ecbcd53c775d9eb9fe66929727d772",
     ),
-    (
+    "monotonicity-grid": (
         "monotonicity",
         SweepSpec((-45.0, 45.0, 5.0), (-45.0, 45.0, 5.0), (-5.0, 5.0, 1.0)),
         3249,
@@ -112,7 +117,47 @@ WIDE_PINS = [
         "35.026987686123356,0.00074738915681393792",
         "3c0b4131b51c952361624fa95b476fd515804c84454def352ed9789190baf8f2",
     ),
-]
+    # The pins below span several tiles.  Rows whose x1 repeats across a
+    # tile boundary sort by x2 among each other, as over the whole plane.
+    "certificate-grid-repeated-x1": (
+        "certificate",
+        REPEATED_X1,
+        206529,
+        38571,
+        "certificate_positive:min_margin,10000000000000000,-25.049999999999997,nan,"
+        "1.2028724007545838e-279,0,1.2028724007545838e-279",
+        "7e08cda79954019b7f38f99e158d552c2bfa69e0d680a1c272d8007a954e3df4",
+    ),
+    "bounds-grid-repeated-x1": (
+        "bounds",
+        REPEATED_X1,
+        207045,
+        12255,
+        "summed_bound:min_margin,10000000000000000,-35.399999999999999,nan,"
+        "1.0724297977445538e-271,1.0724297966650279e-271,1.0795258836907057e-280",
+        "8c879192ad1f3f30c0478434e00efbff092cb1706fc9682a3776497840c931dd",
+    ),
+    # Untestable rows in all five checks.
+    "bounds-grid": (
+        "bounds",
+        SweepSpec((-40.0, 40.0, 0.25), (-40.0, 40.0, 0.25), (0.0, 1.0, 1.0)),
+        104325,
+        439,
+        "cdf_linear_bound:min_margin,-35.25,nan,nan,2.1367244044780379e-269,"
+        "2.1367244022718515e-269,2.2061864134136137e-278",
+        "92c28c00de51a047ed8041a0bbfbd00fd8d0d5a968c9868aef64830aea8ff9dc",
+    ),
+    # More points than one run of a random sweep.
+    "certificate-random-runs": (
+        "certificate",
+        SweepSpec(**WIDE, mode="random", n_random=20000, seed=3),
+        20000,
+        1758,
+        "certificate_positive:min_margin,36.77552586326793,-25.063764648882497,nan,"
+        "6.0213743632433329e-280,0,6.0213743632433329e-280",
+        "44c1a603b1b18695d51612326bac4a1dc760629fb90d7e80b0ac7c9e2b7cccaf",
+    ),
+}
 
 
 @pytest.mark.parametrize("check", sorted(DEFAULT_CSV))
@@ -128,7 +173,7 @@ def test_seeded_report_bytes(check, seed):
     assert render(run(spec)) == HEADER + SEEDED_CSV[(check, seed)]
 
 
-@pytest.mark.parametrize("pin", WIDE_PINS, ids=lambda p: f"{p[0]}-{p[1].mode}")
+@pytest.mark.parametrize("pin", WIDE_PINS.values(), ids=list(WIDE_PINS))
 def test_wide_report_pins(pin):
     check, spec, checks_run, untestable, min_row, digest = pin
     report = SWEEPS[check][0](spec)
