@@ -129,12 +129,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-random", type=int, default=1000)
     p.add_argument("--seed", type=int, help="required in random mode")
     for flag in ("--l-range", "--u-range", "--h-range"):
+        ignored = flag == "--h-range"
         p.add_argument(
             flag,
             type=_finite,
             nargs=3,
             metavar=("MIN", "MAX", "STEP"),
-            help="override the check's default range",
+            help="override the check's default range"
+            + (" (certificate and bounds ignore it, but still check it)" if ignored else ""),
         )
     _add_output_flags(p)
 

@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and its finiteness check.
+"""Exception types shared across the package, and its finiteness and
+integer checks.
 
 Every error raised on purpose derives from TruncCentroidError so callers
 can catch one type at the boundary.  The CLI maps these to exit code 1;
@@ -8,6 +9,7 @@ argument-parsing problems are a separate path (exit code 2).
 from __future__ import annotations
 
 import math
+import operator
 
 
 class TruncCentroidError(Exception):
@@ -28,6 +30,14 @@ def require_finite(value: float, name: str) -> float:
 
 class ParameterError(TruncCentroidError):
     """A parameter is structurally invalid (sigma <= 0, n < 1)."""
+
+
+def _integer(value, name: str) -> int:
+    """value as an int, as operator.index takes it (a bool, a numpy integer)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ParameterError(f"{name} must be an integer, got {value!r}") from None
 
 
 class IntervalError(TruncCentroidError):

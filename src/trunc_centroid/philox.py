@@ -45,6 +45,8 @@ import threading
 
 import numpy as np
 
+from .errors import ParameterError, _integer
+
 PHILOX_M0 = np.uint64(0xD2E7470EE14C6C93)
 PHILOX_M1 = np.uint64(0xCA5A826395121157)
 PHILOX_W0 = np.uint64(0x9E3779B97F4A7C15)
@@ -242,8 +244,9 @@ class CounterStream:
         self._buffer = np.empty(0, dtype=np.uint64)
 
     def take(self, n: int) -> np.ndarray:
+        n = _integer(n, "n")
         if n < 0:
-            raise ValueError(f"cannot take {n} values")
+            raise ParameterError(f"cannot take {n} values")
         out = np.empty(n, dtype=np.float64)
         have = min(n, self._buffer.size)
         _uniform_closed_open(self._buffer[:have], out[:have])

@@ -42,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DeepTruncationError, DomainError, ParameterError, require_finite
+from .errors import DeepTruncationError, DomainError, ParameterError, _integer, require_finite
 from .model import ExcludedInterval, GaussianParams
 from .philox import CHUNK_BLOCKS, _stream_words, _uniform_open, scratch, take
 from .special import _tail
@@ -110,9 +110,9 @@ def sample_exterior(
     seed: int,
 ) -> SampleBatch:
     """n independent draws from N(mu + shift, sigma^2) given the exterior."""
+    n, seed = _integer(n, "n"), _integer(seed, "seed")
     if not 1 <= n < 2**53:
         raise ParameterError(f"need 1 <= n < 2^53, got {n!r}")
-    seed = int(seed)
     loc = require_finite(params.mu + shift, "mu + shift")
     # A standardized edge may overflow; its tail is then exactly 0 or 1.
     left = _tail((loc - hole.lower) / params.sigma)

@@ -1,9 +1,10 @@
 """Numerical sweeps over every strict inequality behind the centroid result.
 
-Each verify_* function walks a grid (or a seeded random cloud) of inputs,
-evaluates one family of strict inequalities, and returns a report instead
-of raising: a sweep is an experiment, and the acceptance suite decides
-what its output means.
+Each verify_* function walks a grid (or a seeded random cloud) of inputs
+of one of two shapes, an (x1, x2) plane (certificate, bounds) or holes
+(lower, upper) with shifts (monotonicity, derivative), evaluates one family
+of strict inequalities, and returns a report instead of raising: a sweep
+is an experiment, and the acceptance suite decides what its output means.
 
 A point is set aside as "untestable-strict", rather than counted as a
 pass or a failure, when double precision cannot vouch for its strict
@@ -42,14 +43,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 import sys
 from typing import Any, Iterable, NamedTuple
 
 import numpy as np
 
 from .centroid import _certificate_from
-from .errors import ParameterError
+from .errors import ParameterError, _integer
 from .model import _make_checked
 from .philox import CounterStream
 from .special import INV_SQRT2, INV_SQRT_2PI
@@ -62,14 +62,6 @@ _DENSITY_FLOOR = sys.float_info.min
 _TILE_POINTS = 8192
 
 
-def _integer(value, name: str) -> int:
-    """value as an int, as operator.index takes it (a bool, a numpy integer)."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ParameterError(f"{name} must be an integer, got {value!r}") from None
-
-
 class SweepSpec(
     NamedTuple(
         "SweepSpec",
@@ -77,15 +69,20 @@ class SweepSpec(
          ("mode", str), ("n_random", int), ("seed", int)],
     )
 ):
-    """The grid, or the seeded random cloud, a sweep walks; a range is (min, max, step)."""
+    """The grid, or the seeded random cloud, a sweep walks; a range is (min, max, step).
+    The plane sweeps (certificate, bounds) ignore h_range but still check it."""
 
     __slots__ = ()
     _make = classmethod(_make_checked)
 
     def __new__(cls, l_range, u_range, h_range, mode="grid", n_random=0, seed=0) -> SweepSpec:
         for name, rng in (("l_range", l_range), ("u_range", u_range), ("h_range", h_range)):
-            lo, hi, step = rng
-            if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(step)):
+            try:
+                lo, hi, step = rng
+                finite = math.isfinite(lo) and math.isfinite(hi) and math.isfinite(step)
+            except (TypeError, ValueError):
+                raise ParameterError(f"{name} must be three numbers, got {rng!r}") from None
+            if not finite:
                 raise ParameterError(f"{name} must be finite, got {rng!r}")
             if not lo < hi:
                 raise ParameterError(f"{name} needs min < max, got {rng!r}")
@@ -133,11 +130,7 @@ DEFAULT_CERTIFICATE_SPEC = SweepSpec(
     u_range=(-8.0, 8.0, 0.05),
     h_range=(0.0, 1.0, 1.0),
 )
-DEFAULT_BOUNDS_SPEC = SweepSpec(
-    l_range=(-8.0, 8.0, 0.05),
-    u_range=(-8.0, 8.0, 0.05),
-    h_range=(0.0, 1.0, 1.0),
-)
+DEFAULT_BOUNDS_SPEC = DEFAULT_CERTIFICATE_SPEC
 DEFAULT_DERIVATIVE_SPEC = SweepSpec(
     l_range=(-4.0, 3.0, 0.5),
     u_range=(-3.5, 4.0, 0.5),
@@ -276,14 +269,9 @@ def _report(name: str, checks: Iterable[_Check]) -> VerificationReport:
     return VerificationReport(name, checks_run, tuple(violations), tuple(untestable), least, best)
 
 
-def _offset_from(f_ru, f_rl, mass):
-    """The paper's centroid offset from the densities at ru, rl and the mass."""
-    return (f_ru - f_rl) / mass
-
-
 def _quotient_slope_from(ru, rl, f_ru, f_rl, m):
     """The slope in quotient-rule form: algebraically the certificate / m**2."""
-    ratio = _offset_from(f_ru, f_rl, m)
+    ratio = (f_ru - f_rl) / m
     return 1.0 + (ru * f_ru - rl * f_rl) / m - ratio * ratio
 
 
@@ -298,7 +286,7 @@ def _densities(shift, lower, upper):
 def _centroids(shift, tail_ru, f_ru, cdf_rl, f_rl):
     """The paper's centroid ratio from _densities, and where its mass is subnormal."""
     mass = tail_ru + cdf_rl
-    return shift + _offset_from(f_ru, f_rl, mass), mass < _DENSITY_FLOOR
+    return shift + (f_ru - f_rl) / mass, mass < _DENSITY_FLOOR
 
 
 def _random_points(spec: SweepSpec, stream: int, rows: int) -> list[np.ndarray]:
@@ -316,11 +304,25 @@ def _random_points(spec: SweepSpec, stream: int, rows: int) -> list[np.ndarray]:
     return [lo + run * (hi - lo) for (lo, hi, _), run in zip(spec[:3], runs)]
 
 
-def _random_holes(spec: SweepSpec, stream: int, rows: int):
-    """_random_points as holes (lower, upper) and shifts; pairs that draw equal go."""
+def _plane(spec: SweepSpec, stream: int):
+    """(x1, x2): a grid column over l_range and a row over u_range, or the random pairs."""
+    if spec.mode == "grid":
+        return _grid(spec.l_range)[:, None], _grid(spec.u_range)[None, :]
+    return _random_points(spec, stream, rows=2)[:2]
+
+
+def _holes(spec: SweepSpec, stream: int, rows: int):
+    """(lower, upper, shifts, where): grid axes 0, 1 and 2, where = upper > lower;
+    or the random holes (a pair that draws equal goes) and the rows - 2 runs
+    drawn after them of one shift per kept hole, end to end."""
+    if spec.mode == "grid":
+        l = _grid(spec.l_range)[:, None, None]
+        u = _grid(spec.u_range)[None, :, None]
+        return l, u, _grid(spec.h_range)[None, None, :], u > l
     raw_l, raw_u, hs = _random_points(spec, stream, rows)
     keep = raw_l != raw_u
-    return np.minimum(raw_l, raw_u)[keep], np.maximum(raw_l, raw_u)[keep], hs
+    l, u = np.minimum(raw_l, raw_u)[keep], np.maximum(raw_l, raw_u)[keep]
+    return l, u, hs[: (rows - 2) * l.size], np.ones(l.shape, dtype=bool)
 
 
 def verify_monotonicity(spec: SweepSpec = DEFAULT_MONOTONICITY_SPEC) -> VerificationReport:
@@ -333,15 +335,11 @@ def verify_monotonicity(spec: SweepSpec = DEFAULT_MONOTONICITY_SPEC) -> Verifica
     difference, rhs is 0, and the margin is the difference signed by h.
     A row is untestable where a centroid it compares has a subnormal mass.
     """
+    l, u, hs, where = _holes(spec, stream=2, rows=4)
     if spec.mode == "grid":
-        l = _grid(spec.l_range)[:, None, None]
-        u = _grid(spec.u_range)[None, :, None]
-        hs = _grid(spec.h_range)[None, None, :]
         h1, h2 = hs[..., :-1], hs[..., 1:]
-        where = u > l
     else:
-        l, u, hs = _random_holes(spec, stream=2, rows=4)
-        raw_h1, raw_h2 = hs[: l.size], hs[l.size : 2 * l.size]
+        raw_h1, raw_h2 = np.split(hs, 2)
         h1, h2 = np.minimum(raw_h1, raw_h2), np.maximum(raw_h1, raw_h2)
         where = raw_h1 != raw_h2
 
@@ -369,11 +367,7 @@ def verify_certificate_positive(spec: SweepSpec = DEFAULT_CERTIFICATE_SPEC) -> V
     l_range and u_range parameterize the two arguments directly; there
     is no ordering constraint between them.
     """
-    if spec.mode == "grid":
-        x1 = _grid(spec.l_range)[:, None]
-        x2 = _grid(spec.u_range)[None, :]
-    else:
-        x1, x2, _ = _random_points(spec, stream=3, rows=2)
+    x1, x2 = _plane(spec, stream=3)
 
     def tile(x1, x2, tail1, cdf2, f1, f2):
         value = _certificate_from(x1, x2, f1, f2, tail1 + cdf2)
@@ -390,17 +384,7 @@ def verify_bounds(spec: SweepSpec = DEFAULT_BOUNDS_SPEC) -> VerificationReport:
     One-dimensional checks run over l_range (as x1); the summed
     two-variable form runs over l_range x u_range.
     """
-    if spec.mode == "grid":
-        xs1 = _grid(spec.l_range)
-        xs2 = _grid(spec.u_range)
-        # The summed form runs over the plane xs1 x xs2, in tiles of rows.
-        col, row = np.s_[:, None], np.s_[None, :]
-    else:
-        xs1, xs2, _ = _random_points(spec, stream=4, rows=2)
-        # The summed form runs over the pairs (xs1[i], xs2[i]).
-        col = row = np.s_[:]
-
-    x = xs1
+    x, x2 = _plane(spec, stream=4)
     nan = math.nan
     with np.errstate(all="ignore"):
         f = std_pdf_array(x)
@@ -423,8 +407,7 @@ def verify_bounds(spec: SweepSpec = DEFAULT_BOUNDS_SPEC) -> VerificationReport:
             rhs = root1 * f1 + np.sqrt(x2 * x2 + 4.0) * f2
             return [_Check("summed_bound", True, x1, x2, nan, lhs, rhs, lhs - rhs)]
 
-        x2 = xs2[row]
-        axes = *(a[col] for a in (x, f, tail, root)), x2, std_pdf_array(x2), std_cdf_array(x2)
+        axes = x, f, tail, root, x2, std_pdf_array(x2), std_cdf_array(x2)
         return _report("bounds", itertools.chain(checks, _tiled(summed, *axes)))
 
 
@@ -441,15 +424,7 @@ def verify_derivative(spec: SweepSpec = DEFAULT_DERIVATIVE_SPEC) -> Verification
     the quotient-rule form divides by it.
     """
     eps = 1e-5
-    if spec.mode == "grid":
-        l = _grid(spec.l_range)[:, None, None]
-        u = _grid(spec.u_range)[None, :, None]
-        h = _grid(spec.h_range)[None, None, :]
-        where = u > l
-    else:
-        l, u, hs = _random_holes(spec, stream=5, rows=3)
-        h = hs[: l.size]
-        where = np.ones(l.shape, dtype=bool)
+    l, u, h, where = _holes(spec, stream=5, rows=3)
 
     def tile(l, u, h, where, ru, rl, tail_ru, f_ru, cdf_rl, f_rl, *near):
         m = tail_ru + cdf_rl

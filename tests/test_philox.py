@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from numpy.random import Philox
 
+from trunc_centroid.errors import ParameterError
 from trunc_centroid.philox import (
     CHUNK_BLOCKS,
     CounterStream,
@@ -152,8 +153,10 @@ def test_counter_stream_deterministic_and_chunk_invariant():
     a = CounterStream(99, stream=2)
     b = CounterStream(99, stream=2)
     whole = a.take(16)
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError):
         b.take(-1)
+    with pytest.raises(ParameterError, match="^n must be an integer, got 2.5$"):
+        b.take(2.5)
     parts = np.concatenate([b.take(7), b.take(9)])
     assert np.array_equal(whole, parts)
     again = CounterStream(99, stream=2).take(16)

@@ -142,6 +142,21 @@ def test_sample_count_validation():
             sample_exterior(REF_PARAMS, REF_HOLE, 0.0, n, seed=5)
 
 
+@pytest.mark.parametrize(
+    "field,value", [("n", 2.5), ("n", "3"), ("seed", 1.5), ("seed", "7"), ("seed", None)]
+)
+def test_count_and_seed_that_are_not_integers_are_refused(field, value):
+    args = {"n": 16, "seed": 5, field: value}
+    with pytest.raises(ParameterError, match=f"^{field} must be an integer, got {value!r}$"):
+        sample_exterior(REF_PARAMS, REF_HOLE, 0.0, **args)
+
+
+def test_numpy_integer_count_and_seed_are_taken():
+    batch = sample_exterior(REF_PARAMS, REF_HOLE, 0.0, np.int64(16), seed=np.uint64(5))
+    assert type(batch.seed) is int and batch.seed == 5
+    assert np.array_equal(batch.values, sample_exterior(REF_PARAMS, REF_HOLE, 0.0, 16, 5).values)
+
+
 def test_deep_truncation_refused():
     with pytest.raises(DeepTruncationError):
         sample_exterior(STD, ExcludedInterval(-40.0, 41.0), 0.0, 10, seed=5)

@@ -144,6 +144,39 @@ def test_plane_sweeps_run_in_bounded_memory(sweep):
     assert peak < 4 * 2**20
 
 
+_RANDOM_60 = SweepSpec(
+    (-60.0, 60.0, 1.0), (-60.0, 60.0, 1.0), (-30.0, 30.0, 1.0), "random", 3000, 7
+)
+_TILED_SPECS = [
+    *(
+        (sweep, spec)
+        for sweep in (verify_certificate_positive, verify_bounds)
+        for spec in (
+            # An x1 axis whose values repeat: at 1e16 a step of 0.5 rounds to 0 or 2.
+            SweepSpec((1e16, 1e16 + 64.0, 0.5), (-40.0, 40.0, 0.05), (0.0, 1.0, 1.0)),
+            SweepSpec((-40.0, 40.0, 2.5), (-40.0, 40.0, 2.5), (0.0, 1.0, 1.0)),
+            _RANDOM_60,
+        )
+    ),
+    (verify_monotonicity, SweepSpec((-45.0, 45.0, 5.0), (-45.0, 45.0, 5.0), (-40.0, 40.0, 10.0))),
+    (verify_monotonicity, _RANDOM_60),
+    # The derivative refuses holes as wide as those above, which leave no
+    # support mass, so it takes narrower ones.
+    (verify_derivative, verification.DEFAULT_DERIVATIVE_SPEC),
+    (verify_derivative, SweepSpec((-8.0, 8.0, 0.5), (-8.0, 8.0, 0.5), (-2.0, 2.0, 0.5))),
+    (verify_derivative, verification.DEFAULT_DERIVATIVE_SPEC._replace(mode="random", n_random=3000)),
+]
+
+
+@pytest.mark.parametrize("sweep,spec", _TILED_SPECS)
+def test_report_does_not_depend_on_the_tile_size(monkeypatch, sweep, spec):
+    monkeypatch.setattr(verification, "_TILE_POINTS", 8192)
+    whole = sweep(spec)
+    for points in (1, 2, 7, 64):
+        monkeypatch.setattr(verification, "_TILE_POINTS", points)
+        assert sweep(spec) == whole, points
+
+
 def test_derivative_wide_range_zero_mass_raises():
     # The quotient-rule form divides by the support mass, which is exactly
     # 0 for some of these holes.
@@ -263,6 +296,9 @@ def test_hole_whose_edges_draw_equal_shortens_the_shift_runs(monkeypatch):
         dict(mode="random", n_random=1, seed=1.5),
         dict(mode="random", n_random=1, seed=None),
         dict(n_random=2.0),
+        dict(l_range=(0.0, 1.0)),
+        dict(u_range=None),
+        dict(h_range=("a", 1.0, 1.0)),
     ],
 )
 def test_sweep_spec_validation(kwargs):
@@ -274,6 +310,15 @@ def test_sweep_spec_validation(kwargs):
     base.update(kwargs)
     with pytest.raises(ParameterError):
         SweepSpec(**base)
+
+
+@pytest.mark.parametrize(
+    "field,value", [("l_range", (0.0, 1.0)), ("u_range", None), ("h_range", ("a", 1.0, 1.0))]
+)
+def test_sweep_spec_names_a_malformed_range(field, value):
+    ranges = dict(l_range=(0.0, 1.0, 1.0), u_range=(0.0, 1.0, 1.0), h_range=(0.0, 1.0, 1.0))
+    with pytest.raises(ParameterError, match=f"^{field} must be three numbers, got "):
+        SweepSpec(**{**ranges, field: value})
 
 
 @pytest.mark.parametrize("field,value", [("n_random", 2.5), ("n_random", "3"), ("seed", None)])
