@@ -238,8 +238,8 @@ class CounterStream:
     """
 
     def __init__(self, seed: int, stream: int) -> None:
-        self._key0 = seed & _MASK64
-        self._stream = stream & _MASK64
+        self._key0 = _integer(seed, "seed") & _MASK64
+        self._stream = _integer(stream, "stream") & _MASK64
         self._block = 0
         self._buffer = np.empty(0, dtype=np.uint64)
 

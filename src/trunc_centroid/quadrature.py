@@ -10,11 +10,12 @@ TAIL_CUTOFF_SIGMAS = 12, is cut at every whole sigma inside it, so a ray
 takes at most 24 panels and a problem 25.  A panel is one Gauss-Kronrod
 7-15 rule over the pair (phi(t), t * phi(t)): it evaluates phi once per
 node and forms the K15/G7 estimates of both integrals (the error
-estimator is QUADPACK's rescaled |K15 - G7| ** 1.5).  The ray's mass
-error and moment error, summed over its panels, must each meet
-max(ABS_TOL, REL_TOL * |value|), ABS_TOL = 1e-13 and REL_TOL = 1e-12, or
-ToleranceNotMetError is raised.  So the tolerances apply to the
-standardized integrals.  Where the hole covers the whole window the
+estimator is QUADPACK's rescaled |K15 - G7| ** 1.5).  The rule's sums
+run in one fixed order, so its bits do not depend on how sum() rounds.
+The ray's mass error and moment error, summed over its panels, must each
+meet max(ABS_TOL, REL_TOL * |value|), ABS_TOL = 1e-13 and REL_TOL =
+1e-12, or ToleranceNotMetError is raised.  So the tolerances apply to
+the standardized integrals.  Where the hole covers the whole window the
 oracle declines with DeepTruncationError.  The result maps back once:
 mass m, capped at 1, and centroid loc + sigma * r, r = T / m with T the
 standardized first moment; a centroid beyond the float range is a
@@ -42,7 +43,7 @@ Dm >= m), the second the rounding of loc, of the edges and of the map back.
 from __future__ import annotations
 
 import math
-from operator import add, mul
+from operator import mul
 
 from .errors import DeepTruncationError, DomainError, ToleranceNotMetError
 from .errors import require_finite
@@ -88,17 +89,21 @@ def _rule(ys: list, half: float) -> tuple[float, float]:
     Mirror nodes are summed in pairs, so a panel mirrored about 0 gives the
     same error and, for an odd integrand, exactly the opposite value.
     """
-    lo = ys[:7]
-    hi = ys[:7:-1]
-    pairs = list(map(add, lo, hi))
-    resk = _WGK[7] * ys[7] + sum(map(mul, _WGK, pairs))
-    resg = _WG[3] * ys[7] + _WG[0] * pairs[1] + _WG[1] * pairs[3] + _WG[2] * pairs[5]
-    mean = 0.5 * resk
-    resabs = _WGK[7] * abs(ys[7])
-    resasc = _WGK[7] * abs(ys[7] - mean)
-    for w, y_lo, y_hi in zip(_WGK, lo, hi):
-        resabs += w * (abs(y_lo) + abs(y_hi))
-        resasc += w * (abs(y_lo - mean) + abs(y_hi - mean))
+    y0, y1, y2, y3, y4, y5, y6, y7, y8, y9, y10, y11, y12, y13, y14 = ys
+    w0, w1, w2, w3, w4, w5, w6, w7 = _WGK
+    p0, p1, p2, p3 = y0 + y14, y1 + y13, y2 + y12, y3 + y11
+    p4, p5, p6 = y4 + y10, y5 + y9, y6 + y8
+    resk = w7 * y7 + (w0 * p0 + w1 * p1 + w2 * p2 + w3 * p3 + w4 * p4 + w5 * p5 + w6 * p6)
+    resg = _WG[3] * y7 + _WG[0] * p1 + _WG[1] * p3 + _WG[2] * p5
+    m = 0.5 * resk
+    resabs = (w7 * abs(y7) + w0 * (abs(y0) + abs(y14)) + w1 * (abs(y1) + abs(y13))
+              + w2 * (abs(y2) + abs(y12)) + w3 * (abs(y3) + abs(y11))
+              + w4 * (abs(y4) + abs(y10)) + w5 * (abs(y5) + abs(y9))
+              + w6 * (abs(y6) + abs(y8)))
+    resasc = (w7 * abs(y7 - m) + w0 * (abs(y0 - m) + abs(y14 - m))
+              + w1 * (abs(y1 - m) + abs(y13 - m)) + w2 * (abs(y2 - m) + abs(y12 - m))
+              + w3 * (abs(y3 - m) + abs(y11 - m)) + w4 * (abs(y4 - m) + abs(y10 - m))
+              + w5 * (abs(y5 - m) + abs(y9 - m)) + w6 * (abs(y6 - m) + abs(y8 - m)))
     err = abs((resk - resg) * half)
     resasc *= half
     if resasc != 0.0 and err != 0.0:

@@ -80,6 +80,8 @@ class SweepSpec(
             try:
                 lo, hi, step = rng
                 finite = math.isfinite(lo) and math.isfinite(hi) and math.isfinite(step)
+            except OverflowError:  # an int beyond the float range
+                finite = False
             except (TypeError, ValueError):
                 raise ParameterError(f"{name} must be three numbers, got {rng!r}") from None
             if not finite:

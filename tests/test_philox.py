@@ -163,6 +163,27 @@ def test_counter_stream_deterministic_and_chunk_invariant():
     assert np.array_equal(whole, again)
 
 
+@pytest.mark.parametrize(
+    "seed, stream, message",
+    [
+        (1.5, 2, "seed must be an integer, got 1.5"),
+        ("7", 2, "seed must be an integer, got '7'"),
+        (1, 2.5, "stream must be an integer, got 2.5"),
+        (1, None, "stream must be an integer, got None"),
+    ],
+)
+def test_counter_stream_refuses_a_seed_or_stream_that_is_not_an_integer(seed, stream, message):
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        CounterStream(seed, stream)
+
+
+def test_counter_stream_masks_any_integer_to_64_bits():
+    # Whatever operator.index takes passes: a bool, a numpy integer.
+    words = CounterStream(2**64 - 1, 1).take(8)
+    for seed, stream in ((-1, True), (np.uint64(2**64 - 1), np.int8(1)), (2**128 - 1, 2**64 + 1)):
+        assert np.array_equal(CounterStream(seed, stream).take(8), words)
+
+
 def test_counter_stream_separation():
     base = CounterStream(99, stream=2).take(8)
     other_stream = CounterStream(99, stream=3).take(8)

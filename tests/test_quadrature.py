@@ -10,6 +10,7 @@ its own reported error estimates.
 import math
 import random
 from decimal import Decimal, localcontext
+from operator import add, mul
 
 import pytest
 
@@ -18,11 +19,13 @@ from trunc_centroid.centroid import centroid_exterior
 from trunc_centroid.errors import DeepTruncationError, DomainError, ToleranceNotMetError
 from trunc_centroid.model import ExcludedInterval, GaussianParams, Method
 from trunc_centroid.quadrature import (
+    _NODES,
     _WG,
     _WGK,
     _integrate,
     _kronrod_panel,
     _phi,
+    _rule,
     ABS_TOL,
     MASS_REMAINDER,
     MOMENT_REMAINDER,
@@ -82,6 +85,66 @@ def _first_moment(params, hole, shift):
     """The unnormalized exterior first moment, in x units."""
     loc, _, left, right = _rays(params, hole, shift)
     return loc * (left[0] + right[0]) + params.sigma * (left[1] + right[1])
+
+
+def _loop_rule(ys, half):
+    """The 7-15 rule as a loop over the mirror pairs: the reference whose
+    bits the straight-line quadrature._rule keeps.  The weighted pair sum
+    starts from 0 and adds left to right, as sum() does up to Python 3.11
+    (3.12's sum() of floats is compensated), so the reference is the same
+    on every interpreter."""
+    lo = ys[:7]
+    hi = ys[:7:-1]
+    pairs = list(map(add, lo, hi))
+    total = 0
+    for term in map(mul, _WGK, pairs):
+        total += term
+    resk = _WGK[7] * ys[7] + total
+    resg = _WG[3] * ys[7] + _WG[0] * pairs[1] + _WG[1] * pairs[3] + _WG[2] * pairs[5]
+    mean = 0.5 * resk
+    resabs = _WGK[7] * abs(ys[7])
+    resasc = _WGK[7] * abs(ys[7] - mean)
+    for w, y_lo, y_hi in zip(_WGK, lo, hi):
+        resabs += w * (abs(y_lo) + abs(y_hi))
+        resasc += w * (abs(y_lo - mean) + abs(y_hi - mean))
+    err = abs((resk - resg) * half)
+    resasc *= half
+    if resasc != 0.0 and err != 0.0:
+        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+    return resk * half, max(err, 50.0 * EPS * resabs * half)
+
+
+def _seeded_panels():
+    """Panels of up to one sigma inside the window, as _integrate cuts them,
+    with a few whole-sigma and mirrored ones."""
+    rng = random.Random(25)
+    panels = [(-1.0, 0.0), (0.0, 1.0), (-12.0, -11.0), (11.0, 12.0), (-0.5, 0.5)]
+    for _ in range(1000):
+        a = rng.uniform(-12.0, 11.0)
+        panels.append((a, min(a + rng.uniform(1e-9, 1.0), 12.0)))
+    return panels + [(-b, -a) for a, b in panels[-50:]]
+
+
+@pytest.mark.parametrize(
+    "func, panels",
+    [
+        (_phi, _seeded_panels()),
+        (lambda ts: [4.0 * t**3 - 2.0 * t for t in ts], [(-1.0, 2.0), (-3.5, 0.25), (0.1, 0.9)]),
+        (
+            lambda ts: [abs(t - 0.123456) ** 0.5 for t in ts],
+            [(x, x + 1.0) for x in range(-4, 9)],
+        ),
+    ],
+    ids=["phi", "sign_changing_cubic", "rough"],
+)
+def test_rule_keeps_the_bits_of_the_loop(func, panels):
+    # Both the integrand and t times it, on the nodes _kronrod_panel forms.
+    for a, b in panels:
+        center, half = 0.5 * (a + b), 0.5 * (b - a)
+        ts = [center + half * x for x in _NODES]
+        fs = func(ts)
+        for ys in (fs, list(map(mul, ts, fs))):
+            assert _rule(ys, half) == _loop_rule(ys, half), (a, b)
 
 
 def test_weights_sum_to_interval_length():

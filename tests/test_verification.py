@@ -289,6 +289,7 @@ def test_hole_whose_edges_draw_equal_shortens_the_shift_runs(monkeypatch):
         dict(l_range=(0.0, 1.0, 0.0)),
         dict(l_range=(0.0, 1.0, -0.5)),
         dict(l_range=(0.0, math.inf, 0.5)),
+        dict(l_range=(0, 10**400, 1)),
         dict(mode="fuzz"),
         dict(mode="random", n_random=0),
         dict(mode="random", n_random=2.5),
