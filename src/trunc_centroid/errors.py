@@ -20,9 +20,17 @@ class DomainError(TruncCentroidError):
     """An input value is outside the mathematical domain (NaN, infinity)."""
 
 
+def _float(value) -> float:
+    """float(value), but an int beyond the float range is an infinity of its sign."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def require_finite(value: float, name: str) -> float:
     """value as a float; DomainError if it is NaN or infinite."""
-    value = float(value)
+    value = _float(value)
     if not math.isfinite(value):
         raise DomainError(f"{name} must be finite, got {value!r}")
     return value

@@ -16,7 +16,7 @@ import enum
 import math
 from typing import NamedTuple
 
-from .errors import IntervalError, ParameterError, require_finite
+from .errors import IntervalError, ParameterError, _float, require_finite
 
 
 class Method(str, enum.Enum):
@@ -47,7 +47,7 @@ class GaussianParams(NamedTuple("GaussianParams", [("mu", float), ("sigma", floa
     _make = classmethod(_make_checked)
 
     def __new__(cls, mu: float, sigma: float) -> GaussianParams:
-        mu, scale = require_finite(mu, "mu"), float(sigma)
+        mu, scale = require_finite(mu, "mu"), _float(sigma)
         if not math.isfinite(scale) or scale <= 0.0:
             raise ParameterError(f"sigma must be finite and > 0, got {sigma!r}")
         return super().__new__(cls, mu, scale)
@@ -65,7 +65,7 @@ class ExcludedInterval(NamedTuple("ExcludedInterval", [("lower", float), ("upper
     _make = classmethod(_make_checked)
 
     def __new__(cls, lower: float, upper: float) -> ExcludedInterval:
-        lo, hi = float(lower), float(upper)
+        lo, hi = _float(lower), _float(upper)
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise IntervalError(
                 f"interval endpoints must be finite (one-sided truncation is "

@@ -9,10 +9,10 @@ and it parallelizes by handing out disjoint counter ranges.
 This is the standard Random123 algorithm; the test suite checks the block
 function word for word against numpy's independent implementation.
 
-Counter-word convention used by callers in this package: block j of
-stream s is counter (j, 0, 0, s) under key (seed, 0), so every consumer
-reads one stream over contiguous counters, and the stream id in word 3
-keeps unrelated consumers off each other's blocks.  Stream ids:
+Counter-word convention used by callers in this package: word i of
+stream s is word i % 4 of counter (i // 4, 0, 0, s) under key (seed, 0);
+callers address words by index through _stream_words alone, and the
+stream id keeps unrelated consumers off each other's blocks.  Stream ids:
     0        sampler, one word per draw
     2 - 5    verification sweeps (monotonicity, certificate, bounds,
              derivative)
@@ -29,13 +29,14 @@ in again.  So work arrays come from one stack of raw buffers per thread
 (a threading.local) that grow only.  `with scratch():` opens a block,
 take(shape, dtype) hands out the next buffer, and the block's end returns
 every buffer taken inside it, so a callee's buffers serve its caller's
-next requests.  Public functions and loop bodies open blocks; helpers
-take in their caller's.  A request past SCRATCH_ITEMS = 4 * CHUNK_BLOCKS
-elements (one chunk of words) gets a fresh array, so a buffer holds at
-most 128 KiB.  No public function returns a view into the stack:
-philox4x64, CounterStream.take, inv_std_cdf and sample_exterior hand
-back arrays of their own, so threads and later calls never see each
-other's words.
+next requests.  philox4x64 and inv_std_cdf open a block a call,
+CounterStream.take one a run of words and sample_exterior one a chunk,
+and _stream_words one for its rounds; helpers take in their caller's.
+A request past SCRATCH_ITEMS = 4 * CHUNK_BLOCKS elements (one chunk of
+words) gets a fresh array, so a buffer holds at most 128 KiB.  No public
+function returns a view into the stack: philox4x64, CounterStream.take,
+inv_std_cdf and sample_exterior hand back arrays of their own, so
+threads and later calls never see each other's words.
 """
 
 from __future__ import annotations
@@ -174,41 +175,15 @@ def philox4x64(
         return tuple(w.reshape(shape).copy() for w in (x[0], y[1], x[1], y[0]))
 
 
-def philox4x64_block(
-    counter: tuple[int, int, int, int], key: tuple[int, int]
-) -> tuple[int, int, int, int]:
-    """Scalar reference implementation in plain integers.
-
-    Slow; exists so the vectorized version has an in-repo cross-check
-    that is independent of numpy's integer semantics.
-    """
-    c0, c1, c2, c3 = (v & _MASK64 for v in counter)
-    k0, k1 = (v & _MASK64 for v in key)
-    m0 = int(PHILOX_M0)
-    m1 = int(PHILOX_M1)
-    for _ in range(10):
-        prod0 = m0 * c0
-        prod1 = m1 * c2
-        hi0, lo0 = prod0 >> 64, prod0 & _MASK64
-        hi1, lo1 = prod1 >> 64, prod1 & _MASK64
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-        k0 = (k0 + int(PHILOX_W0)) & _MASK64
-        k1 = (k1 + int(PHILOX_W1)) & _MASK64
-    return c0, c1, c2, c3
-
-
-def _stream_words(seed: int, stream: int, start: int, count: int) -> np.ndarray:
-    """Words of blocks start .. start + count - 1 of a stream, shape
-    (count, 4), taken in the caller's scratch block.
-
-    Row j holds the four output words of counter (start + j, 0, 0, stream)
-    under key (seed, 0).
-    """
-    words = take((count, 4), np.uint64)
+def _stream_words(seed: int, stream: int, first: int, count: int) -> np.ndarray:
+    """Words first .. first + count - 1 of a stream, flat, taken in the
+    caller's scratch block; word i is word i % 4 of block i // 4."""
+    start, end = first // 4, (first + count + 3) // 4
+    words = take((end - start, 4), np.uint64)
     with scratch():
-        x, y = _rounds(np.arange(start, start + count, dtype=np.uint64), 0, 0, stream, seed, 0)
+        x, y = _rounds(np.arange(start, end, dtype=np.uint64), 0, 0, stream, seed, 0)
         np.stack((x[0], y[1], x[1], y[0]), axis=1, out=words)
-    return words
+    return words.reshape(-1)[first % 4 : first % 4 + count]
 
 
 def _uniform_open(words: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -231,33 +206,28 @@ def _uniform_closed_open(words: np.ndarray, out: np.ndarray) -> np.ndarray:
 class CounterStream:
     """Sequential uniform [0, 1) doubles carved from one Philox stream.
 
-    take(n) advances an internal block cursor; the sequence for a given
-    (seed, stream) is fixed regardless of how consumption is chunked.
-    Words are converted from the word stack straight into the result, and
-    the stream keeps only the unused words of its last block.
+    take(n) converts the stream's next n words straight into its result
+    and advances a word cursor, so the sequence for a given (seed, stream)
+    is fixed however it is taken.
     """
 
     def __init__(self, seed: int, stream: int) -> None:
         self._key0 = _integer(seed, "seed") & _MASK64
         self._stream = _integer(stream, "stream") & _MASK64
-        self._block = 0
-        self._buffer = np.empty(0, dtype=np.uint64)
+        self._word = 0
 
     def take(self, n: int) -> np.ndarray:
         n = _integer(n, "n")
         if n < 0:
             raise ParameterError(f"cannot take {n} values")
         out = np.empty(n, dtype=np.float64)
-        have = min(n, self._buffer.size)
-        _uniform_closed_open(self._buffer[:have], out[:have])
-        self._buffer = self._buffer[have:]
-        while have < n:
-            count = min(CHUNK_BLOCKS, (n - have + 3) // 4)
+        done = 0
+        while done < n:
+            # A run ends at a block edge, so it needs at most CHUNK_BLOCKS blocks.
+            count = min(n - done, 4 * CHUNK_BLOCKS - self._word % 4)
             with scratch():
-                words = _stream_words(self._key0, self._stream, self._block, count).reshape(-1)
-                used = min(words.size, n - have)
-                _uniform_closed_open(words[:used], out[have : have + used])
-                self._buffer = words[used:].copy()
-            self._block += count
-            have += used
+                words = _stream_words(self._key0, self._stream, self._word, count)
+                _uniform_closed_open(words, out[done : done + count])
+            self._word += count
+            done += count
         return out

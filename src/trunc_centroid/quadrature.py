@@ -46,7 +46,7 @@ import math
 from operator import mul
 
 from .errors import DeepTruncationError, DomainError, ToleranceNotMetError
-from .errors import require_finite
+from .errors import _float, require_finite
 from .model import LOW_MASS_FLOOR, LOW_SUPPORT_MASS
 from .model import CentroidResult, ExcludedInterval, GaussianParams, Method
 from .special import INV_SQRT_2PI, std_pdf
@@ -159,7 +159,7 @@ def centroid_quadrature(
     params: GaussianParams, hole: ExcludedInterval, shift: float
 ) -> CentroidResult:
     """Centroid as the ratio of the integrated moment and mass."""
-    loc = require_finite(params.mu + shift, "mu + shift")
+    loc = require_finite(params.mu + _float(shift), "mu + shift")
     sigma, cut = params.sigma, TAIL_CUTOFF_SIGMAS
     # The standardized hole edges, clamped to the window.
     edges = [min(max((x - loc) / sigma, -cut), cut) for x in (hole.lower, hole.upper)]

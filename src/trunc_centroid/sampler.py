@@ -1,9 +1,8 @@
 """Seeded draws from the Gaussian conditioned outside the hole, by inversion.
 
 Draw i is a pure function of (seed, i): it reads word i of Philox stream
-0 (block i // 4, word i % 4; block j is counter (j, 0, 0, 0) under key
-(seed, 0)), so a longer batch extends a shorter one, and the chunk size
-used to generate blocks never shows in the output.
+0 under key (seed, 0) (see philox.py), so a longer batch extends a
+shorter one, and the chunk size never shows in the output.
 
 The word becomes an open uniform u = (floor(w / 2^12) + 1/2) / 2^52 in
 (0, 1).  With the standardized edges a < b, the tail masses left =
@@ -20,11 +19,11 @@ Phi^-1 is Wichura's AS241 rational approximation (Applied Statistics 37,
 over numpy arrays; it takes the tail branches from min(p, 1 - p), so
 deep tails keep full relative precision down to the underflow floor.
 
-A chunk's words, uniforms, tail probabilities and masks, and inv_std_cdf's
-branch arrays, are taken from the calling thread's scratch (philox.py).
-So in steady state a call allocates the draws it returns, and beyond them
-only each chunk's block counters (8 bytes a block); one chunk of draws
-is the batch's values array itself.  No result is a view into the
+Phi^-1 writes each chunk of draws straight into its slice of the batch.
+The chunk's words, uniforms, tail probabilities and masks, and Phi^-1's
+branch arrays, are taken from the calling thread's scratch (philox.py),
+so in steady state a call allocates only the draws it returns and each
+chunk's block counters (8 bytes a block).  No result is a view into the
 scratch, and threads sample concurrently from stacks of their own, so a
 batch has the same bits in any thread.
 
@@ -42,7 +41,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DeepTruncationError, DomainError, ParameterError, _integer, require_finite
+from .errors import DeepTruncationError, DomainError, ParameterError
+from .errors import _float, _integer, require_finite
 from .model import ExcludedInterval, GaussianParams
 from .philox import CHUNK_BLOCKS, _stream_words, _uniform_open, scratch, take
 from .special import _tail
@@ -113,7 +113,7 @@ def sample_exterior(
     n, seed = _integer(n, "n"), _integer(seed, "seed")
     if not 1 <= n < 2**53:
         raise ParameterError(f"need 1 <= n < 2^53, got {n!r}")
-    loc = require_finite(params.mu + shift, "mu + shift")
+    loc = require_finite(params.mu + _float(shift), "mu + shift")
     # A standardized edge may overflow; its tail is then exactly 0 or 1.
     left = _tail((loc - hole.lower) / params.sigma)
     right = _tail((hole.upper - loc) / params.sigma)
@@ -124,31 +124,29 @@ def sample_exterior(
             f"exterior mass {mass:.3e} is at underflow scale; its tail "
             f"probabilities cannot be inverted"
         )
+    values = np.empty(n, dtype=np.float64)
     step = 4 * CHUNK_BLOCKS
-    # One chunk's draws are the batch itself; longer batches gather theirs.
-    values = np.empty(n, dtype=np.float64) if n > step else None
     for start in range(0, n, step):
-        count = min(step, n - start)
-        blocks = (count + 3) // 4
+        x = values[start : start + step]
         with scratch():
-            words = _stream_words(seed, _STREAM, start // 4, blocks).reshape(-1)[:count]
+            words = _stream_words(seed, _STREAM, start, x.size)
             # The words are spent, and their buffer takes the tail
             # probability p = where(go_left, u, 1 - u) * mass.
-            u = _uniform_open(words, take((count,)))
+            u = _uniform_open(words, take(x.shape))
             p = np.subtract(1.0, u, out=words.view(np.float64))
             p *= mass
             u *= mass
-            go_left = np.less_equal(u, left, out=take((count,), bool))
+            go_left = np.less_equal(u, left, out=take(x.shape, bool))
             np.copyto(p, u, where=go_left)
             # x = loc + where(go_left, sigma, -sigma) * z; -(-sigma * z) is
             # sigma * z exactly.
-            x = inv_std_cdf(p)
+            _inv_std_cdf(p, x)
             x *= -params.sigma
             np.negative(x, out=x, where=go_left)
             x += loc
             # Rounding in Phi^-1 or in loc + sigma*z may land a hair inside.
-            inside = np.greater(x, hole.lower, out=take((count,), bool))
-            inside &= np.less(x, hole.upper, out=take((count,), bool))
+            inside = np.greater(x, hole.lower, out=take(x.shape, bool))
+            inside &= np.less(x, hole.upper, out=take(x.shape, bool))
             if inside.any():
                 x[inside] = np.where(go_left[inside], hole.lower, hole.upper)
             if not np.isfinite(x, out=inside).all():
@@ -156,10 +154,6 @@ def sample_exterior(
                     f"draws overflow the float range, mu + shift = {loc!r}, "
                     f"sigma = {params.sigma!r}"
                 )
-        if values is None:
-            values = x
-        else:
-            values[start : start + count] = x
     return SampleBatch(values=values, seed=seed, acceptance_rate=1.0)
 
 
@@ -193,21 +187,24 @@ def _piecewise(mask: np.ndarray, x: np.ndarray, out: np.ndarray, on_true, on_fal
 
 
 def inv_std_cdf(p: np.ndarray) -> np.ndarray:
-    """Phi^-1 at every element of p, which must lie in (0, 1).
+    """Phi^-1 at every element of p, which must lie in (0, 1), as a new array."""
+    out = np.empty(np.shape(p))
+    _inv_std_cdf(np.ravel(p), out.reshape(-1))
+    return out
+
+
+def _inv_std_cdf(p: np.ndarray, out: np.ndarray) -> None:
+    """Phi^-1 at every element of the 1-D p into out.
 
     The central branch and the near and far tails each gather and scatter
     their elements only where the branch mask is mixed (see _piecewise);
     low-mass batches are all tail, and most tails are all near.  The work
-    arrays are taken from scratch (see philox.py); the result is a new
-    array.
+    arrays are taken from scratch (see philox.py).
     """
-    out = np.empty(np.shape(p))
-    p, flat = np.ravel(p), out.reshape(-1)
     with scratch():
         q = np.subtract(p, 0.5, out=take(p.shape))
         central = np.less_equal(np.abs(q, out=q), 0.425, out=take(p.shape, bool))
-        _piecewise(central, p, flat, _inv_central, _inv_tail)
-    return out
+        _piecewise(central, p, out, _inv_central, _inv_tail)
 
 
 def _inv_central(p: np.ndarray, z: np.ndarray) -> None:

@@ -49,7 +49,7 @@ from typing import Any, Iterable, NamedTuple
 import numpy as np
 
 from .centroid import _certificate_from
-from .errors import ParameterError, _integer
+from .errors import ParameterError, _float, _integer
 from .model import _make_checked
 from .philox import CounterStream
 from .special import INV_SQRT2, INV_SQRT_2PI
@@ -79,9 +79,9 @@ class SweepSpec(
         for name, rng in (("l_range", l_range), ("u_range", u_range), ("h_range", h_range)):
             try:
                 lo, hi, step = rng
-                finite = math.isfinite(lo) and math.isfinite(hi) and math.isfinite(step)
-            except OverflowError:  # an int beyond the float range
-                finite = False
+                if any(isinstance(v, (str, bytes, bytearray)) for v in (lo, hi, step)):
+                    raise TypeError  # float() parses a string; the sweeps would not
+                finite = all(math.isfinite(_float(v)) for v in (lo, hi, step))
             except (TypeError, ValueError):
                 raise ParameterError(f"{name} must be three numbers, got {rng!r}") from None
             if not finite:

@@ -59,6 +59,15 @@ def test_input_validation():
         GaussianParams(0.0, math.inf)
     with pytest.raises(DomainError):
         GaussianParams(math.nan, 1.0)
+    # Ints beyond the float range raise the package's errors.
+    with pytest.raises(ParameterError):
+        GaussianParams(0, 10**400)
+    with pytest.raises(DomainError):
+        GaussianParams(10**400, 1)
+    with pytest.raises(IntervalError):
+        ExcludedInterval(0, 10**400)
+    with pytest.raises(DomainError):
+        std_exterior_centroid(0.0, 0.0, 10**400)
     with pytest.raises(IntervalError):
         ExcludedInterval(1.0, 1.0)
     with pytest.raises(IntervalError):
@@ -108,6 +117,8 @@ def test_one_point_check_names_what_it_was_given():
     for fn in (centroid_exterior, shift_comparison):
         with pytest.raises(DomainError, match="^shift must be finite, got nan$"):
             fn(REF_PARAMS, REF_HOLE, math.nan)
+        with pytest.raises(DomainError, match="^shift must be finite, got inf$"):
+            fn(REF_PARAMS, REF_HOLE, 10**400)
     for fn in (std_exterior_centroid, std_exterior_centroid_slope):
         with pytest.raises(DomainError, match="^upper must be finite, got inf$"):
             fn(0.0, -1.0, math.inf)

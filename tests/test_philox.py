@@ -11,16 +11,15 @@ behavior change would show up as a disagreement between the two tests.
 import numpy as np
 import pytest
 from numpy.random import Philox
+from philox_reference import philox4x64_block
 
 from trunc_centroid.errors import ParameterError
 from trunc_centroid.philox import (
-    CHUNK_BLOCKS,
     CounterStream,
     _stream_words,
     _uniform_closed_open,
     _uniform_open,
     philox4x64,
-    philox4x64_block,
     scratch,
 )
 
@@ -114,18 +113,23 @@ def test_vectorized_matches_scalar_on_few_lanes(lanes):
 
 def test_stream_blocks_of_no_blocks():
     with scratch():
-        assert _stream_words(5, 2, 7, 0).shape == (0, 4)
+        assert _stream_words(5, 2, 28, 0).shape == (0,)
+        assert _stream_words(5, 2, 29, 0).shape == (0,)
     empty = np.zeros(0, dtype=np.uint64)
     assert [w.shape for w in philox4x64(empty, empty, empty, empty, 5, 0)] == [(0,)] * 4
 
 
 def test_counter_stream_across_a_chunk_matches_scalar_blocks():
-    # take(n) asks for one full chunk of blocks and then four more.
-    n = 4 * CHUNK_BLOCKS + 13
+    # One take, and takes that start inside a block: the second crosses the
+    # chunk boundary at word 4 * CHUNK_BLOCKS = 16 384.
+    n = 30_333
     blocks = [philox4x64_block((j, 0, 0, 3), (9, 0)) for j in range((n + 3) // 4)]
     words = np.array(blocks, dtype=np.uint64).reshape(-1)[:n]
     expected = _uniform_closed_open(words, np.empty(n))
     assert np.array_equal(CounterStream(9, stream=3).take(n), expected)
+    stream = CounterStream(9, stream=3)
+    parts = np.concatenate([stream.take(k) for k in (3, 16_383, 5, 13_942)])
+    assert np.array_equal(parts, expected)
 
 
 def _uniforms(core, words):

@@ -457,7 +457,7 @@ def test_low_mass_flag_defined_once():
 
 
 def test_non_finite_location_rejected():
-    for shift in (math.nan, math.inf):
+    for shift in (math.nan, math.inf, 10**400):
         with pytest.raises(DomainError):
             centroid_quadrature(STD, ExcludedInterval(-1.0, 1.0), shift)
     with pytest.raises(DomainError, match="mu \\+ shift"):

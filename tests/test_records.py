@@ -80,6 +80,10 @@ INVALID = [
     ("SweepSpec", {"mode": "x"}, ParameterError),
     ("SweepSpec", {"h_range": (1.0, -1.0, 0.5)}, ParameterError),
     ("SweepSpec", {"mode": "random", "n_random": 0}, ParameterError),
+    # Ints beyond the float range.
+    ("GaussianParams", {"sigma": 10**400}, ParameterError),
+    ("GaussianParams", {"mu": 10**400}, DomainError),
+    ("ExcludedInterval", {"upper": 10**400}, IntervalError),
 ]
 
 

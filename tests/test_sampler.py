@@ -5,12 +5,13 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
+from philox_reference import philox4x64_block
 
 from trunc_centroid import sampler
 from trunc_centroid.centroid import centroid_exterior
 from trunc_centroid.errors import DeepTruncationError, DomainError, ParameterError
 from trunc_centroid.model import ExcludedInterval, GaussianParams
-from trunc_centroid.philox import _stream_words, philox4x64_block, scratch
+from trunc_centroid.philox import _stream_words, scratch
 from trunc_centroid.sampler import inv_std_cdf, monte_carlo_centroid, sample_exterior
 from trunc_centroid.special import std_cdf, std_tail
 
@@ -49,7 +50,7 @@ def test_batch_reports_the_seed_as_given():
 
 def test_non_finite_location_rejected():
     # The same check, with the same message, as the quadrature oracle.
-    for shift in (math.nan, math.inf):
+    for shift in (math.nan, math.inf, 10**400, -(10**400)):
         with pytest.raises(DomainError, match="mu \\+ shift must be finite"):
             sample_exterior(STD, ExcludedInterval(-1.0, 1.0), shift, 10, seed=1)
     with pytest.raises(DomainError, match="mu \\+ shift must be finite, got inf"):
@@ -237,9 +238,12 @@ def test_stream_blocks_are_contiguous_philox_counters(stream):
     # Block j of stream s is counter (j, 0, 0, s) under key (seed, 0).
     seed = 0xDEADBEEF12345678
     with scratch():
-        words = _stream_words(seed, stream, 3, 4).copy()
+        words = _stream_words(seed, stream, 12, 16).reshape(4, 4).copy()
+        inside = _stream_words(seed, stream, 13, 14).copy()
     for row, j in enumerate(range(3, 7)):
         assert tuple(int(w) for w in words[row]) == _block(seed, stream, j)
+    # Words 13 .. 26 start and end inside blocks 3 and 6.
+    assert np.array_equal(inside, words.reshape(-1)[1:15])
 
 
 @pytest.mark.parametrize(
@@ -321,19 +325,19 @@ def test_draws_that_round_into_the_hole_are_pinned_to_their_side(monkeypatch):
     sides = sample_exterior(STD, hole, 0.0, 200, seed=3).values <= hole.lower
     assert 0 < np.count_nonzero(sides) < 200
     # Phi^-1 answering 0 puts every draw at loc, inside the hole.
-    monkeypatch.setattr(sampler, "inv_std_cdf", np.zeros_like)
+    monkeypatch.setattr(sampler, "_inv_std_cdf", lambda p, out: out.fill(0.0))
     pinned = sample_exterior(STD, hole, 0.0, 200, seed=3).values
     assert np.array_equal(pinned, np.where(sides, hole.lower, hole.upper))
 
 
 def test_high_mass_prefix_stable_across_chunks(monkeypatch):
     # 16 384 draws per 4096-block chunk, so the long batch takes two
-    # chunks and the short ones end inside them.
+    # chunks; the short ones end inside them or at the first one's end.
     hole = HIGH_MASS_HOLE
     assert 0.05 < std_cdf(hole.lower) + std_tail(hole.upper) < 0.07
     full = sample_exterior(STD, hole, 0.0, 20_000, seed=4)
     assert not _in_hole(full.values, hole)
-    for n in (1, 999, 16_385):
+    for n in (1, 999, 16_384, 16_385):
         part = sample_exterior(STD, hole, 0.0, n, seed=4)
         assert np.array_equal(part.values, full.values[:n])
     # Tiny chunks change every chunk boundary but no value.
@@ -346,10 +350,10 @@ def test_high_mass_prefix_stable_across_chunks(monkeypatch):
 
 
 def test_low_mass_prefix_stable_across_chunks(monkeypatch):
-    # 20 000 draws take two chunks of words.
+    # 20 000 draws take two chunks of words; 16 384 fill the first.
     full = sample_exterior(STD, LOW_MASS_HOLE, 0.0, 20_000, seed=6)
     assert not _in_hole(full.values, LOW_MASS_HOLE)
-    for n in (1, 4097, 17_000):
+    for n in (1, 4097, 16_384, 16_385, 17_000):
         part = sample_exterior(STD, LOW_MASS_HOLE, 0.0, n, seed=6)
         assert np.array_equal(part.values, full.values[:n])
     monkeypatch.setattr(sampler, "CHUNK_BLOCKS", 5)

@@ -12,7 +12,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from trunc_centroid import philox, verification
+from trunc_centroid import philox, sampler, verification
 from trunc_centroid.errors import DomainError
 from trunc_centroid.model import ExcludedInterval, GaussianParams
 from trunc_centroid.philox import CHUNK_BLOCKS, SCRATCH_ITEMS, CounterStream, philox4x64
@@ -75,7 +75,7 @@ def test_no_result_aliases_the_pool():
 
 def test_counter_stream_keeps_its_unused_words_apart():
     stream = CounterStream(9, 3)
-    head = stream.take(5)  # three words of block 1 are left over
+    head = stream.take(5)  # the next take starts inside block 1
     _outputs(5, 20_000)
     tail = stream.take(3 + 4 * CHUNK_BLOCKS)
     whole = CounterStream(9, 3).take(8 + 4 * CHUNK_BLOCKS)
@@ -191,3 +191,23 @@ def test_the_pool_stays_within_its_bound():
         return _pool_bytes()
 
     assert 0 < _in_fresh_thread(largest) <= POOL_BOUND
+
+
+def test_stream_and_sampler_requests_stay_under_the_cap(monkeypatch):
+    # Takes that start inside a block and cross chunks, and batches of one,
+    # two and three chunks, are all served by the stack.
+    sizes, take = [], philox.take
+
+    def recorded(shape, dtype=np.float64):
+        sizes.append(int(np.prod(shape)))
+        return take(shape, dtype)
+
+    monkeypatch.setattr(philox, "take", recorded)
+    monkeypatch.setattr(sampler, "take", recorded)
+    stream = CounterStream(9, 3)
+    for n in (3, 16_383, 5, 13_942):
+        stream.take(n)
+    for n in (1_250, 16_385, 40_000):
+        sample_exterior(STD, HIGH_MASS, 0.0, n, 1)
+        sample_exterior(STD, LOW_MASS, 0.0, n, 1)
+    assert 0 < max(sizes) <= SCRATCH_ITEMS

@@ -177,7 +177,8 @@ def test_bound_keeps_its_digits_where_the_paper_form_fails(x):
     [std_pdf, std_cdf, std_tail, log_std_tail, mills_lower_bound_tail, mills_lower_bound_cdf],
 )
 def test_nonfinite_inputs_rejected(func):
-    for bad in (math.nan, math.inf, -math.inf):
+    # An int beyond the float range is an infinity, not an OverflowError.
+    for bad in (math.nan, math.inf, -math.inf, 10**400, -(10**400)):
         with pytest.raises(DomainError):
             func(bad)
 

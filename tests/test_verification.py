@@ -314,7 +314,14 @@ def test_sweep_spec_validation(kwargs):
 
 
 @pytest.mark.parametrize(
-    "field,value", [("l_range", (0.0, 1.0)), ("u_range", None), ("h_range", ("a", 1.0, 1.0))]
+    "field,value",
+    [
+        ("l_range", (0.0, 1.0)),
+        ("u_range", None),
+        ("h_range", ("a", 1.0, 1.0)),
+        # float() would parse these; the sweeps would not.
+        ("u_range", ("0", "1", 0.5)),
+    ],
 )
 def test_sweep_spec_names_a_malformed_range(field, value):
     ranges = dict(l_range=(0.0, 1.0, 1.0), u_range=(0.0, 1.0, 1.0), h_range=(0.0, 1.0, 1.0))
