@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and its finiteness and
-integer checks.
+"""Exception types shared across the package, its finiteness and
+integer checks, and the quoting of caller input in their messages.
 
 Every error raised on purpose derives from TruncCentroidError so callers
 can catch one type at the boundary.  The CLI maps these to exit code 1;
@@ -14,6 +14,22 @@ import operator
 
 class TruncCentroidError(Exception):
     """Base class for all errors raised by this package."""
+
+
+def _quote(value) -> str:
+    """repr(value), but an int past Python's int-to-str digit limit, alone
+    or in a tuple or list, is quoted by its sign and bit length."""
+    try:
+        return repr(value)
+    except ValueError:
+        if isinstance(value, int):
+            return f"{'-' if value < 0 else ''}<int of {value.bit_length()} bits>"
+        if type(value) in (tuple, list):
+            items = ", ".join(map(_quote, value))
+            if type(value) is list:
+                return f"[{items}]"
+            return f"({items},)" if len(value) == 1 else f"({items})"
+        raise
 
 
 class DomainError(TruncCentroidError):
@@ -45,7 +61,7 @@ def _integer(value, name: str) -> int:
     try:
         return operator.index(value)
     except TypeError:
-        raise ParameterError(f"{name} must be an integer, got {value!r}") from None
+        raise ParameterError(f"{name} must be an integer, got {_quote(value)}") from None
 
 
 class IntervalError(TruncCentroidError):

@@ -16,7 +16,7 @@ import enum
 import math
 from typing import NamedTuple
 
-from .errors import IntervalError, ParameterError, _float, require_finite
+from .errors import IntervalError, ParameterError, _float, _quote, require_finite
 
 
 class Method(str, enum.Enum):
@@ -49,7 +49,7 @@ class GaussianParams(NamedTuple("GaussianParams", [("mu", float), ("sigma", floa
     def __new__(cls, mu: float, sigma: float) -> GaussianParams:
         mu, scale = require_finite(mu, "mu"), _float(sigma)
         if not math.isfinite(scale) or scale <= 0.0:
-            raise ParameterError(f"sigma must be finite and > 0, got {sigma!r}")
+            raise ParameterError(f"sigma must be finite and > 0, got {_quote(sigma)}")
         return super().__new__(cls, mu, scale)
 
 
@@ -69,7 +69,7 @@ class ExcludedInterval(NamedTuple("ExcludedInterval", [("lower", float), ("upper
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise IntervalError(
                 f"interval endpoints must be finite (one-sided truncation is "
-                f"unsupported), got ({lower!r}, {upper!r})"
+                f"unsupported), got ({_quote(lower)}, {_quote(upper)})"
             )
         if not hi > lo:
             raise IntervalError(f"excluded interval needs upper > lower, got ({lo!r}, {hi!r})")

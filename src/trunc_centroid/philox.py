@@ -11,8 +11,8 @@ function word for word against numpy's independent implementation.
 
 Counter-word convention used by callers in this package: word i of
 stream s is word i % 4 of counter (i // 4, 0, 0, s) under key (seed, 0);
-callers address words by index through _stream_words alone, and the
-stream id keeps unrelated consumers off each other's blocks.  Stream ids:
+callers read words by index through _runs alone, and the stream id keeps
+unrelated consumers off each other's blocks.  Stream ids:
     0        sampler, one word per draw
     2 - 5    verification sweeps (monotonicity, certificate, bounds,
              derivative)
@@ -29,14 +29,14 @@ in again.  So work arrays come from one stack of raw buffers per thread
 (a threading.local) that grow only.  `with scratch():` opens a block,
 take(shape, dtype) hands out the next buffer, and the block's end returns
 every buffer taken inside it, so a callee's buffers serve its caller's
-next requests.  philox4x64 and inv_std_cdf open a block a call,
-CounterStream.take one a run of words and sample_exterior one a chunk,
-and _stream_words one for its rounds; helpers take in their caller's.
-A request past SCRATCH_ITEMS = 4 * CHUNK_BLOCKS elements (one chunk of
-words) gets a fresh array, so a buffer holds at most 128 KiB.  No public
-function returns a view into the stack: philox4x64, CounterStream.take,
-inv_std_cdf and sample_exterior hand back arrays of their own, so
-threads and later calls never see each other's words.
+next requests.  _runs opens a block a run of words, philox4x64 one a
+call, _stream_words one for its rounds and sampler._inv_std_cdf one a
+call; helpers take in their caller's.  A request past SCRATCH_ITEMS =
+4 * CHUNK_BLOCKS elements (one run of words) gets a fresh array, so a
+buffer holds at most 128 KiB.  No public function returns a view into
+the stack: philox4x64, CounterStream.take and sample_exterior hand back
+arrays of their own, so threads and later calls never see each other's
+words.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ import threading
 
 import numpy as np
 
-from .errors import ParameterError, _integer
+from .errors import ParameterError, _integer, _quote
 
 PHILOX_M0 = np.uint64(0xD2E7470EE14C6C93)
 PHILOX_M1 = np.uint64(0xCA5A826395121157)
@@ -186,6 +186,20 @@ def _stream_words(seed: int, stream: int, first: int, count: int) -> np.ndarray:
     return words.reshape(-1)[first % 4 : first % 4 + count]
 
 
+def _runs(seed: int, stream: int, first: int, out: np.ndarray):
+    """Walk words first, first + 1, ... of a stream into the 1-D out, run
+    by run: yields (the run's slice of out, its words), in a scratch block
+    that ends when the next run is asked for or the walk is closed, as it
+    is when a loop body over it raises.  A run ends at a block edge, so it
+    needs at most CHUNK_BLOCKS blocks."""
+    done = 0
+    while done < out.size:
+        count = min(out.size - done, 4 * CHUNK_BLOCKS - (first + done) % 4)
+        with scratch():
+            yield out[done : done + count], _stream_words(seed, stream, first + done, count)
+        done += count
+
+
 def _uniform_open(words: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Map uint64 words to doubles in (0, 1) into out; the words are spent.
 
@@ -219,15 +233,9 @@ class CounterStream:
     def take(self, n: int) -> np.ndarray:
         n = _integer(n, "n")
         if n < 0:
-            raise ParameterError(f"cannot take {n} values")
+            raise ParameterError(f"cannot take {_quote(n)} values")
         out = np.empty(n, dtype=np.float64)
-        done = 0
-        while done < n:
-            # A run ends at a block edge, so it needs at most CHUNK_BLOCKS blocks.
-            count = min(n - done, 4 * CHUNK_BLOCKS - self._word % 4)
-            with scratch():
-                words = _stream_words(self._key0, self._stream, self._word, count)
-                _uniform_closed_open(words, out[done : done + count])
-            self._word += count
-            done += count
+        for run, words in _runs(self._key0, self._stream, self._word, out):
+            _uniform_closed_open(words, run)
+        self._word += n
         return out

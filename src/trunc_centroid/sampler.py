@@ -2,7 +2,7 @@
 
 Draw i is a pure function of (seed, i): it reads word i of Philox stream
 0 under key (seed, 0) (see philox.py), so a longer batch extends a
-shorter one, and the chunk size never shows in the output.
+shorter one, and the run size never shows in the output.
 
 The word becomes an open uniform u = (floor(w / 2^12) + 1/2) / 2^52 in
 (0, 1).  With the standardized edges a < b, the tail masses left =
@@ -19,13 +19,13 @@ Phi^-1 is Wichura's AS241 rational approximation (Applied Statistics 37,
 over numpy arrays; it takes the tail branches from min(p, 1 - p), so
 deep tails keep full relative precision down to the underflow floor.
 
-Phi^-1 writes each chunk of draws straight into its slice of the batch.
-The chunk's words, uniforms, tail probabilities and masks, and Phi^-1's
-branch arrays, are taken from the calling thread's scratch (philox.py),
-so in steady state a call allocates only the draws it returns and each
-chunk's block counters (8 bytes a block).  No result is a view into the
-scratch, and threads sample concurrently from stacks of their own, so a
-batch has the same bits in any thread.
+Phi^-1 writes each run of draws (philox._runs) into its slice of the
+batch.  The run's words, uniforms, tail probabilities and masks, and
+Phi^-1's branch arrays, are taken from the calling thread's scratch
+(philox.py), so in steady state a call allocates only the draws it
+returns and each run's block counters (8 bytes a block).  No result is a
+view into the scratch, and threads sample concurrently from stacks of
+their own, so a batch has the same bits in any thread.
 
 A draw beyond the float range is a DomainError.  The estimate handed
 back by monte_carlo_centroid is the plain sample mean with its standard
@@ -42,9 +42,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DeepTruncationError, DomainError, ParameterError
-from .errors import _float, _integer, require_finite
+from .errors import _float, _integer, _quote, require_finite
 from .model import ExcludedInterval, GaussianParams
-from .philox import CHUNK_BLOCKS, _stream_words, _uniform_open, scratch, take
+from .philox import _runs, _uniform_open, scratch, take
 from .special import _tail
 
 # The sampler's Philox stream id (see philox.py).
@@ -112,7 +112,7 @@ def sample_exterior(
     """n independent draws from N(mu + shift, sigma^2) given the exterior."""
     n, seed = _integer(n, "n"), _integer(seed, "seed")
     if not 1 <= n < 2**53:
-        raise ParameterError(f"need 1 <= n < 2^53, got {n!r}")
+        raise ParameterError(f"need 1 <= n < 2^53, got {_quote(n)}")
     loc = require_finite(params.mu + _float(shift), "mu + shift")
     # A standardized edge may overflow; its tail is then exactly 0 or 1.
     left = _tail((loc - hole.lower) / params.sigma)
@@ -125,35 +125,31 @@ def sample_exterior(
             f"probabilities cannot be inverted"
         )
     values = np.empty(n, dtype=np.float64)
-    step = 4 * CHUNK_BLOCKS
-    for start in range(0, n, step):
-        x = values[start : start + step]
-        with scratch():
-            words = _stream_words(seed, _STREAM, start, x.size)
-            # The words are spent, and their buffer takes the tail
-            # probability p = where(go_left, u, 1 - u) * mass.
-            u = _uniform_open(words, take(x.shape))
-            p = np.subtract(1.0, u, out=words.view(np.float64))
-            p *= mass
-            u *= mass
-            go_left = np.less_equal(u, left, out=take(x.shape, bool))
-            np.copyto(p, u, where=go_left)
-            # x = loc + where(go_left, sigma, -sigma) * z; -(-sigma * z) is
-            # sigma * z exactly.
-            _inv_std_cdf(p, x)
-            x *= -params.sigma
-            np.negative(x, out=x, where=go_left)
-            x += loc
-            # Rounding in Phi^-1 or in loc + sigma*z may land a hair inside.
-            inside = np.greater(x, hole.lower, out=take(x.shape, bool))
-            inside &= np.less(x, hole.upper, out=take(x.shape, bool))
-            if inside.any():
-                x[inside] = np.where(go_left[inside], hole.lower, hole.upper)
-            if not np.isfinite(x, out=inside).all():
-                raise DomainError(
-                    f"draws overflow the float range, mu + shift = {loc!r}, "
-                    f"sigma = {params.sigma!r}"
-                )
+    for x, words in _runs(seed, _STREAM, 0, values):
+        # The words are spent, and their buffer takes the tail
+        # probability p = where(go_left, u, 1 - u) * mass.
+        u = _uniform_open(words, take(x.shape))
+        p = np.subtract(1.0, u, out=words.view(np.float64))
+        p *= mass
+        u *= mass
+        go_left = np.less_equal(u, left, out=take(x.shape, bool))
+        np.copyto(p, u, where=go_left)
+        # x = loc + where(go_left, sigma, -sigma) * z; -(-sigma * z) is
+        # sigma * z exactly.
+        _inv_std_cdf(p, x)
+        x *= -params.sigma
+        np.negative(x, out=x, where=go_left)
+        x += loc
+        # Rounding in Phi^-1 or in loc + sigma*z may land a hair inside.
+        inside = np.greater(x, hole.lower, out=take(x.shape, bool))
+        inside &= np.less(x, hole.upper, out=take(x.shape, bool))
+        if inside.any():
+            x[inside] = np.where(go_left[inside], hole.lower, hole.upper)
+        if not np.isfinite(x, out=inside).all():
+            raise DomainError(
+                f"draws overflow the float range, mu + shift = {loc!r}, "
+                f"sigma = {params.sigma!r}"
+            )
     return SampleBatch(values=values, seed=seed, acceptance_rate=1.0)
 
 
@@ -184,13 +180,6 @@ def _piecewise(mask: np.ndarray, x: np.ndarray, out: np.ndarray, on_true, on_fal
         branch(np.compress(mask, x, out=gathered[:size]), results[:size])
         np.place(out, mask, results[:size])
         np.logical_not(mask, out=mask)
-
-
-def inv_std_cdf(p: np.ndarray) -> np.ndarray:
-    """Phi^-1 at every element of p, which must lie in (0, 1), as a new array."""
-    out = np.empty(np.shape(p))
-    _inv_std_cdf(np.ravel(p), out.reshape(-1))
-    return out
 
 
 def _inv_std_cdf(p: np.ndarray, out: np.ndarray) -> None:

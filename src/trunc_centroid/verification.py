@@ -49,7 +49,7 @@ from typing import Any, Iterable, NamedTuple
 import numpy as np
 
 from .centroid import _certificate_from
-from .errors import ParameterError, _float, _integer
+from .errors import ParameterError, _float, _integer, _quote
 from .model import _make_checked
 from .philox import CounterStream
 from .special import INV_SQRT2, INV_SQRT_2PI
@@ -83,13 +83,13 @@ class SweepSpec(
                     raise TypeError  # float() parses a string; the sweeps would not
                 finite = all(math.isfinite(_float(v)) for v in (lo, hi, step))
             except (TypeError, ValueError):
-                raise ParameterError(f"{name} must be three numbers, got {rng!r}") from None
+                raise ParameterError(f"{name} must be three numbers, got {_quote(rng)}") from None
             if not finite:
-                raise ParameterError(f"{name} must be finite, got {rng!r}")
+                raise ParameterError(f"{name} must be finite, got {_quote(rng)}")
             if not lo < hi:
-                raise ParameterError(f"{name} needs min < max, got {rng!r}")
+                raise ParameterError(f"{name} needs min < max, got {_quote(rng)}")
             if not step > 0.0:
-                raise ParameterError(f"{name} needs step > 0, got {rng!r}")
+                raise ParameterError(f"{name} needs step > 0, got {_quote(rng)}")
         if mode not in ("grid", "random"):
             raise ParameterError(f"mode must be grid or random, got {mode!r}")
         n_random, seed = _integer(n_random, "n_random"), _integer(seed, "seed")
@@ -296,7 +296,9 @@ def _random_points(spec: SweepSpec, stream: int, rows: int) -> list[np.ndarray]:
     lows over l_range, n_random highs over u_range, then shifts over h_range."""
     count = rows * spec.n_random
     if count >= 2**53:
-        raise ParameterError(f"{rows} x n_random = {count} is too many draws (2^53 or more)")
+        raise ParameterError(
+            f"{rows} x n_random = {_quote(count)} is too many draws (2^53 or more)"
+        )
     # With rows = 2 no shift is drawn, so h_range may be as wide as it likes.
     for name, rng in zip(("l_range", "u_range", "h_range")[:rows], spec):
         if not math.isfinite(rng[1] - rng[0]):

@@ -167,6 +167,18 @@ def test_counter_stream_deterministic_and_chunk_invariant():
     assert np.array_equal(whole, again)
 
 
+def test_counter_stream_refuses_a_negative_count():
+    stream = CounterStream(1, 2)
+    first = stream.take(3)
+    with pytest.raises(ParameterError, match="^cannot take -1 values$"):
+        stream.take(-1)
+    # Past Python's 4300-digit int-to-str limit, the count is quoted short.
+    with pytest.raises(ParameterError, match="^cannot take -<int of 16610 bits> values$"):
+        stream.take(-(10**5000))
+    # A refused take moves no cursor.
+    assert np.array_equal(np.concatenate([first, stream.take(5)]), CounterStream(1, 2).take(8))
+
+
 @pytest.mark.parametrize(
     "seed, stream, message",
     [

@@ -84,6 +84,12 @@ INVALID = [
     ("GaussianParams", {"sigma": 10**400}, ParameterError),
     ("GaussianParams", {"mu": 10**400}, DomainError),
     ("ExcludedInterval", {"upper": 10**400}, IntervalError),
+    # Ints past Python's 4300-digit int-to-str limit, which the messages quote.
+    ("GaussianParams", {"sigma": 10**5000}, ParameterError),
+    ("GaussianParams", {"sigma": -(10**5000)}, ParameterError),
+    ("ExcludedInterval", {"lower": 0, "upper": 10**5000}, IntervalError),
+    ("ExcludedInterval", {"lower": 10**5000, "upper": 0}, IntervalError),
+    ("SweepSpec", {"l_range": (0, 10**5000, 1)}, ParameterError),
 ]
 
 

@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 from philox_reference import philox4x64_block
 
-from trunc_centroid import sampler
+from trunc_centroid import philox, sampler
 from trunc_centroid.centroid import centroid_exterior
 from trunc_centroid.errors import DeepTruncationError, DomainError, ParameterError
 from trunc_centroid.model import ExcludedInterval, GaussianParams
 from trunc_centroid.philox import _stream_words, scratch
-from trunc_centroid.sampler import inv_std_cdf, monte_carlo_centroid, sample_exterior
+from trunc_centroid.sampler import _inv_std_cdf, monte_carlo_centroid, sample_exterior
 from trunc_centroid.special import std_cdf, std_tail
 
 STD = GaussianParams(0.0, 1.0)
@@ -137,8 +137,9 @@ def test_monte_carlo_needs_two_samples():
 def test_sample_count_validation():
     with pytest.raises(ParameterError):
         sample_exterior(REF_PARAMS, REF_HOLE, 0.0, 0, seed=5)
-    # Counts of 2^53 or more are refused before any array is allocated.
-    for n in (2**53, 10**19):
+    # Counts of 2^53 or more are refused before any array is allocated;
+    # counts past Python's 4300-digit int-to-str limit are quoted short.
+    for n in (2**53, 10**19, 10**5000, -(10**5000)):
         with pytest.raises(ParameterError, match=r"need 1 <= n < 2\^53"):
             sample_exterior(REF_PARAMS, REF_HOLE, 0.0, n, seed=5)
 
@@ -301,7 +302,9 @@ def test_inv_std_cdf_matches_the_stdlib():
     ]
     for p in cases:
         expected = np.array([_NORMAL.inv_cdf(float(v)) for v in p])
-        _assert_stdlib_bits(inv_std_cdf(p), expected, p)
+        out = np.empty(p.size)
+        _inv_std_cdf(p, out)
+        _assert_stdlib_bits(out, expected, p)
 
 
 @pytest.mark.parametrize(
@@ -341,7 +344,7 @@ def test_high_mass_prefix_stable_across_chunks(monkeypatch):
         part = sample_exterior(STD, hole, 0.0, n, seed=4)
         assert np.array_equal(part.values, full.values[:n])
     # Tiny chunks change every chunk boundary but no value.
-    monkeypatch.setattr(sampler, "CHUNK_BLOCKS", 3)
+    monkeypatch.setattr(philox, "CHUNK_BLOCKS", 3)
     small = sample_exterior(STD, hole, 0.0, 300, seed=4)
     assert np.array_equal(small.values, full.values[:300])
     assert small.acceptance_rate == sample_exterior(
@@ -356,7 +359,7 @@ def test_low_mass_prefix_stable_across_chunks(monkeypatch):
     for n in (1, 4097, 16_384, 16_385, 17_000):
         part = sample_exterior(STD, LOW_MASS_HOLE, 0.0, n, seed=6)
         assert np.array_equal(part.values, full.values[:n])
-    monkeypatch.setattr(sampler, "CHUNK_BLOCKS", 5)
+    monkeypatch.setattr(philox, "CHUNK_BLOCKS", 5)
     small = sample_exterior(STD, LOW_MASS_HOLE, 0.0, 2000, seed=6)
     assert np.array_equal(small.values, full.values[:2000])
 

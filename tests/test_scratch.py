@@ -16,7 +16,7 @@ from trunc_centroid import philox, sampler, verification
 from trunc_centroid.errors import DomainError
 from trunc_centroid.model import ExcludedInterval, GaussianParams
 from trunc_centroid.philox import CHUNK_BLOCKS, SCRATCH_ITEMS, CounterStream, philox4x64
-from trunc_centroid.sampler import inv_std_cdf, sample_exterior
+from trunc_centroid.sampler import _inv_std_cdf, sample_exterior
 
 STD = GaussianParams(0.0, 1.0)
 # Exterior mass 0.06: the central branch and the near tail both take
@@ -52,12 +52,14 @@ def _outputs(seed, n):
     c1 = np.arange(blocks, dtype=np.uint64)
     zeros = np.zeros(blocks, dtype=np.uint64)
     p = np.concatenate([np.linspace(1e-3, 1 - 1e-3, n // 2), np.logspace(-40, -2, n - n // 2)])
+    z = np.empty(n)
+    _inv_std_cdf(p, z)
     return [
         sample_exterior(STD, HIGH_MASS, 0.0, n, seed).values,
         sample_exterior(STD, LOW_MASS, 0.0, n, seed).values,
         *philox4x64(c0, c1, zeros, zeros, seed, 0),
         CounterStream(seed, 2).take(n),
-        inv_std_cdf(p),
+        z,
     ]
 
 
@@ -136,7 +138,7 @@ def test_threads_reproduce_the_serial_sweeps():
 
 
 def test_every_block_closes():
-    # Past SCRATCH_ITEMS elements inv_std_cdf's own work arrays are fresh
+    # Past SCRATCH_ITEMS elements _inv_std_cdf's own work arrays are fresh
     # and its branches' are pooled; under errstate(divide="raise") a p of
     # 0 makes the tail branch raise while it holds pooled buffers.
     half = SCRATCH_ITEMS // 2
@@ -144,13 +146,17 @@ def test_every_block_closes():
     calls = [
         lambda: _outputs(1, 1_250),
         lambda: _outputs(2, 20_000),
-        lambda: inv_std_cdf(past),
+        lambda: _inv_std_cdf(past, np.empty(past.size)),
         lambda: CounterStream(3, 2).take(5 + 4 * CHUNK_BLOCKS),
         lambda: sample_exterior(STD, HIGH_MASS, 0.0, 20_000, 4),
     ]
+    wide = GaussianParams(0.0, 1e308)
     raising = [
-        (DomainError, lambda: sample_exterior(GaussianParams(0.0, 1e308), HIGH_MASS, 0.0, 100, 5)),
-        (FloatingPointError, lambda: inv_std_cdf(np.concatenate([past, [0.0]]))),
+        (DomainError, lambda: sample_exterior(wide, HIGH_MASS, 0.0, 100, 5)),
+        # Raised in the first of three runs: closing the walk ends its block.
+        (DomainError, lambda: sample_exterior(wide, HIGH_MASS, 0.0, 40_000, 5)),
+        (FloatingPointError,
+         lambda: _inv_std_cdf(np.concatenate([past, [0.0]]), np.empty(past.size + 1))),
     ]
 
     def depths():

@@ -321,6 +321,9 @@ def test_sweep_spec_validation(kwargs):
         ("h_range", ("a", 1.0, 1.0)),
         # float() would parse these; the sweeps would not.
         ("u_range", ("0", "1", 0.5)),
+        # Ints past Python's 4300-digit int-to-str limit are quoted short.
+        ("l_range", (0, 10**5000)),
+        ("h_range", [10**5000, 0, 1, 2]),
     ],
 )
 def test_sweep_spec_names_a_malformed_range(field, value):
@@ -357,9 +360,10 @@ def test_random_sweep_of_2_53_draws_or_more_is_refused(check):
     # Every sweep reads at least two draws a hole, so 2^52 holes reach 2^53
     # draws; they are refused before any is taken.
     unit = (0.0, 1.0, 1.0)
-    spec = SweepSpec(unit, unit, unit, mode="random", n_random=2**52, seed=1)
-    with pytest.raises(ParameterError, match=r"is too many draws \(2\^53 or more\)"):
-        check(spec)
+    for n_random in (2**52, 10**5000):
+        spec = SweepSpec(unit, unit, unit, mode="random", n_random=n_random, seed=1)
+        with pytest.raises(ParameterError, match=r"is too many draws \(2\^53 or more\)"):
+            check(spec)
 
 
 @pytest.mark.parametrize(
