@@ -18,7 +18,8 @@ class TruncCentroidError(Exception):
 
 def _quote(value) -> str:
     """repr(value), but an int past Python's int-to-str digit limit, alone
-    or in a tuple or list, is quoted by its sign and bit length."""
+    or in a tuple or list, is quoted by its sign and bit length; any other
+    value whose repr fails so (a dict holding such an int) by its type name."""
     try:
         return repr(value)
     except ValueError:
@@ -29,7 +30,7 @@ def _quote(value) -> str:
             if type(value) is list:
                 return f"[{items}]"
             return f"({items},)" if len(value) == 1 else f"({items})"
-        raise
+        return f"<{type(value).__name__}>"
 
 
 class DomainError(TruncCentroidError):

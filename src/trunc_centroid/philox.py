@@ -220,9 +220,9 @@ def _uniform_closed_open(words: np.ndarray, out: np.ndarray) -> np.ndarray:
 class CounterStream:
     """Sequential uniform [0, 1) doubles carved from one Philox stream.
 
-    take(n) converts the stream's next n words straight into its result
-    and advances a word cursor, so the sequence for a given (seed, stream)
-    is fixed however it is taken.
+    take(n), for 0 <= n < 2**53, converts the stream's next n words
+    straight into its result and advances a word cursor, so the sequence
+    for a given (seed, stream) is fixed however it is taken.
     """
 
     def __init__(self, seed: int, stream: int) -> None:
@@ -232,7 +232,7 @@ class CounterStream:
 
     def take(self, n: int) -> np.ndarray:
         n = _integer(n, "n")
-        if n < 0:
+        if not 0 <= n < 2**53:
             raise ParameterError(f"cannot take {_quote(n)} values")
         out = np.empty(n, dtype=np.float64)
         for run, words in _runs(self._key0, self._stream, self._word, out):

@@ -8,11 +8,10 @@ is an experiment, and the acceptance suite decides what its output means.
 
 A point is set aside as "untestable-strict", rather than counted as a
 pass or a failure, when double precision cannot vouch for its strict
-inequality: its margin is not finite or below 1e-280 in magnitude, or it
-divides by a subnormal, whose few significant digits cannot carry the
-comparison: a density (the Mills-ratio checks), the support mass m (the
-centroids) or m**2 (the slope).  Reports are deterministic for a given
-(spec, seed).
+inequality: its margin is not finite or below 1e-280 in magnitude, or an
+array it divides by (a divisor its check names) is subnormal, too short
+of digits to carry the comparison.  _report alone applies this rule.
+Reports are deterministic for a given (spec, seed).
 
 The sweeps evaluate the paper's formulas, which its argument is about:
 the centroid ratio h + (pdf(u - h) - pdf(l - h)) / m, and the slope as the
@@ -175,8 +174,8 @@ class _Check(NamedTuple):
     """One check of a sweep, over arrays that broadcast together.
 
     Its rows are the points `where` selects, taken in C order, which is
-    the order the sweep enumerates them.  `doubtful` marks points that
-    are untestable whatever their margin.
+    the order the sweep enumerates them.  `divisors` are the arrays its
+    margin divides by; a point where one is subnormal is untestable.
     """
 
     name: str
@@ -187,7 +186,7 @@ class _Check(NamedTuple):
     lhs: Any
     rhs: Any
     margin: Any
-    doubtful: Any = False
+    divisors: tuple = ()
 
 
 def _tiled(checks, *axes):
@@ -240,14 +239,14 @@ def _report(name: str, checks: Iterable[_Check]) -> VerificationReport:
     folds: dict[str, list] = {}
     for check in checks:
         fold = folds.setdefault(check.name, [0, [], [], math.inf, [], None])
-        shape = np.broadcast_shapes(*(np.shape(a) for a in check[1:]))
+        shape = np.broadcast_shapes(*(np.shape(a) for a in check[1:-1]))
         margin = np.broadcast_to(check.margin, shape)
         size = np.abs(margin)
         # nan and the infinities fail one of the two comparisons.  A Python
         # bool stays out of the masks: numpy ands it with an array slowly.
         testable = (size >= UNTESTABLE_FLOOR) & (size < math.inf)
-        if check.doubtful is not False:
-            testable &= ~check.doubtful
+        for divisor in check.divisors:
+            testable &= divisor >= _DENSITY_FLOOR
         if check.where is not True:
             testable &= check.where
         unsure = testable ^ check.where
@@ -286,9 +285,9 @@ def _densities(shift, lower, upper):
 
 
 def _centroids(shift, tail_ru, f_ru, cdf_rl, f_rl):
-    """The paper's centroid ratio from _densities, and where its mass is subnormal."""
+    """The paper's centroid ratio from _densities, and its mass, the divisor."""
     mass = tail_ru + cdf_rl
-    return shift + (f_ru - f_rl) / mass, mass < _DENSITY_FLOOR
+    return shift + (f_ru - f_rl) / mass, mass
 
 
 def _random_points(spec: SweepSpec, stream: int, rows: int) -> list[np.ndarray]:
@@ -337,7 +336,7 @@ def verify_monotonicity(spec: SweepSpec = DEFAULT_MONOTONICITY_SPEC) -> Verifica
     The companion shift_sign rows compare the centroid at that shift with
     the unshifted one, both from the same array ratio: lhs is their
     difference, rhs is 0, and the margin is the difference signed by h.
-    A row is untestable where a centroid it compares has a subnormal mass.
+    Divisors: the support masses of the two centroids a row compares.
     """
     l, u, hs, where = _holes(spec, stream=2, rows=4)
     if spec.mode == "grid":
@@ -348,16 +347,16 @@ def verify_monotonicity(spec: SweepSpec = DEFAULT_MONOTONICITY_SPEC) -> Verifica
         where = raw_h1 != raw_h2
 
     def tile(l, u, h1, h2, where, *densities):
-        psi1, faint1 = _centroids(h1, *densities[:4])
-        psi2, faint2 = _centroids(h2, *densities[4:8])
-        psi0, faint0 = _centroids(0.0, *densities[8:])
+        psi1, m1 = _centroids(h1, *densities[:4])
+        psi2, m2 = _centroids(h2, *densities[4:8])
+        psi0, m0 = _centroids(0.0, *densities[8:])
         moved = where & (h2 != 0.0)
         delta = psi2 - psi0
         signed = np.where(h2 > 0.0, delta, -delta)
         rise = psi2 - psi1
         return [
-            _Check("monotonicity", where, l, u, h2, psi2, psi1, rise, faint1 | faint2),
-            _Check("shift_sign", moved, l, u, h2, delta, 0.0, signed, faint2 | faint0),
+            _Check("monotonicity", where, l, u, h2, psi2, psi1, rise, (m1, m2)),
+            _Check("shift_sign", moved, l, u, h2, delta, 0.0, signed, (m2, m0)),
         ]
 
     with np.errstate(all="ignore"):
@@ -369,7 +368,7 @@ def verify_certificate_positive(spec: SweepSpec = DEFAULT_CERTIFICATE_SPEC) -> V
     """The slope certificate is positive over the (x1, x2) plane.
 
     l_range and u_range parameterize the two arguments directly; there
-    is no ordering constraint between them.
+    is no ordering constraint between them.  Divisors: none.
     """
     x1, x2 = _plane(spec, stream=3)
 
@@ -386,7 +385,8 @@ def verify_bounds(spec: SweepSpec = DEFAULT_BOUNDS_SPEC) -> VerificationReport:
     """The Mills-ratio bounds, their linear forms, and the summed form.
 
     One-dimensional checks run over l_range (as x1); the summed
-    two-variable form runs over l_range x u_range.
+    two-variable form runs over l_range x u_range.  Divisors: the density
+    at x for the two ratio bounds, none for the linear and summed forms.
     """
     x, x2 = _plane(spec, stream=4)
     nan = math.nan
@@ -395,14 +395,13 @@ def verify_bounds(spec: SweepSpec = DEFAULT_BOUNDS_SPEC) -> VerificationReport:
         tail = std_tail_array(x)
         cdf = std_cdf_array(x)
         root = np.sqrt(x * x + 4.0)
-        faint = f < _DENSITY_FLOOR
         # The right-hand sides are the paper's forms (sqrt(x*x + 4) -/+ x) / 4
         # of the bounds that mills_lower_bound_tail and _cdf evaluate.
         sides = [
-            ("tail_ratio_bound", tail / (2.0 * f), (root - x) / 4.0, faint),
-            ("cdf_ratio_bound", cdf / (2.0 * f), (root + x) / 4.0, faint),
-            ("tail_linear_bound", 2.0 * tail + x * f, root * f, False),
-            ("cdf_linear_bound", 2.0 * cdf - x * f, root * f, False),
+            ("tail_ratio_bound", tail / (2.0 * f), (root - x) / 4.0, (f,)),
+            ("cdf_ratio_bound", cdf / (2.0 * f), (root + x) / 4.0, (f,)),
+            ("tail_linear_bound", 2.0 * tail + x * f, root * f, ()),
+            ("cdf_linear_bound", 2.0 * cdf - x * f, root * f, ()),
         ]
         checks = [_Check(c, True, x, nan, nan, lhs, rhs, lhs - rhs, d) for c, lhs, rhs, d in sides]
 
@@ -421,33 +420,33 @@ def verify_derivative(spec: SweepSpec = DEFAULT_DERIVATIVE_SPEC) -> Verification
     Rows: x1 = hole lower, x2 = hole upper, h = shift.  The derivative_fd
     margin is 1e-6 minus the relative error; derivative_forms margin is
     the scaled 1e-10 agreement slack; derivative_positive is the value.
-    A row is untestable where m**2, or the mass of a centroid the
-    difference quotient takes, is subnormal.
+    Divisors: the slope's m**2, for all three (where it is normal, so are
+    the masses at h +/- eps, which a 1e-5 shift scales by under e**3e-4).
 
-    Raises ZeroDivisionError where the support mass underflows to 0, as
-    the quotient-rule form divides by it.
+    Raises ZeroDivisionError where the support mass underflows to 0, as the
+    quotient-rule form divides by it; it checks before the libm calls at
+    h +/- eps, so a refused sweep does not pay for them.
     """
     eps = 1e-5
     l, u, h, where = _holes(spec, stream=5, rows=3)
 
     def tile(l, u, h, where, ru, rl, tail_ru, f_ru, cdf_rl, f_rl, *near):
         m = tail_ru + cdf_rl
-        slope = _certificate_from(ru, rl, f_ru, f_rl, m) / (m * m)
-        faint = m * m < _DENSITY_FLOOR
+        m_squared = m * m
+        slope = _certificate_from(ru, rl, f_ru, f_rl, m) / m_squared
         quotient = _quotient_slope_from(ru, rl, f_ru, f_rl, m)
         # fmax skips nan as the builtin max(1.0, ...) does.
         scale = np.fmax(np.fmax(1.0, np.abs(slope)), np.abs(quotient))
         forms = 1e-10 * scale - np.abs(slope - quotient)
         steep = where & (np.abs(slope) > 1e-8)
-        up, faint_up = _centroids(h + eps, *near[:4])
-        down, faint_down = _centroids(h - eps, *near[4:])
+        up, _ = _centroids(h + eps, *near[:4])
+        down, _ = _centroids(h - eps, *near[4:])
         fd = (up - down) / (2.0 * eps)
         fd_margin = 1e-6 - np.abs(slope - fd) / np.maximum(np.abs(fd), 1e-300)
-        fd_faint = faint | faint_up | faint_down
         return [
-            _Check("derivative_positive", where, l, u, h, slope, 0.0, slope, faint),
-            _Check("derivative_forms", where, l, u, h, slope, quotient, forms, faint),
-            _Check("derivative_fd", steep, l, u, h, slope, fd, fd_margin, fd_faint),
+            _Check("derivative_positive", where, l, u, h, slope, 0.0, slope, (m_squared,)),
+            _Check("derivative_forms", where, l, u, h, slope, quotient, forms, (m_squared,)),
+            _Check("derivative_fd", steep, l, u, h, slope, fd, fd_margin, (m_squared,)),
         ]
 
     with np.errstate(all="ignore"):

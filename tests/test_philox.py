@@ -175,6 +175,11 @@ def test_counter_stream_refuses_a_negative_count():
     # Past Python's 4300-digit int-to-str limit, the count is quoted short.
     with pytest.raises(ParameterError, match="^cannot take -<int of 16610 bits> values$"):
         stream.take(-(10**5000))
+    # 2**53 words or more is refused before any buffer is made.
+    for n, quoted in ((2**53, "9007199254740992"), (2**62, "4611686018427387904"),
+                      (10**5000, "<int of 16610 bits>")):
+        with pytest.raises(ParameterError, match=f"^cannot take {quoted} values$"):
+            stream.take(n)
     # A refused take moves no cursor.
     assert np.array_equal(np.concatenate([first, stream.take(5)]), CounterStream(1, 2).take(8))
 
@@ -186,6 +191,8 @@ def test_counter_stream_refuses_a_negative_count():
         ("7", 2, "seed must be an integer, got '7'"),
         (1, 2.5, "stream must be an integer, got 2.5"),
         (1, None, "stream must be an integer, got None"),
+        # Its repr fails past Python's 4300-digit int-to-str limit.
+        ({1: 10**5000}, 2, "seed must be an integer, got <dict>"),
     ],
 )
 def test_counter_stream_refuses_a_seed_or_stream_that_is_not_an_integer(seed, stream, message):

@@ -90,6 +90,8 @@ INVALID = [
     ("ExcludedInterval", {"lower": 0, "upper": 10**5000}, IntervalError),
     ("ExcludedInterval", {"lower": 10**5000, "upper": 0}, IntervalError),
     ("SweepSpec", {"l_range": (0, 10**5000, 1)}, ParameterError),
+    # A value whose repr fails on such an int is quoted by its type name.
+    ("SweepSpec", {"seed": {1: 10**5000}}, ParameterError),
 ]
 
 

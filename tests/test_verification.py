@@ -1,6 +1,7 @@
 """Sweep-report tests: counts, determinism, CSV rendering, reference CSV."""
 
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -18,7 +19,7 @@ from trunc_centroid.figure import (
     reference_figure,
 )
 from trunc_centroid.philox import CounterStream
-from trunc_centroid.special import std_pdf
+from trunc_centroid.special import std_cdf, std_pdf, std_tail
 from trunc_centroid.verification import (
     CheckRecord,
     SweepSpec,
@@ -182,6 +183,22 @@ def test_derivative_wide_range_zero_mass_raises():
     # 0 for some of these holes.
     with pytest.raises(ZeroDivisionError):
         verify_derivative(SweepSpec(**WIDE_RANDOM, seed=3))
+
+
+def test_derivative_sets_a_subnormal_squared_mass_aside():
+    # These holes keep a positive mass whose square is subnormal.  The slope
+    # divides by m**2, so its rows there are untestable, not violations.
+    # (derivative_fd's verdicts here are rounding, ROADMAP item 7.)
+    spec = SweepSpec((-27.0, -26.0, 0.125), (26.0, 27.5, 0.125), (-0.5, 0.5, 0.0625))
+    report = verify_derivative(spec)
+    assert report.checks_run == 3 * 9 * 13 * 17
+    checks = ("derivative_positive", "derivative_forms")
+    assert not [r for r in report.violations if r.check in checks]
+    for check in checks:
+        rows = [r for r in report.untestable if r.check == check]
+        assert len(rows) == 609, check
+        masses = [std_tail(r.x2 - r.h) + std_cdf(r.x1 - r.h) for r in rows]
+        assert all(0.0 < m and m * m < sys.float_info.min for m in masses), check
 
 
 class _Served:
