@@ -6,20 +6,23 @@ the exterior support.  It never calls the closed-form machinery.
 
 It works in standardized coordinates t = (x - loc) / sigma, loc = mu +
 shift.  Each exterior ray, clipped to the fixed window [-c, c] with c =
-TAIL_CUTOFF_SIGMAS = 12, is cut at every whole sigma inside it, so a ray
-takes at most 24 panels and a problem 25.  A panel is one Gauss-Kronrod
-7-15 rule over the pair (phi(t), t * phi(t)): it evaluates phi once per
-node and forms the K15/G7 estimates of both integrals (the error
-estimator is QUADPACK's rescaled |K15 - G7| ** 1.5).  The rule's sums
-run in one fixed order, so its bits do not depend on how sum() rounds.
+TAIL_CUTOFF_SIGMAS = 12, is cut at every integer inside it, so a ray
+takes at most 24 panels and a problem 25.  A panel is QUADPACK's
+Gauss-Kronrod 7-15 rule (Piessens et al., 1983) for the one pair
+(phi(t), t * phi(t)), phi evaluated inline once per node: the K15/G7
+estimates of both integrals and QUADPACK's rescaled |K15 - G7| ** 1.5
+error estimator, its sums in one fixed order, so its bits do not
+depend on how sum() rounds.  The rule takes node values of one sign:
+phi > 0 on the window, and t keeps one sign on a panel, as 0 is among
+the cuts.  So the rounding floor's sum of w |y| is |sum of w y| in the
+same order, bit for bit, as negation is exact: one abs, not 15.
+
 The ray's mass error and moment error, summed over its panels, must each
 meet max(ABS_TOL, REL_TOL * |value|), ABS_TOL = 1e-13 and REL_TOL =
 1e-12, or ToleranceNotMetError is raised.  So the tolerances apply to
-the standardized integrals.  Where the hole covers the whole window the
-oracle declines with DeepTruncationError.  The result maps back once:
-mass m, capped at 1, and centroid loc + sigma * r, r = T / m with T the
-standardized first moment; a centroid beyond the float range is a
-DomainError.
+the standardized integrals.  The result maps back once: mass m, capped
+at 1, and centroid loc + sigma * r, r = T / m with T the standardized
+first moment; a centroid beyond the float range is a DomainError.
 
 What the window leaves out, both tails together, is bounded by two
 constants (used only to certify smallness, never added to the value):
@@ -28,7 +31,9 @@ constants (used only to certify smallness, never added to the value):
     |moment| beyond c <= 2 * phi(c) = 4.3e-32
 
 Both lie below ABS_TOL.  With Dm and DT the summed error estimates plus
-these remainders, centroid_quadrature's abs_error_bound bounds |value -
+these remainders, the oracle declines with DeepTruncationError unless
+m > Dm: where the hole covers the whole window, and where the window
+keeps no more mass than Dm.  Otherwise abs_error_bound bounds |value -
 exact centroid| by
 
     sigma * (DT + |r| * Dm) / (m - Dm) + eps * (|value| + sigma * |r|
@@ -36,13 +41,14 @@ exact centroid| by
 
 with a, b the standardized hole edges clamped to [-c, c] and S = sum of
 phi(e) * |e - r| / m over e = a, b, the ratio's sensitivity to them.  The
-first term carries the integration error through the ratio (infinite when
-Dm >= m), the second the rounding of loc, of the edges and of the map back.
+first term carries the integration error through the ratio, the second
+the rounding of loc, of the edges and of the map back.
 """
 
 from __future__ import annotations
 
 import math
+from math import exp
 from operator import mul
 
 from .errors import DeepTruncationError, DomainError, ToleranceNotMetError
@@ -84,7 +90,9 @@ MASS_REMAINDER = MOMENT_REMAINDER / TAIL_CUTOFF_SIGMAS
 
 
 def _rule(ys: list, half: float) -> tuple[float, float]:
-    """K15 integral and QUADPACK error estimate from the 15 node values.
+    """K15 integral and QUADPACK error estimate from 15 node values of one
+    sign, a zero counting for either: the rounding floor's sum of w |y| is
+    then |sum of w y|, summed in the same order.
 
     Mirror nodes are summed in pairs, so a panel mirrored about 0 gives the
     same error and, for an odd integrand, exactly the opposite value.
@@ -96,10 +104,7 @@ def _rule(ys: list, half: float) -> tuple[float, float]:
     resk = w7 * y7 + (w0 * p0 + w1 * p1 + w2 * p2 + w3 * p3 + w4 * p4 + w5 * p5 + w6 * p6)
     resg = _WG[3] * y7 + _WG[0] * p1 + _WG[1] * p3 + _WG[2] * p5
     m = 0.5 * resk
-    resabs = (w7 * abs(y7) + w0 * (abs(y0) + abs(y14)) + w1 * (abs(y1) + abs(y13))
-              + w2 * (abs(y2) + abs(y12)) + w3 * (abs(y3) + abs(y11))
-              + w4 * (abs(y4) + abs(y10)) + w5 * (abs(y5) + abs(y9))
-              + w6 * (abs(y6) + abs(y8)))
+    resabs = abs(w7 * y7 + w0 * p0 + w1 * p1 + w2 * p2 + w3 * p3 + w4 * p4 + w5 * p5 + w6 * p6)
     resasc = (w7 * abs(y7 - m) + w0 * (abs(y0 - m) + abs(y14 - m))
               + w1 * (abs(y1 - m) + abs(y13 - m)) + w2 * (abs(y2 - m) + abs(y12 - m))
               + w3 * (abs(y3 - m) + abs(y11 - m)) + w4 * (abs(y4 - m) + abs(y10 - m))
@@ -107,43 +112,41 @@ def _rule(ys: list, half: float) -> tuple[float, float]:
     err = abs((resk - resg) * half)
     resasc *= half
     if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    return resk * half, max(err, 50.0 * _EPS * resabs * half)
+        scale = (200.0 * err / resasc) ** 1.5
+        err = resasc * scale if scale < 1.0 else resasc
+    floor = 50.0 * _EPS * resabs * half
+    return resk * half, floor if floor > err else err
 
 
-def _kronrod_panel(func, a: float, b: float) -> tuple[float, float, float, float]:
-    """One 7-15 panel on [a, b] for the pair f(t) and t * f(t).
+def _kronrod_panel(a: float, b: float) -> tuple[float, float, float, float]:
+    """One 7-15 panel on [a, b], which must not straddle 0, for the pair
+    phi(t) and t * phi(t), so that each has one sign on it.
 
-    func maps the list of 15 nodes to the list of f values, so f is
-    evaluated once per node.  Returns (integral of f, integral of t * f,
-    error of the first, error of the second).
+    phi is evaluated once per node, with the bits of special.std_pdf.
+    Returns (integral of phi, integral of t * phi, error of the first,
+    error of the second).
     """
     center = 0.5 * (a + b)
     half = 0.5 * (b - a)
     ts = [center + half * x for x in _NODES]
-    fs = func(ts)
+    fs = [INV_SQRT_2PI * exp(-0.5 * (t * t)) for t in ts]
     value, err = _rule(fs, half)
     moment, moment_err = _rule(list(map(mul, ts, fs)), half)
     return value, moment, err, moment_err
 
 
-def _phi(ts: list) -> list:
-    """Standard normal density at each t, with the bits of special.std_pdf."""
-    return [INV_SQRT_2PI * math.exp(-0.5 * (t * t)) for t in ts]
-
-
-def _integrate(func, a: float, b: float) -> tuple[float, ...]:
-    """Composite 7-15 rule over [a, b] for the pair (func(t), t * func(t)).
+def _integrate(a: float, b: float) -> tuple[float, ...]:
+    """Composite 7-15 rule over [a, b] for the pair (phi(t), t * phi(t)).
 
     [a, b] is cut at every integer strictly between a and b, one panel per
-    piece.  Returns (integral of func, integral of t * func, their error
+    piece.  Returns (integral of phi, integral of t * phi, their error
     estimates), each column summed with fsum; ToleranceNotMetError unless
     both errors meet max(ABS_TOL, REL_TOL * |value|).
     """
     if not b > a:
         return 0.0, 0.0, 0.0, 0.0
     cuts = [a, *range(math.floor(a) + 1, math.ceil(b)), b]
-    panels = [_kronrod_panel(func, x, y) for x, y in zip(cuts, cuts[1:])]
+    panels = [_kronrod_panel(x, y) for x, y in zip(cuts, cuts[1:])]
     value, moment, err, moment_err = (math.fsum(column) for column in zip(*panels))
     if err > max(ABS_TOL, REL_TOL * abs(value)) or moment_err > max(
         ABS_TOL, REL_TOL * abs(moment)
@@ -163,36 +166,33 @@ def centroid_quadrature(
     sigma, cut = params.sigma, TAIL_CUTOFF_SIGMAS
     # The standardized hole edges, clamped to the window.
     edges = [min(max((x - loc) / sigma, -cut), cut) for x in (hole.lower, hole.upper)]
-    if edges[0] <= -cut and edges[1] >= cut:
-        raise DeepTruncationError(
-            f"no support mass inside the window of +-{TAIL_CUTOFF_SIGMAS!r} "
-            f"sigmas (the tail cut-off), as the hole covers it: the exterior "
-            f"mass lies beyond the window; the quadrature oracle declines "
-            f"(the closed form still applies)"
-        )
-    left = _integrate(_phi, -cut, edges[0])
-    right = _integrate(_phi, edges[1], cut)
+    left = _integrate(-cut, edges[0])
+    right = _integrate(edges[1], cut)
     # The rounded panels can sum past 1.
     mass = min(left[0] + right[0], 1.0)
+    d_mass = left[2] + right[2] + MASS_REMAINDER
+    if not mass > d_mass:
+        raise DeepTruncationError(
+            f"the support mass inside the window of +-{TAIL_CUTOFF_SIGMAS!r} sigmas "
+            f"(the tail cut-off), {mass!r}, does not exceed its error bound "
+            f"{d_mass!r}: the exterior mass lies beyond the window; the quadrature "
+            f"oracle declines (the closed form still applies)"
+        )
     ratio = (left[1] + right[1]) / mass
     value = loc + sigma * ratio
     if math.isinf(value):
         raise DomainError(
             f"the centroid overflows the float range, mu + shift = {loc!r}"
         )
-    d_mass = left[2] + right[2] + MASS_REMAINDER
     d_moment = left[3] + right[3] + MOMENT_REMAINDER
-    bound = math.inf
-    if mass > d_mass:
-        spread = (d_moment + abs(ratio) * d_mass) / (mass - d_mass)
-        sensitivity = sum(f * abs(e - ratio) for f, e in zip(_phi(edges), edges)) / mass
-        inputs = abs(loc) + sigma * max(map(abs, edges))
-        rounding = abs(value) + sigma * abs(ratio) + (1.0 + sensitivity) * inputs
-        bound = sigma * spread + _EPS * rounding
+    spread = (d_moment + abs(ratio) * d_mass) / (mass - d_mass)
+    sensitivity = sum(std_pdf(e) * abs(e - ratio) for e in edges) / mass
+    inputs = abs(loc) + sigma * max(map(abs, edges))
+    rounding = abs(value) + sigma * abs(ratio) + (1.0 + sensitivity) * inputs
     return CentroidResult(
         value=value,
         method=Method.QUADRATURE,
         support_mass=mass,
         warnings=(LOW_SUPPORT_MASS,) if mass < LOW_MASS_FLOOR else (),
-        abs_error_bound=bound,
+        abs_error_bound=sigma * spread + _EPS * rounding,
     )

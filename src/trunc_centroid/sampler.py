@@ -52,8 +52,8 @@ _STREAM = 0
 # Exterior mass below which the sampler raises DeepTruncationError: this
 # close to float64 underflow (normal floats stop at 2.2e-308) inverted
 # tail masses cannot be trusted.  The quadrature oracle declines only
-# where the hole covers its window, and the closed form divides each tail
-# by its edge's density.
+# where its window keeps no more mass than its error bound, and the closed
+# form divides each tail by its edge's density.
 UNDERFLOW_MASS_FLOOR = 1e-290
 
 # AS241 numerator and denominator coefficients, highest degree first, for

@@ -22,7 +22,7 @@ from trunc_centroid.centroid import (
 )
 from trunc_centroid.errors import DomainError, IntervalError, ParameterError
 from trunc_centroid.model import ExcludedInterval, GaussianParams, Method
-from trunc_centroid.quadrature import _integrate, _phi, centroid_quadrature
+from trunc_centroid.quadrature import _integrate, centroid_quadrature
 from trunc_centroid.special import std_cdf, std_pdf, std_tail
 from trunc_centroid.verification import (
     _quotient_slope_from,
@@ -40,7 +40,7 @@ def _ray_means(params, hole, shift):
     """The oracle's left and right ray means, each edge within its window."""
     loc = params.mu + shift
     a, b = ((x - loc) / params.sigma for x in (hole.lower, hole.upper))
-    rays = (_integrate(_phi, -12.0, a), _integrate(_phi, b, 12.0))
+    rays = (_integrate(-12.0, a), _integrate(b, 12.0))
     return [loc + params.sigma * moment / mass for mass, moment, _, _ in rays]
 
 

@@ -91,6 +91,11 @@ def test_deep_truncation_exit_code(capsys):
     assert run(["sample", *argv, "--n", "10", "--seed", "1"]) == 1
     assert run(["centroid", *argv, "--method", "quadrature"]) == 1
     assert "error" in capsys.readouterr().err
+    # A hole that leaves the oracle's window one ulp of mass is declined too.
+    sliver = ["--mu=0", "--sigma=1", "--lower=-12", "--upper=11.999999999999998"]
+    assert run(["centroid", *sliver, "--method", "quadrature"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the support mass inside the window") and err.count("\n") == 1
 
 
 def test_range_whose_point_count_overflows_exit_code(capsys):

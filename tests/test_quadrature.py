@@ -24,7 +24,6 @@ from trunc_centroid.quadrature import (
     _WGK,
     _integrate,
     _kronrod_panel,
-    _phi,
     _rule,
     ABS_TOL,
     MASS_REMAINDER,
@@ -42,6 +41,16 @@ INV_SQRT_2PI = Decimal(
     "0.3989422804014326779399460599343818684758586311649346576659258296706579"
     "258993018385012523339073069364"
 )
+
+
+def _phi(ts):
+    """Standard normal density at each t, as the panel evaluates it."""
+    return [std_pdf(t) for t in ts]
+
+
+def _one_sign(ys):
+    """Whether the values have one sign, a zero counting for either."""
+    return all(y >= 0.0 for y in ys) or all(y <= 0.0 for y in ys)
 
 
 def _exact_integrals(a, b):
@@ -74,7 +83,7 @@ def _rays(params, hole, shift):
     a, b = (
         min(max((x - loc) / params.sigma, -12.0), 12.0) for x in (hole.lower, hole.upper)
     )
-    return loc, (a, b), _integrate(_phi, -12.0, a), _integrate(_phi, b, 12.0)
+    return loc, (a, b), _integrate(-12.0, a), _integrate(b, 12.0)
 
 
 def _mass(params, hole, shift):
@@ -115,13 +124,16 @@ def _loop_rule(ys, half):
 
 
 def _seeded_panels():
-    """Panels of up to one sigma inside the window, as _integrate cuts them,
-    with a few whole-sigma and mirrored ones."""
+    """Panels of up to one sigma inside the window, as _integrate cuts them
+    (a seeded piece that holds an integer is cut there), with a few
+    whole-sigma and mirrored ones."""
     rng = random.Random(25)
-    panels = [(-1.0, 0.0), (0.0, 1.0), (-12.0, -11.0), (11.0, 12.0), (-0.5, 0.5)]
+    panels = [(-1.0, 0.0), (0.0, 1.0), (-12.0, -11.0), (11.0, 12.0), (-0.5, 0.0), (0.0, 0.5)]
     for _ in range(1000):
         a = rng.uniform(-12.0, 11.0)
-        panels.append((a, min(a + rng.uniform(1e-9, 1.0), 12.0)))
+        b = min(a + rng.uniform(1e-9, 1.0), 12.0)
+        k = math.floor(a) + 1.0
+        panels += [(a, k), (k, b)] if k < b else [(a, b)]
     return panels + [(-b, -a) for a, b in panels[-50:]]
 
 
@@ -129,7 +141,13 @@ def _seeded_panels():
     "func, panels",
     [
         (_phi, _seeded_panels()),
-        (lambda ts: [4.0 * t**3 - 2.0 * t for t in ts], [(-1.0, 2.0), (-3.5, 0.25), (0.1, 0.9)]),
+        # The rule takes values of one sign, so the cubic, whose roots are 0
+        # and +-sqrt(1/2), is fed only panels between its roots, where t
+        # times it has one sign too.
+        (
+            lambda ts: [4.0 * t**3 - 2.0 * t for t in ts],
+            [(-3.5, -0.75), (-0.7, 0.0), (0.1, 0.7), (0.75, 2.0)],
+        ),
         (
             lambda ts: [abs(t - 0.123456) ** 0.5 for t in ts],
             [(x, x + 1.0) for x in range(-4, 9)],
@@ -144,7 +162,40 @@ def test_rule_keeps_the_bits_of_the_loop(func, panels):
         ts = [center + half * x for x in _NODES]
         fs = func(ts)
         for ys in (fs, list(map(mul, ts, fs))):
+            assert _one_sign(ys), (a, b)
             assert _rule(ys, half) == _loop_rule(ys, half), (a, b)
+
+
+def test_every_panel_hands_the_rule_one_sign(monkeypatch):
+    # The rule's rounding floor sums w * y and takes one abs, which is the
+    # sum of w * |y| only for values of one sign.  _integrate cuts at every
+    # integer, 0 included, and phi > 0 on the window, so on each panel phi
+    # and t * phi have one sign at all 15 nodes; there the rule keeps the
+    # loop's bits on both columns.  Seeded rays, and rays from the window's
+    # edges, 0, the integers and their neighbours and tiny edges.
+    rng = random.Random(29)
+    edges = [12.0, 0.0, -0.0, 5e-324, -5e-324, -1e-300, 1e-300]
+    for k in range(-12, 13):
+        edges += [float(k), math.nextafter(k, -math.inf), math.nextafter(k, math.inf)]
+    edges += [rng.uniform(-12.0, 12.0) for _ in range(200)]
+    edges = [e for e in edges + [-e for e in edges] if -12.0 <= e <= 12.0]
+    # What _integrate hands the rule, two calls a panel: phi, then t * phi.
+    seen = []
+
+    def rule(ys, half):
+        seen.append((ys, half))
+        return _rule(ys, half)
+
+    monkeypatch.setattr(quadrature, "_rule", rule)
+    for e in edges:
+        _integrate(-12.0, e)
+        _integrate(e, 12.0)
+    assert len(seen) > 4 * len(edges)
+    for k, (ys, half) in enumerate(seen):
+        assert _one_sign(ys), ys
+        if k % 2 == 0:
+            assert all(y > 0.0 for y in ys), ys
+        assert _rule(ys, half) == _loop_rule(ys, half), ys
 
 
 def test_weights_sum_to_interval_length():
@@ -152,38 +203,50 @@ def test_weights_sum_to_interval_length():
     assert math.isclose(2.0 * sum(_WG[:3]) + _WG[3], 2.0, rel_tol=1e-14)
 
 
+def _rule_of(poly, a, b):
+    """The rule's integral of poly over [a, b], from its node values."""
+    center, half = 0.5 * (a + b), 0.5 * (b - a)
+    return _rule([poly(center + half * x) for x in _NODES], half)[0]
+
+
 def test_panel_exact_on_polynomials():
-    # Kronrod 15 integrates degree <= 22 exactly; check a few.  The panel
-    # also integrates t * f, one degree higher.
+    # Kronrod 15 integrates degree <= 22 exactly; check a few, and t * f,
+    # one degree higher, as the panel integrates it too.
     for degree in (3, 8, 13, 20):
-        value, moment, _, _ = _kronrod_panel(
-            lambda ts: [t**degree for t in ts], 0.0, 1.0
-        )
+        value = _rule_of(lambda t: t**degree, 0.0, 1.0)
+        moment = _rule_of(lambda t: t ** (degree + 1), 0.0, 1.0)
         assert math.isclose(value, 1.0 / (degree + 1), rel_tol=1e-13)
         assert math.isclose(moment, 1.0 / (degree + 2), rel_tol=1e-13)
-    value, moment, _, _ = _kronrod_panel(
-        lambda ts: [4.0 * t**3 - 2.0 * t for t in ts], -1.0, 2.0
-    )
+    # The rule takes values of one sign, so the cubic over (-1, 2) is summed
+    # over the pieces between its roots 0 and +-sqrt(1/2).
+    root = math.sqrt(0.5)
+    pieces = [(-1.0, -root), (-root, 0.0), (0.0, root), (root, 2.0)]
+    value = sum(_rule_of(lambda t: 4.0 * t**3 - 2.0 * t, a, b) for a, b in pieces)
+    moment = sum(_rule_of(lambda t: 4.0 * t**4 - 2.0 * t**2, a, b) for a, b in pieces)
     assert math.isclose(value, (2.0**4 - 1.0) - (4.0 - 1.0), rel_tol=1e-13)
     expected_moment = 0.8 * (2.0**5 + 1.0) - (2.0 / 3.0) * (2.0**3 + 1.0)
     assert math.isclose(moment, expected_moment, rel_tol=1e-13)
+    # The panel integrates phi and t * phi on its nodes.
+    value, moment, _, _ = _kronrod_panel(0.0, 1.0)
+    assert math.isclose(value, std_cdf(1.0) - 0.5, rel_tol=1e-14)
+    assert math.isclose(moment, std_pdf(0.0) - std_pdf(1.0), rel_tol=1e-14)
 
 
 def test_panel_mirror_is_exact():
     # Node values are summed in mirror pairs: a panel reflected about 0
     # gives the same mass and error and exactly the opposite moment.
-    for a, b in ((0.3, 2.9), (1.0, 12.0), (-0.7, 4.1)):
-        right = _kronrod_panel(_phi, a, b)
-        left = _kronrod_panel(_phi, -b, -a)
+    for a, b in ((0.3, 2.9), (1.0, 12.0), (0.0, 4.1)):
+        right = _kronrod_panel(a, b)
+        left = _kronrod_panel(-b, -a)
         assert left == (right[0], -right[1], right[2], right[3])
 
 
 def test_integrate_known_gaussian_masses():
-    value, moment, err, moment_err = _integrate(_phi, -1.0, 1.0)
+    value, moment, err, moment_err = _integrate(-1.0, 1.0)
     assert math.isclose(value, 1.0 - 0.3173105078629141, rel_tol=1e-13)
     assert err <= max(ABS_TOL, REL_TOL * abs(value))
     assert moment == 0.0 and moment_err <= ABS_TOL
-    value, moment, _, _ = _integrate(_phi, -12.0, -1.0)
+    value, moment, _, _ = _integrate(-12.0, -1.0)
     assert math.isclose(value, 0.15865525393145705, rel_tol=1e-12)
     # the integral of t * phi(t) from -12 to -1 is phi(12) - phi(1)
     assert math.isclose(moment, std_pdf(12.0) - std_pdf(1.0), rel_tol=1e-12)
@@ -201,7 +264,7 @@ def test_integrate_error_estimate_is_honest():
         a, b = sorted(rng.randrange(-768, 769) / 64 for _ in range(2))
         if a == b:
             continue
-        value, moment, err, moment_err = _integrate(_phi, a, b)
+        value, moment, err, moment_err = _integrate(a, b)
         mass, first = _exact_integrals(a, b)
         assert abs(value - mass) <= err, (a, b)
         assert abs(moment - first) <= moment_err, (a, b)
@@ -210,15 +273,18 @@ def test_integrate_error_estimate_is_honest():
 
 
 def test_integrate_empty_interval():
-    assert _integrate(_phi, 1.0, 1.0) == (0.0, 0.0, 0.0, 0.0)
-    assert _integrate(_phi, 2.0, 1.0) == (0.0, 0.0, 0.0, 0.0)
+    assert _integrate(1.0, 1.0) == (0.0, 0.0, 0.0, 0.0)
+    assert _integrate(2.0, 1.0) == (0.0, 0.0, 0.0, 0.0)
 
 
-def test_integrate_rough_integrand_misses_tolerance():
+def test_integrate_rough_integrand_misses_tolerance(monkeypatch):
     # A square-root kink inside a unit panel is beyond its 7-15 rule, and
-    # the composite rule says so instead of returning a value.
+    # the composite rule says so instead of returning a value.  The density
+    # is made rough through its exp: |0.1 - t * t / 2| ** 0.5 kinks at
+    # t = +-sqrt(0.2), inside the panels (-1, 0) and (0, 1), and stays >= 0.
+    monkeypatch.setattr(quadrature, "exp", lambda u: abs(u + 0.1) ** 0.5)
     with pytest.raises(ToleranceNotMetError, match="miss the tolerances"):
-        _integrate(lambda ts: [abs(t - 0.123456) ** 0.5 for t in ts], -4.0, 9.0)
+        _integrate(-4.0, 9.0)
 
 
 @pytest.mark.parametrize(
@@ -230,12 +296,12 @@ def test_integrate_one_panel_per_whole_sigma(monkeypatch, a, b):
     # and each column is the fsum of its panels'.
     panels = []
 
-    def panel(func, x, y):
-        panels.append((x, y, _kronrod_panel(func, x, y)))
+    def panel(x, y):
+        panels.append((x, y, _kronrod_panel(x, y)))
         return panels[-1][2]
 
     monkeypatch.setattr(quadrature, "_kronrod_panel", panel)
-    result = _integrate(_phi, a, b)
+    result = _integrate(a, b)
     assert len(panels) == math.ceil(b) - math.floor(a)
     assert (panels[0][0], panels[-1][1]) == (a, b)
     for (_, y, _), (x, _, _) in zip(panels, panels[1:]):
@@ -246,7 +312,7 @@ def test_integrate_one_panel_per_whole_sigma(monkeypatch, a, b):
 def test_full_window_estimates_well_below_tolerance():
     # 24 unit panels: each estimate is the rounding floor, so the window's
     # sums are 50 eps times the integrals of phi and |t| phi.
-    value, moment, err, moment_err = _integrate(_phi, -12.0, 12.0)
+    value, moment, err, moment_err = _integrate(-12.0, 12.0)
     assert max(err, moment_err) < ABS_TOL / 5.0
     assert math.isclose(err, 50.0 * EPS, rel_tol=1e-4)
     assert math.isclose(moment_err, 50.0 * EPS * 2.0 * std_pdf(0.0), rel_tol=1e-4)
@@ -254,17 +320,26 @@ def test_full_window_estimates_well_below_tolerance():
 
 def test_seeded_holes_meet_the_tolerances():
     # 20 000 seeded edge pairs, the window's edges included: each is
-    # answered, or declined where the hole covers the whole window.
+    # answered with a finite bound, or declined where the window's mass m
+    # does not exceed its error bound Dm, the summed estimates plus the
+    # mass beyond the window.  That is where the hole covers the whole
+    # window, and where it leaves only a sliver of it (12 holes here).
     rng = random.Random(20261018)
-    declined = 0
+    declined = slivers = 0
     for _ in range(20_000):
         lower, upper = sorted(rng.uniform(-13.0, 13.0) for _ in range(2))
+        hole = ExcludedInterval(lower, upper)
         try:
-            centroid_quadrature(STD, ExcludedInterval(lower, upper), 0.0)
+            result = centroid_quadrature(STD, hole, 0.0)
         except DeepTruncationError:
-            assert lower <= -12.0 and upper >= 12.0
+            _, _, left, right = _rays(STD, hole, 0.0)
+            mass = min(left[0] + right[0], 1.0)
+            assert not mass > left[2] + right[2] + MASS_REMAINDER, (lower, upper)
             declined += 1
-    assert declined > 0
+            slivers += mass > 0.0
+        else:
+            assert 0.0 < result.abs_error_bound < math.inf, (lower, upper)
+    assert declined > slivers > 0
 
 
 def test_exterior_mass_symmetric_hole():
@@ -337,18 +412,25 @@ def test_deep_truncation_declined():
 
 
 def test_declined_exactly_where_the_hole_covers_the_window():
-    # A ray one ulp long still carries phi(12) * ulp(12), about 4e-47.
-    with pytest.raises(DeepTruncationError, match="no support mass inside the window"):
+    # Declined where the hole covers the window, and where the window keeps
+    # no more mass than its error bound: a ray one ulp long carries
+    # phi(12) * ulp(12), about 4e-47, below the 3.6e-33 beyond the window.
+    # Its exact centroid is about 1.3e-13, yet the ray's mean is 12.
+    window = r"the support mass inside the window of \+-12.0 sigmas \(the tail cut-off\)"
+    with pytest.raises(DeepTruncationError, match=f"^{window}, 0.0, "):
         centroid_quadrature(STD, ExcludedInterval(-12.0, 12.0), 0.0)
     inside = math.nextafter(-12.0, 0.0)
     for hole in (ExcludedInterval(inside, 12.0), ExcludedInterval(-12.0, -inside)):
-        result = centroid_quadrature(STD, hole, 0.0)
-        assert 1e-47 < result.support_mass < 1e-46
+        with pytest.raises(DeepTruncationError, match=f"^{window}, 3.8[0-9]*e-47, "):
+            centroid_quadrature(STD, hole, 0.0)
+    # A half-sigma ray holds 7e-31 and is answered.
+    result = centroid_quadrature(STD, ExcludedInterval(-12.0, 11.5), 0.0)
+    assert 1e-31 < result.support_mass < 1e-30 and math.isfinite(result.abs_error_bound)
 
 
 def test_support_mass_capped_at_one():
     # The two rays of a hole 2e-200 sigmas wide sum past 1 once rounded.
-    left, right = _integrate(_phi, -12.0, -1e-200), _integrate(_phi, 1e-200, 12.0)
+    left, right = _integrate(-12.0, -1e-200), _integrate(1e-200, 12.0)
     assert left[0] + right[0] > 1.0
     params, hole = GaussianParams(0.0, 1e200), ExcludedInterval(-1.0, 1.0)
     result = centroid_quadrature(params, hole, 0.0)
