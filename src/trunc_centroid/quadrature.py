@@ -6,16 +6,20 @@ the exterior support.  It never calls the closed-form machinery.
 
 It works in standardized coordinates t = (x - loc) / sigma, loc = mu +
 shift.  Each exterior ray, clipped to the fixed window [-c, c] with c =
-TAIL_CUTOFF_SIGMAS = 12, is cut at every integer inside it, so a ray
-takes at most 24 panels and a problem 25.  A panel is QUADPACK's
-Gauss-Kronrod 7-15 rule (Piessens et al., 1983) for the one pair
-(phi(t), t * phi(t)), phi evaluated inline once per node: the K15/G7
-estimates of both integrals and QUADPACK's rescaled |K15 - G7| ** 1.5
-error estimator, its sums in one fixed order, so its bits do not
-depend on how sum() rounds.  The rule takes node values of one sign:
-phi > 0 on the window, and t keeps one sign on a panel, as 0 is among
-the cuts.  So the rounding floor's sum of w |y| is |sum of w y| in the
-same order, bit for bit, as negation is exact: one abs, not 15.
+TAIL_CUTOFF_SIGMAS = 12, is cut at every integer inside it.  The left
+ray [-c, a] runs as its mirror [-a, c], so both rays climb one ladder of
+panels to c and a panel they share is evaluated once.  A panel is
+QUADPACK's Gauss-Kronrod 7-15 rule (Piessens et al., 1983) for the one
+pair (phi(t), t * phi(t)), phi evaluated inline once per node: the
+K15/G7 estimates of both integrals and QUADPACK's rescaled |K15 - G7|
+** 1.5 error estimator, its sums in one fixed order, so its bits do not
+depend on how sum() rounds.  It sums mirror node pairs, and a mirrored
+panel's nodes are the nodes negated in reverse order, so the mirror
+keeps the mass and errors and negates the moment, bit for bit; fsum
+rounds each column once, in any order.  The rule takes node values of
+one sign: phi > 0 on the window, and t keeps one sign on a panel, as 0
+is among the cuts.  So the rounding floor's sum of w |y| is |sum of w y|
+in the same order, bit for bit, as negation is exact: one abs, not 15.
 
 The ray's mass error and moment error, summed over its panels, must each
 meet max(ABS_TOL, REL_TOL * |value|), ABS_TOL = 1e-13 and REL_TOL =
@@ -135,27 +139,30 @@ def _kronrod_panel(a: float, b: float) -> tuple[float, float, float, float]:
     return value, moment, err, moment_err
 
 
-def _integrate(a: float, b: float) -> tuple[float, ...]:
+def _integrate(a: float, b: float, panels: dict | None = None, mirrored=False) -> tuple:
     """Composite 7-15 rule over [a, b] for the pair (phi(t), t * phi(t)).
 
     [a, b] is cut at every integer strictly between a and b, one panel per
-    piece.  Returns (integral of phi, integral of t * phi, their error
-    estimates), each column summed with fsum; ToleranceNotMetError unless
-    both errors meet max(ABS_TOL, REL_TOL * |value|).
+    piece, taken by its ends from `panels` or evaluated and stored there.
+    Mirrored, it runs over [-b, -a] and negates the moment, the same bits.
+    Returns (integral of phi, integral of t * phi, their error estimates),
+    each column summed with fsum; ToleranceNotMetError, naming [a, b],
+    unless both errors meet max(ABS_TOL, REL_TOL * |value|).
     """
-    if not b > a:
+    lo, hi = (-b, -a) if mirrored else (a, b)
+    if not hi > lo:
         return 0.0, 0.0, 0.0, 0.0
-    cuts = [a, *range(math.floor(a) + 1, math.ceil(b)), b]
-    panels = [_kronrod_panel(x, y) for x, y in zip(cuts, cuts[1:])]
-    value, moment, err, moment_err = (math.fsum(column) for column in zip(*panels))
-    if err > max(ABS_TOL, REL_TOL * abs(value)) or moment_err > max(
-        ABS_TOL, REL_TOL * abs(moment)
-    ):
-        raise ToleranceNotMetError(
-            f"error estimates {err:.3e}, {moment_err:.3e} on [{a!r}, {b!r}] "
-            f"miss the tolerances"
-        )
-    return value, moment, err, moment_err
+    cuts = [lo, *range(math.floor(lo) + 1, math.ceil(hi)), hi]
+    ends = list(zip(cuts, cuts[1:]))
+    panels = {} if panels is None else panels
+    panels.update((key, _kronrod_panel(*key)) for key in ends if key not in panels)
+    # A list: star-unpacking a map grows a tuple in steps, fragmenting the heap.
+    value, moment, err, moment_err = map(math.fsum, zip(*[panels[key] for key in ends]))
+    if (err > max(ABS_TOL, REL_TOL * abs(value))
+            or moment_err > max(ABS_TOL, REL_TOL * abs(moment))):
+        raise ToleranceNotMetError(f"error estimates {err:.3e}, {moment_err:.3e} on "
+                                   f"[{a!r}, {b!r}] miss the tolerances")
+    return value, -moment if mirrored else moment, err, moment_err
 
 
 def centroid_quadrature(
@@ -166,8 +173,9 @@ def centroid_quadrature(
     sigma, cut = params.sigma, TAIL_CUTOFF_SIGMAS
     # The standardized hole edges, clamped to the window.
     edges = [min(max((x - loc) / sigma, -cut), cut) for x in (hole.lower, hole.upper)]
-    left = _integrate(-cut, edges[0])
-    right = _integrate(edges[1], cut)
+    panels: dict = {}  # both rays end at c on the same cuts and share panels
+    left = _integrate(-cut, edges[0], panels, mirrored=True)
+    right = _integrate(edges[1], cut, panels)
     # The rounded panels can sum past 1.
     mass = min(left[0] + right[0], 1.0)
     d_mass = left[2] + right[2] + MASS_REMAINDER
@@ -181,9 +189,7 @@ def centroid_quadrature(
     ratio = (left[1] + right[1]) / mass
     value = loc + sigma * ratio
     if math.isinf(value):
-        raise DomainError(
-            f"the centroid overflows the float range, mu + shift = {loc!r}"
-        )
+        raise DomainError(f"the centroid overflows the float range, mu + shift = {loc!r}")
     d_moment = left[3] + right[3] + MOMENT_REMAINDER
     spread = (d_moment + abs(ratio) * d_mass) / (mass - d_mass)
     sensitivity = sum(std_pdf(e) * abs(e - ratio) for e in edges) / mass

@@ -7,6 +7,7 @@ whose own tests pin it to an independent high-precision reference), and
 its own reported error estimates.
 """
 
+import hashlib
 import math
 import random
 from decimal import Decimal, localcontext
@@ -78,7 +79,8 @@ def _exact_integrals(a, b):
 
 def _rays(params, hole, shift):
     """loc, the standardized edges clamped to the window, and the passes
-    over the left and the right ray, as centroid_quadrature forms them."""
+    over the left ray [-12, a] and the right ray [b, 12], whose bits
+    centroid_quadrature keeps (it runs the left ray mirrored)."""
     loc = params.mu + shift
     a, b = (
         min(max((x - loc) / params.sigma, -12.0), 12.0) for x in (hole.lower, hole.upper)
@@ -166,19 +168,58 @@ def test_rule_keeps_the_bits_of_the_loop(func, panels):
             assert _rule(ys, half) == _loop_rule(ys, half), (a, b)
 
 
+def _ray_edges(seed):
+    """Ray edges in the window: seeded ones, and the window's edges, 0, the
+    integers and their neighbours and tiny edges, each with its negation."""
+    rng = random.Random(seed)
+    edges = [12.0, 0.0, -0.0, 5e-324, -5e-324, -1e-300, 1e-300]
+    for k in range(-12, 13):
+        edges += [float(k), math.nextafter(k, -math.inf), math.nextafter(k, math.inf)]
+    edges += [rng.uniform(-12.0, 12.0) for _ in range(200)]
+    return [e for e in edges + [-e for e in edges] if -12.0 <= e <= 12.0]
+
+
+def _seeded_problems(seed):
+    """1000 seeded problems (mu, sigma, (lower, upper), shift), five a
+    round: holes within 5, 30 and 200 sigmas of mu with the shift within 3,
+    10 and 20 (moderate, wide, deep), a hole 1e-12 to 1e-3 sigmas wide with
+    the shift within 0.5 of its middle (near-degenerate), and a moderate
+    hole about a mu of 1e3 to 1e9 (offset).  Many holes lie wholly on one
+    side of loc, and the wide and deep ones often reach past the window."""
+    rng = random.Random(seed)
+    problems = []
+    for _ in range(200):
+        mu, sigma = rng.uniform(-5.0, 5.0), 10.0 ** rng.uniform(-3.0, 3.0)
+        for bound, reach in ((5.0, 3.0), (30.0, 10.0), (200.0, 20.0)):
+            a, b = sorted(rng.uniform(-bound, bound) for _ in range(2))
+            shift = sigma * rng.uniform(-reach, reach)
+            problems.append((mu, sigma, (mu + sigma * a, mu + sigma * b), shift))
+        middle, width = rng.uniform(-8.0, 8.0), 10.0 ** rng.uniform(-12.0, -3.0)
+        shift = sigma * (middle + rng.uniform(-0.5, 0.5))
+        hole = (mu + sigma * (middle - width), mu + sigma * (middle + width))
+        problems.append((mu, sigma, hole, shift))
+        big = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(3.0, 9.0)
+        a, b = sorted(rng.uniform(-5.0, 5.0) for _ in range(2))
+        shift = sigma * rng.uniform(-3.0, 3.0)
+        problems.append((big, sigma, (big + sigma * a, big + sigma * b), shift))
+    return problems
+
+
+def _answer(mu, sigma, hole, shift):
+    """The oracle's result, or None where it declines."""
+    try:
+        return centroid_quadrature(GaussianParams(mu, sigma), ExcludedInterval(*hole), shift)
+    except DeepTruncationError:
+        return None
+
+
 def test_every_panel_hands_the_rule_one_sign(monkeypatch):
     # The rule's rounding floor sums w * y and takes one abs, which is the
     # sum of w * |y| only for values of one sign.  _integrate cuts at every
     # integer, 0 included, and phi > 0 on the window, so on each panel phi
     # and t * phi have one sign at all 15 nodes; there the rule keeps the
-    # loop's bits on both columns.  Seeded rays, and rays from the window's
-    # edges, 0, the integers and their neighbours and tiny edges.
-    rng = random.Random(29)
-    edges = [12.0, 0.0, -0.0, 5e-324, -5e-324, -1e-300, 1e-300]
-    for k in range(-12, 13):
-        edges += [float(k), math.nextafter(k, -math.inf), math.nextafter(k, math.inf)]
-    edges += [rng.uniform(-12.0, 12.0) for _ in range(200)]
-    edges = [e for e in edges + [-e for e in edges] if -12.0 <= e <= 12.0]
+    # loop's bits on both columns.
+    edges = _ray_edges(29)
     # What _integrate hands the rule, two calls a panel: phi, then t * phi.
     seen = []
 
@@ -307,6 +348,117 @@ def test_integrate_one_panel_per_whole_sigma(monkeypatch, a, b):
     for (_, y, _), (x, _, _) in zip(panels, panels[1:]):
         assert x == y and float(x).is_integer()
     assert result == tuple(math.fsum(p[2][k] for p in panels) for k in range(4))
+
+
+def _bits(values):
+    return tuple(map(float.hex, values))
+
+
+def test_left_ray_is_its_mirror_with_the_moment_negated():
+    # A panel reflected about 0 has its nodes negated in reverse order, the
+    # rule sums mirror node pairs and fsum rounds each column once, so the
+    # left ray [-12, a] is [-a, 12] with its moment negated, bit for bit,
+    # and so is centroid_quadrature's mirrored pass.  Only a moment of
+    # exactly 0 differs, and only in sign, as -(0.0) is -0.0: that of the
+    # empty ray (a = -12) and of the whole window (a = 12), whose mirror
+    # pairs cancel.  Then the other ray is empty, its moment 0.0, and the
+    # sum of the two moments is 0.0 either way.
+    for a in _ray_edges(30):
+        left = _integrate(-12.0, a)
+        mirror = _integrate(-a, 12.0)
+        flipped = (mirror[0], -mirror[1], mirror[2], mirror[3])
+        for ray in (flipped, _integrate(-12.0, a, mirrored=True)):
+            if abs(a) == 12.0:
+                assert ray == left and left[1] == 0.0, a
+                assert _bits(ray[:1] + ray[2:]) == _bits(left[:1] + left[2:]), a
+            else:
+                assert _bits(ray) == _bits(left), a
+
+
+def _ladder(a, b):
+    """The panels of [a, b], cut at the integers strictly inside it."""
+    cuts = [a, *(k for k in range(-12, 13) if a < k < b), b]
+    return list(zip(cuts, cuts[1:])) if b > a else []
+
+
+def test_rays_evaluate_each_distinct_panel_once(monkeypatch):
+    # The left ray [-12, a] runs as [-a, 12]: both rays end at 12 on the
+    # same cuts, so the whole-sigma panels they share are evaluated once,
+    # and a problem takes the longer ray's panels and at most one more.
+    calls = []
+
+    def panel(x, y):
+        calls.append((x, y))
+        return _kronrod_panel(x, y)
+
+    monkeypatch.setattr(quadrature, "_kronrod_panel", panel)
+    rng = random.Random(30)
+    shared = 0
+    for _ in range(300):
+        lower, upper = sorted(rng.uniform(-13.0, 13.0) for _ in range(2))
+        calls.clear()
+        try:
+            centroid_quadrature(STD, ExcludedInterval(lower, upper), 0.0)
+        except DeepTruncationError:
+            pass
+        a, b = (min(max(x, -12.0), 12.0) for x in (lower, upper))
+        left, right = _ladder(-a, 12.0), _ladder(b, 12.0)
+        assert len(calls) == len(set(calls)), (lower, upper)
+        assert set(calls) == set(left + right), (lower, upper)
+        assert len(calls) <= max(len(left), len(right)) + 1, (lower, upper)
+        shared += len(left) + len(right) - len(calls)
+    assert shared > 300
+
+
+def test_tolerance_miss_names_the_callers_ray(monkeypatch):
+    # The left ray runs mirrored, but a miss names the ray [-12, a] the
+    # caller asked for.  The density kinks at +-sqrt(0.2), as in
+    # test_integrate_rough_integrand_misses_tolerance.
+    monkeypatch.setattr(quadrature, "exp", lambda u: abs(u + 0.1) ** 0.5)
+    with pytest.raises(ToleranceNotMetError, match=r" on \[-12\.0, 0\.5\] miss "):
+        centroid_quadrature(STD, ExcludedInterval(0.5, 13.0), 0.0)
+    with pytest.raises(ToleranceNotMetError, match=r" on \[-0\.5, 12\.0\] miss "):
+        centroid_quadrature(STD, ExcludedInterval(-13.0, -0.5), 0.0)
+
+
+def test_reflected_problems_give_opposite_centroids():
+    # Reflecting a problem about 0, (mu, sigma, (lower, upper), shift) to
+    # (-mu, sigma, (-upper, -lower), -shift), swaps and mirrors its rays:
+    # the value is exactly negated, the mass, bound and warnings are the
+    # same, or both are declined.
+    answered = 0
+    for mu, sigma, (lower, upper), shift in _seeded_problems(31):
+        result = _answer(mu, sigma, (lower, upper), shift)
+        mirror = _answer(-mu, sigma, (-upper, -lower), -shift)
+        if result is None:
+            assert mirror is None, (mu, sigma, lower, upper, shift)
+            continue
+        answered += 1
+        assert mirror.value == -result.value, (mu, sigma, lower, upper, shift)
+        assert mirror[1:] == result[1:], (mu, sigma, lower, upper, shift)
+    assert 800 < answered < 1000
+
+
+# The sha256 of the reprs of (value, support_mass, abs_error_bound,
+# warnings), or "declined", one line a problem of _seeded_problems(30).
+ORACLE_DIGEST = "a01f158bdfa17c3bb19c4059fbfd68817af8eef4cb543dbc62aace9b9667f3e4"
+
+
+def test_oracle_bits_are_pinned():
+    # Every bit of the oracle's answers, and where it declines, over 1000
+    # problems in five regimes; a change that moves one bit moves the
+    # digest.  The pool holds holes wholly on one side of loc and edges
+    # past the window.
+    lines, one_side, past = [], 0, 0
+    for mu, sigma, hole, shift in _seeded_problems(30):
+        a, b = ((x - (mu + shift)) / sigma for x in hole)
+        one_side += a > 0.0 or b < 0.0
+        past += max(-a, b) > 12.0
+        r = _answer(mu, sigma, hole, shift)
+        fields = None if r is None else (r.value, r.support_mass, r.abs_error_bound, r.warnings)
+        lines.append("declined" if fields is None else repr(fields))
+    assert one_side > 200 and past > 200 and 100 < lines.count("declined") < 200
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == ORACLE_DIGEST
 
 
 def test_full_window_estimates_well_below_tolerance():
