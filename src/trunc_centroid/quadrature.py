@@ -1,59 +1,59 @@
 """Quadrature ground truth for the exterior centroid.
 
-This module answers the same question as the closed form but by direct
-numerical integration of the defining ratio: first moment over mass on
-the exterior support.  It never calls the closed-form machinery.
+This module answers the same question as the closed form by integrating
+the exterior mass numerically.  It never calls the closed-form machinery.
 
 It works in standardized coordinates t = (x - loc) / sigma, loc = mu +
-shift.  Each exterior ray, clipped to the fixed window [-c, c] with c =
-TAIL_CUTOFF_SIGMAS = 12, is cut at every integer inside it.  The left
-ray [-c, a] runs as its mirror [-a, c], so both rays climb one ladder of
-panels to c and a panel they share is evaluated once.  A panel is
-QUADPACK's Gauss-Kronrod 7-15 rule (Piessens et al., 1983) for the one
-pair (phi(t), t * phi(t)), phi evaluated inline once per node: the
-K15/G7 estimates of both integrals and QUADPACK's rescaled |K15 - G7|
-** 1.5 error estimator, its sums in one fixed order, so its bits do not
-depend on how sum() rounds.  It sums mirror node pairs, and a mirrored
-panel's nodes are the nodes negated in reverse order, so the mirror
-keeps the mass and errors and negates the moment, bit for bit; fsum
-rounds each column once, in any order.  The rule takes node values of
-one sign: phi > 0 on the window, and t keeps one sign on a panel, as 0
-is among the cuts.  So the rounding floor's sum of w |y| is |sum of w y|
-in the same order, bit for bit, as negation is exact: one abs, not 15.
+shift, with a, b the hole edges clamped to the window [-c, c], c =
+TAIL_CUTOFF_SIGMAS = 12.  The first moment is exact: -phi is an
+antiderivative of t * phi(t), so the rays [-c, a] and [b, c] have moment
+T = phi(b) - phi(a), their phi(+-c) terms cancelling.  The mass is cut
+at every integer inside each ray; phi is even, so the left ray runs as
+its mirror [-a, c], both rays climb one ladder of panels to c and a
+shared panel is evaluated once.  A panel is QUADPACK's Gauss-Kronrod
+7-15 rule (Piessens et al., 1983) for phi, evaluated inline once per
+node, with its rescaled |K15 - G7| ** 1.5 error estimate, its sums in
+one fixed order, so its bits do not depend on how sum() rounds.  It sums
+mirror node pairs, and a mirrored panel's nodes are its nodes negated in
+reverse order, so the mirror keeps its bits; fsum rounds each column
+once, in any order.  phi > 0, so the rounding floor's sum of w |y| is
+|sum of w y|: one abs, not 15.
 
-The ray's mass error and moment error, summed over its panels, must each
-meet max(ABS_TOL, REL_TOL * |value|), ABS_TOL = 1e-13 and REL_TOL =
-1e-12, or ToleranceNotMetError is raised.  So the tolerances apply to
-the standardized integrals.  The result maps back once: mass m, capped
-at 1, and centroid loc + sigma * r, r = T / m with T the standardized
-first moment; a centroid beyond the float range is a DomainError.
+Each ray's summed error estimate must meet max(ABS_TOL, REL_TOL * mass),
+ABS_TOL = 1e-13 and REL_TOL = 1e-12, or ToleranceNotMetError names the
+ray.  The result maps back once: mass m, capped at 1, and centroid loc +
+sigma * r, r = T / m; a centroid beyond the float range is a DomainError.
+The window leaves out at most 2 phi(c) / c = 3.6e-33 of mass and 2 phi(c)
+= 4.3e-32 of |moment|, both below ABS_TOL.  With Dm the summed estimates
+plus 3.6e-33, the oracle declines with DeepTruncationError unless m > Dm.
 
-What the window leaves out, both tails together, is bounded by two
-constants (used only to certify smallness, never added to the value):
+T rounds in its two phi and one subtraction.  In INV_SQRT_2PI * exp(-0.5
+* (e * e)), e * e rounds by eps/2 of itself, which exp turns into e^2/4
+eps; libm's exp is within one ulp, eps; the constant (0.57 of eps/2 off)
+and the product round by eps/2 each; the subtraction adds eps/2 of |T|
+<= phi(a) + phi(b).  So, to first order, with |e| <= c, T is within
 
-    mass beyond c <= 2 * phi(c) / c = 3.6e-33
-    |moment| beyond c <= 2 * phi(c) = 4.3e-32
+    DT = 2 phi(c) + (c^2/4 + 5/2) eps (phi(a) + phi(b))
 
-Both lie below ABS_TOL.  With Dm and DT the summed error estimates plus
-these remainders, the oracle declines with DeepTruncationError unless
-m > Dm: where the hole covers the whole window, and where the window
-keeps no more mass than Dm.  Otherwise abs_error_bound bounds |value -
-exact centroid| by
+of the exact moment at the rounded, unclamped edges.  abs_error_bound,
+the bound on |value - exact centroid|, is
 
     sigma * (DT + |r| * Dm) / (m - Dm) + eps * (|value| + sigma * |r|
         + (1 + S) * (|loc| + sigma * max(|a|, |b|)))
 
-with a, b the standardized hole edges clamped to [-c, c] and S = sum of
-phi(e) * |e - r| / m over e = a, b, the ratio's sensitivity to them.  The
-first term carries the integration error through the ratio, the second
-the rounding of loc, of the edges and of the map back.
+with S = sum of phi(e) * |e - r| / m over e = a, b, the ratio's
+sensitivity to the edges.  The first term carries the mass's integration
+error and T's rounding, the second the rounding of loc, of the edges and
+of the map back.  A panel's nodes come from its rounded center and
+half-width, so the mass is integrated between ends a little off the
+cuts, while T is taken at the edges themselves.  That rounding of the
+mass is left to the edge term, eps * (1 + S) * sigma * max(|a|, |b|).
 """
 
 from __future__ import annotations
 
 import math
 from math import exp
-from operator import mul
 
 from .errors import DeepTruncationError, DomainError, ToleranceNotMetError
 from .errors import _float, require_finite
@@ -83,24 +83,23 @@ _NODES = tuple(-x for x in _XGK[:7]) + _XGK[7:] + _XGK[6::-1]
 
 _EPS = 2.220446049250313e-16
 
-# The window [-c, c] in sigmas, and the tolerances of each ray's
-# standardized mass and moment.
+# The window [-c, c] in sigmas, and the tolerances of each ray's mass.
 TAIL_CUTOFF_SIGMAS = 12.0
 ABS_TOL = 1e-13
 REL_TOL = 1e-12
 # Bounds on the standardized mass and |moment| beyond the window.
 MOMENT_REMAINDER = 2.0 * std_pdf(TAIL_CUTOFF_SIGMAS)
 MASS_REMAINDER = MOMENT_REMAINDER / TAIL_CUTOFF_SIGMAS
+# The rounding of T, per phi(a) + phi(b): (c^2/4 + 5/2) eps.
+_MOMENT_ROUNDING = (0.25 * TAIL_CUTOFF_SIGMAS**2 + 2.5) * _EPS
 
 
 def _rule(ys: list, half: float) -> tuple[float, float]:
     """K15 integral and QUADPACK error estimate from 15 node values of one
     sign, a zero counting for either: the rounding floor's sum of w |y| is
-    then |sum of w y|, summed in the same order.
-
-    Mirror nodes are summed in pairs, so a panel mirrored about 0 gives the
-    same error and, for an odd integrand, exactly the opposite value.
-    """
+    then |sum of w y|, summed in the same order.  Mirror nodes are summed
+    in pairs, so for an even integrand a panel mirrored about 0 gives the
+    same bits."""
     y0, y1, y2, y3, y4, y5, y6, y7, y8, y9, y10, y11, y12, y13, y14 = ys
     w0, w1, w2, w3, w4, w5, w6, w7 = _WGK
     p0, p1, p2, p3 = y0 + y14, y1 + y13, y2 + y12, y3 + y11
@@ -122,63 +121,49 @@ def _rule(ys: list, half: float) -> tuple[float, float]:
     return resk * half, floor if floor > err else err
 
 
-def _kronrod_panel(a: float, b: float) -> tuple[float, float, float, float]:
-    """One 7-15 panel on [a, b], which must not straddle 0, for the pair
-    phi(t) and t * phi(t), so that each has one sign on it.
-
-    phi is evaluated once per node, with the bits of special.std_pdf.
-    Returns (integral of phi, integral of t * phi, error of the first,
-    error of the second).
-    """
+def _kronrod_panel(a: float, b: float) -> tuple[float, float]:
+    """The 7-15 rule for phi on [a, b], phi evaluated once per node with
+    the bits of special.std_pdf: (integral, error estimate)."""
     center = 0.5 * (a + b)
     half = 0.5 * (b - a)
     ts = [center + half * x for x in _NODES]
-    fs = [INV_SQRT_2PI * exp(-0.5 * (t * t)) for t in ts]
-    value, err = _rule(fs, half)
-    moment, moment_err = _rule(list(map(mul, ts, fs)), half)
-    return value, moment, err, moment_err
+    return _rule([INV_SQRT_2PI * exp(-0.5 * (t * t)) for t in ts], half)
 
 
-def _integrate(a: float, b: float, panels: dict | None = None, mirrored=False) -> tuple:
-    """Composite 7-15 rule over [a, b] for the pair (phi(t), t * phi(t)).
-
-    [a, b] is cut at every integer strictly between a and b, one panel per
-    piece, taken by its ends from `panels` or evaluated and stored there.
-    Mirrored, it runs over [-b, -a] and negates the moment, the same bits.
-    Returns (integral of phi, integral of t * phi, their error estimates),
-    each column summed with fsum; ToleranceNotMetError, naming [a, b],
-    unless both errors meet max(ABS_TOL, REL_TOL * |value|).
-    """
-    lo, hi = (-b, -a) if mirrored else (a, b)
-    if not hi > lo:
-        return 0.0, 0.0, 0.0, 0.0
-    cuts = [lo, *range(math.floor(lo) + 1, math.ceil(hi)), hi]
+def _integrate(a: float, b: float, panels: dict | None = None) -> tuple[float, float]:
+    """Composite 7-15 rule for phi over [a, b]: (integral, error estimate),
+    each the fsum of its panels'.  [a, b] is cut at every integer strictly
+    inside it, one panel a piece, taken by its ends from `panels` or
+    evaluated and stored there."""
+    if not b > a:
+        return 0.0, 0.0
+    cuts = [a, *range(math.floor(a) + 1, math.ceil(b)), b]
     ends = list(zip(cuts, cuts[1:]))
     panels = {} if panels is None else panels
     panels.update((key, _kronrod_panel(*key)) for key in ends if key not in panels)
     # A list: star-unpacking a map grows a tuple in steps, fragmenting the heap.
-    value, moment, err, moment_err = map(math.fsum, zip(*[panels[key] for key in ends]))
-    if (err > max(ABS_TOL, REL_TOL * abs(value))
-            or moment_err > max(ABS_TOL, REL_TOL * abs(moment))):
-        raise ToleranceNotMetError(f"error estimates {err:.3e}, {moment_err:.3e} on "
-                                   f"[{a!r}, {b!r}] miss the tolerances")
-    return value, -moment if mirrored else moment, err, moment_err
+    return tuple(map(math.fsum, zip(*[panels[key] for key in ends])))
 
 
 def centroid_quadrature(
     params: GaussianParams, hole: ExcludedInterval, shift: float
 ) -> CentroidResult:
-    """Centroid as the ratio of the integrated moment and mass."""
+    """Centroid as the ratio of the exact moment and the integrated mass."""
     loc = require_finite(params.mu + _float(shift), "mu + shift")
     sigma, cut = params.sigma, TAIL_CUTOFF_SIGMAS
-    # The standardized hole edges, clamped to the window.
+    # The standardized hole edges, clamped to the window, and phi there.
     edges = [min(max((x - loc) / sigma, -cut), cut) for x in (hole.lower, hole.upper)]
+    pdfs = [INV_SQRT_2PI * exp(-0.5 * (e * e)) for e in edges]
     panels: dict = {}  # both rays end at c on the same cuts and share panels
-    left = _integrate(-cut, edges[0], panels, mirrored=True)
+    left = _integrate(-edges[0], cut, panels)  # [-c, a] as its mirror [-a, c]
     right = _integrate(edges[1], cut, panels)
+    for lo, hi, (ray_mass, err) in ((-cut, edges[0], left), (edges[1], cut, right)):
+        if err > max(ABS_TOL, REL_TOL * ray_mass):
+            raise ToleranceNotMetError(f"error estimates summing to {err:.3e} on "
+                                       f"[{lo!r}, {hi!r}] miss the tolerances")
     # The rounded panels can sum past 1.
     mass = min(left[0] + right[0], 1.0)
-    d_mass = left[2] + right[2] + MASS_REMAINDER
+    d_mass = left[1] + right[1] + MASS_REMAINDER
     if not mass > d_mass:
         raise DeepTruncationError(
             f"the support mass inside the window of +-{TAIL_CUTOFF_SIGMAS!r} sigmas "
@@ -186,13 +171,13 @@ def centroid_quadrature(
             f"{d_mass!r}: the exterior mass lies beyond the window; the quadrature "
             f"oracle declines (the closed form still applies)"
         )
-    ratio = (left[1] + right[1]) / mass
+    ratio = (pdfs[1] - pdfs[0]) / mass
     value = loc + sigma * ratio
     if math.isinf(value):
         raise DomainError(f"the centroid overflows the float range, mu + shift = {loc!r}")
-    d_moment = left[3] + right[3] + MOMENT_REMAINDER
+    d_moment = MOMENT_REMAINDER + _MOMENT_ROUNDING * (pdfs[0] + pdfs[1])
     spread = (d_moment + abs(ratio) * d_mass) / (mass - d_mass)
-    sensitivity = sum(std_pdf(e) * abs(e - ratio) for e in edges) / mass
+    sensitivity = sum(p * abs(e - ratio) for e, p in zip(edges, pdfs)) / mass
     inputs = abs(loc) + sigma * max(map(abs, edges))
     rounding = abs(value) + sigma * abs(ratio) + (1.0 + sensitivity) * inputs
     return CentroidResult(

@@ -37,11 +37,15 @@ BIG = 1.7976931348623157e308
 
 
 def _ray_means(params, hole, shift):
-    """The oracle's left and right ray means, each edge within its window."""
+    """The left and right ray means, each edge within the oracle's window:
+    a ray [lo, hi] has the oracle's mass and the moment phi(lo) - phi(hi)."""
     loc = params.mu + shift
     a, b = ((x - loc) / params.sigma for x in (hole.lower, hole.upper))
-    rays = (_integrate(-12.0, a), _integrate(b, 12.0))
-    return [loc + params.sigma * moment / mass for mass, moment, _, _ in rays]
+    rays = ((-12.0, a), (b, 12.0))
+    return [
+        loc + params.sigma * (std_pdf(lo) - std_pdf(hi)) / _integrate(lo, hi)[0]
+        for lo, hi in rays
+    ]
 
 
 def _quotient_form(h, l, u):

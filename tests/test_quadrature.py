@@ -54,10 +54,10 @@ def _one_sign(ys):
     return all(y >= 0.0 for y in ys) or all(y <= 0.0 for y in ys)
 
 
-def _exact_integrals(a, b):
-    """Phi(b) - Phi(a) and phi(a) - phi(b) for floats a and b, computed at
-    100 digits: Phi(x) - 1/2 is phi(x) times x + x^3/3 + x^5/15 + ..., the
-    sum of x^(2n+1) / (2n+1)!!, all of whose terms are summed."""
+def _exact_mass(a, b):
+    """Phi(b) - Phi(a) for floats a and b, computed at 100 digits: Phi(x) -
+    1/2 is phi(x) times x + x^3/3 + x^5/15 + ..., the sum of x^(2n+1) /
+    (2n+1)!!, all of whose terms are summed."""
     with localcontext() as ctx:
         ctx.prec = 100
 
@@ -74,13 +74,13 @@ def _exact_integrals(a, b):
             return pdf(x) * total
 
         a, b = Decimal(a), Decimal(b)
-        return float(centered_cdf(b) - centered_cdf(a)), float(pdf(a) - pdf(b))
+        return float(centered_cdf(b) - centered_cdf(a))
 
 
 def _rays(params, hole, shift):
     """loc, the standardized edges clamped to the window, and the passes
-    over the left ray [-12, a] and the right ray [b, 12], whose bits
-    centroid_quadrature keeps (it runs the left ray mirrored)."""
+    (mass, error) over the left ray [-12, a] and the right ray [b, 12],
+    whose bits centroid_quadrature keeps (it runs the left ray mirrored)."""
     loc = params.mu + shift
     a, b = (
         min(max((x - loc) / params.sigma, -12.0), 12.0) for x in (hole.lower, hole.upper)
@@ -93,9 +93,10 @@ def _mass(params, hole, shift):
 
 
 def _first_moment(params, hole, shift):
-    """The unnormalized exterior first moment, in x units."""
-    loc, _, left, right = _rays(params, hole, shift)
-    return loc * (left[0] + right[0]) + params.sigma * (left[1] + right[1])
+    """The unnormalized exterior first moment, in x units, from the rays'
+    mass and their standardized moment phi(b) - phi(a)."""
+    loc, (a, b), left, right = _rays(params, hole, shift)
+    return loc * (left[0] + right[0]) + params.sigma * (std_pdf(b) - std_pdf(a))
 
 
 def _loop_rule(ys, half):
@@ -158,7 +159,8 @@ def _seeded_panels():
     ids=["phi", "sign_changing_cubic", "rough"],
 )
 def test_rule_keeps_the_bits_of_the_loop(func, panels):
-    # Both the integrand and t times it, on the nodes _kronrod_panel forms.
+    # The integrand, and t times it as a second input of one sign, on the
+    # nodes _kronrod_panel forms.
     for a, b in panels:
         center, half = 0.5 * (a + b), 0.5 * (b - a)
         ts = [center + half * x for x in _NODES]
@@ -215,12 +217,11 @@ def _answer(mu, sigma, hole, shift):
 
 def test_every_panel_hands_the_rule_one_sign(monkeypatch):
     # The rule's rounding floor sums w * y and takes one abs, which is the
-    # sum of w * |y| only for values of one sign.  _integrate cuts at every
-    # integer, 0 included, and phi > 0 on the window, so on each panel phi
-    # and t * phi have one sign at all 15 nodes; there the rule keeps the
-    # loop's bits on both columns.
+    # sum of w * |y| only for values of one sign.  phi > 0 on the window,
+    # so each panel hands the rule 15 positive values, and there the rule
+    # keeps the loop's bits.
     edges = _ray_edges(29)
-    # What _integrate hands the rule, two calls a panel: phi, then t * phi.
+    # What _integrate hands the rule, one call a panel.
     seen = []
 
     def rule(ys, half):
@@ -231,11 +232,9 @@ def test_every_panel_hands_the_rule_one_sign(monkeypatch):
     for e in edges:
         _integrate(-12.0, e)
         _integrate(e, 12.0)
-    assert len(seen) > 4 * len(edges)
-    for k, (ys, half) in enumerate(seen):
-        assert _one_sign(ys), ys
-        if k % 2 == 0:
-            assert all(y > 0.0 for y in ys), ys
+    assert len(seen) > 2 * len(edges)
+    for ys, half in seen:
+        assert all(y > 0.0 for y in ys), ys
         assert _rule(ys, half) == _loop_rule(ys, half), ys
 
 
@@ -251,46 +250,34 @@ def _rule_of(poly, a, b):
 
 
 def test_panel_exact_on_polynomials():
-    # Kronrod 15 integrates degree <= 22 exactly; check a few, and t * f,
-    # one degree higher, as the panel integrates it too.
+    # Kronrod 15 integrates degree <= 22 exactly; check a few.
     for degree in (3, 8, 13, 20):
         value = _rule_of(lambda t: t**degree, 0.0, 1.0)
-        moment = _rule_of(lambda t: t ** (degree + 1), 0.0, 1.0)
         assert math.isclose(value, 1.0 / (degree + 1), rel_tol=1e-13)
-        assert math.isclose(moment, 1.0 / (degree + 2), rel_tol=1e-13)
     # The rule takes values of one sign, so the cubic over (-1, 2) is summed
     # over the pieces between its roots 0 and +-sqrt(1/2).
     root = math.sqrt(0.5)
     pieces = [(-1.0, -root), (-root, 0.0), (0.0, root), (root, 2.0)]
     value = sum(_rule_of(lambda t: 4.0 * t**3 - 2.0 * t, a, b) for a, b in pieces)
-    moment = sum(_rule_of(lambda t: 4.0 * t**4 - 2.0 * t**2, a, b) for a, b in pieces)
     assert math.isclose(value, (2.0**4 - 1.0) - (4.0 - 1.0), rel_tol=1e-13)
-    expected_moment = 0.8 * (2.0**5 + 1.0) - (2.0 / 3.0) * (2.0**3 + 1.0)
-    assert math.isclose(moment, expected_moment, rel_tol=1e-13)
-    # The panel integrates phi and t * phi on its nodes.
-    value, moment, _, _ = _kronrod_panel(0.0, 1.0)
+    # The panel integrates phi on its nodes.
+    value, _ = _kronrod_panel(0.0, 1.0)
     assert math.isclose(value, std_cdf(1.0) - 0.5, rel_tol=1e-14)
-    assert math.isclose(moment, std_pdf(0.0) - std_pdf(1.0), rel_tol=1e-14)
 
 
 def test_panel_mirror_is_exact():
     # Node values are summed in mirror pairs: a panel reflected about 0
-    # gives the same mass and error and exactly the opposite moment.
+    # gives the same mass and error.
     for a, b in ((0.3, 2.9), (1.0, 12.0), (0.0, 4.1)):
-        right = _kronrod_panel(a, b)
-        left = _kronrod_panel(-b, -a)
-        assert left == (right[0], -right[1], right[2], right[3])
+        assert _kronrod_panel(-b, -a) == _kronrod_panel(a, b)
 
 
 def test_integrate_known_gaussian_masses():
-    value, moment, err, moment_err = _integrate(-1.0, 1.0)
+    value, err = _integrate(-1.0, 1.0)
     assert math.isclose(value, 1.0 - 0.3173105078629141, rel_tol=1e-13)
     assert err <= max(ABS_TOL, REL_TOL * abs(value))
-    assert moment == 0.0 and moment_err <= ABS_TOL
-    value, moment, _, _ = _integrate(-12.0, -1.0)
+    value, _ = _integrate(-12.0, -1.0)
     assert math.isclose(value, 0.15865525393145705, rel_tol=1e-12)
-    # the integral of t * phi(t) from -12 to -1 is phi(12) - phi(1)
-    assert math.isclose(moment, std_pdf(12.0) - std_pdf(1.0), rel_tol=1e-12)
 
 
 def test_integrate_error_estimate_is_honest():
@@ -305,27 +292,28 @@ def test_integrate_error_estimate_is_honest():
         a, b = sorted(rng.randrange(-768, 769) / 64 for _ in range(2))
         if a == b:
             continue
-        value, moment, err, moment_err = _integrate(a, b)
-        mass, first = _exact_integrals(a, b)
+        value, err = _integrate(a, b)
+        mass = _exact_mass(a, b)
         assert abs(value - mass) <= err, (a, b)
-        assert abs(moment - first) <= moment_err, (a, b)
         assert err >= 50.0 * EPS * value * (1.0 - 1e-12), (a, b)
-        assert moment_err >= 50.0 * EPS * abs(moment) * (1.0 - 1e-12), (a, b)
 
 
 def test_integrate_empty_interval():
-    assert _integrate(1.0, 1.0) == (0.0, 0.0, 0.0, 0.0)
-    assert _integrate(2.0, 1.0) == (0.0, 0.0, 0.0, 0.0)
+    assert _integrate(1.0, 1.0) == (0.0, 0.0)
+    assert _integrate(2.0, 1.0) == (0.0, 0.0)
 
 
 def test_integrate_rough_integrand_misses_tolerance(monkeypatch):
-    # A square-root kink inside a unit panel is beyond its 7-15 rule, and
-    # the composite rule says so instead of returning a value.  The density
-    # is made rough through its exp: |0.1 - t * t / 2| ** 0.5 kinks at
-    # t = +-sqrt(0.2), inside the panels (-1, 0) and (0, 1), and stays >= 0.
+    # A square-root kink inside a unit panel is beyond its 7-15 rule: the
+    # composite rule's estimate says so, and the oracle raises instead of
+    # returning a value.  The density is made rough through its exp:
+    # |0.1 - t * t / 2| ** 0.5 kinks at t = +-sqrt(0.2), inside the panels
+    # (-1, 0) and (0, 1), and stays >= 0.
     monkeypatch.setattr(quadrature, "exp", lambda u: abs(u + 0.1) ** 0.5)
+    value, err = _integrate(-4.0, 9.0)
+    assert err > max(ABS_TOL, REL_TOL * value)
     with pytest.raises(ToleranceNotMetError, match="miss the tolerances"):
-        _integrate(-4.0, 9.0)
+        centroid_quadrature(STD, ExcludedInterval(-20.0, -4.0), 0.0)
 
 
 @pytest.mark.parametrize(
@@ -347,32 +335,20 @@ def test_integrate_one_panel_per_whole_sigma(monkeypatch, a, b):
     assert (panels[0][0], panels[-1][1]) == (a, b)
     for (_, y, _), (x, _, _) in zip(panels, panels[1:]):
         assert x == y and float(x).is_integer()
-    assert result == tuple(math.fsum(p[2][k] for p in panels) for k in range(4))
+    assert result == tuple(math.fsum(p[2][k] for p in panels) for k in range(2))
 
 
 def _bits(values):
     return tuple(map(float.hex, values))
 
 
-def test_left_ray_is_its_mirror_with_the_moment_negated():
+def test_left_ray_is_its_mirror():
     # A panel reflected about 0 has its nodes negated in reverse order, the
     # rule sums mirror node pairs and fsum rounds each column once, so the
-    # left ray [-12, a] is [-a, 12] with its moment negated, bit for bit,
-    # and so is centroid_quadrature's mirrored pass.  Only a moment of
-    # exactly 0 differs, and only in sign, as -(0.0) is -0.0: that of the
-    # empty ray (a = -12) and of the whole window (a = 12), whose mirror
-    # pairs cancel.  Then the other ray is empty, its moment 0.0, and the
-    # sum of the two moments is 0.0 either way.
+    # left ray [-12, a] has the mass and error of its mirror [-a, 12], bit
+    # for bit, which centroid_quadrature integrates in its place.
     for a in _ray_edges(30):
-        left = _integrate(-12.0, a)
-        mirror = _integrate(-a, 12.0)
-        flipped = (mirror[0], -mirror[1], mirror[2], mirror[3])
-        for ray in (flipped, _integrate(-12.0, a, mirrored=True)):
-            if abs(a) == 12.0:
-                assert ray == left and left[1] == 0.0, a
-                assert _bits(ray[:1] + ray[2:]) == _bits(left[:1] + left[2:]), a
-            else:
-                assert _bits(ray) == _bits(left), a
+        assert _bits(_integrate(-a, 12.0)) == _bits(_integrate(-12.0, a)), a
 
 
 def _ladder(a, b):
@@ -441,7 +417,7 @@ def test_reflected_problems_give_opposite_centroids():
 
 # The sha256 of the reprs of (value, support_mass, abs_error_bound,
 # warnings), or "declined", one line a problem of _seeded_problems(30).
-ORACLE_DIGEST = "a01f158bdfa17c3bb19c4059fbfd68817af8eef4cb543dbc62aace9b9667f3e4"
+ORACLE_DIGEST = "e33892b62bf81bb318c03db14b5a53664cd82ab5c21a4123dc265384245b6b57"
 
 
 def test_oracle_bits_are_pinned():
@@ -463,11 +439,10 @@ def test_oracle_bits_are_pinned():
 
 def test_full_window_estimates_well_below_tolerance():
     # 24 unit panels: each estimate is the rounding floor, so the window's
-    # sums are 50 eps times the integrals of phi and |t| phi.
-    value, moment, err, moment_err = _integrate(-12.0, 12.0)
-    assert max(err, moment_err) < ABS_TOL / 5.0
+    # sum is 50 eps times the integral of phi.
+    _, err = _integrate(-12.0, 12.0)
+    assert err < ABS_TOL / 5.0
     assert math.isclose(err, 50.0 * EPS, rel_tol=1e-4)
-    assert math.isclose(moment_err, 50.0 * EPS * 2.0 * std_pdf(0.0), rel_tol=1e-4)
 
 
 def test_seeded_holes_meet_the_tolerances():
@@ -486,7 +461,7 @@ def test_seeded_holes_meet_the_tolerances():
         except DeepTruncationError:
             _, _, left, right = _rays(STD, hole, 0.0)
             mass = min(left[0] + right[0], 1.0)
-            assert not mass > left[2] + right[2] + MASS_REMAINDER, (lower, upper)
+            assert not mass > left[1] + right[1] + MASS_REMAINDER, (lower, upper)
             declined += 1
             slivers += mass > 0.0
         else:
@@ -614,18 +589,28 @@ def test_hole_edge_outside_window_is_not_missed():
 
 
 def test_ray_integrals_split_and_errors():
-    # Each ray's pass is standardized: (mass, moment, mass_err, moment_err)
-    # with t = (x - loc) / sigma, loc = 1 and sigma = 2 here.
-    loc, _, left, right = _rays(REF_PARAMS, REF_HOLE, 0.0)
+    # Each ray's pass is standardized: (mass, error) with t = (x - loc) /
+    # sigma, loc = 1 and sigma = 2 here.
+    loc, (a, b), left, right = _rays(REF_PARAMS, REF_HOLE, 0.0)
     assert loc == 1.0
     assert math.isclose(left[0], 0.15865525393145705, rel_tol=1e-12)
     assert math.isclose(right[0], 0.06680720126885807, rel_tol=1e-12)
-    assert left[2] <= ABS_TOL
+    assert left[1] <= ABS_TOL
     assert _mass(REF_PARAMS, REF_HOLE, 0.0) == left[0] + right[0]
-    total = loc * (left[0] + right[0]) + 2.0 * (left[1] + right[1])
+    total = loc * (left[0] + right[0]) + 2.0 * (std_pdf(b) - std_pdf(a))
     assert math.isclose(
         total, 0.0024669184646184749 * 0.22546245520031512, rel_tol=1e-9, abs_tol=1e-15
     )
+    # The standardized moment is phi(b) - phi(a) of the clamped edges, bit
+    # for bit: here, where one edge lies past the window, and where both
+    # do, on one side (a = b = 12).
+    for hole in (REF_HOLE, ExcludedInterval(-1.0, 40.0), ExcludedInterval(-30.0, 4.0),
+                 ExcludedInterval(30.0, 40.0)):
+        loc, (a, b), left, right = _rays(REF_PARAMS, hole, 0.0)
+        result = centroid_quadrature(REF_PARAMS, hole, 0.0)
+        mass = min(left[0] + right[0], 1.0)
+        assert result.support_mass == mass
+        assert result.value == loc + 2.0 * ((std_pdf(b) - std_pdf(a)) / mass), hole
 
 
 @pytest.mark.parametrize("sigma", [1e-300, 1e20, 1e200, 1e307])
@@ -644,7 +629,8 @@ def test_scale_invariance_at_extreme_sigma(sigma):
 
 
 def test_symmetric_hole_is_exactly_zero_at_any_scale():
-    # Mirror rays give exactly opposite moments, so no residue is scaled up.
+    # phi(-1) and phi(1) are the same bits, so the moment is exactly 0 and
+    # no residue is scaled up.
     for sigma in (1.0, 1e200, 1e308):
         params = GaussianParams(0.0, sigma)
         result = centroid_quadrature(params, ExcludedInterval(-1.0, 1.0), 0.0)
@@ -671,9 +657,11 @@ def test_abs_error_bound_formula():
         (GaussianParams(3e5, 0.1), ExcludedInterval(3e5 - 0.2, 3e5 + 0.05), 0.03),
     ):
         loc, (a, b), left, right = _rays(params, hole, shift)
-        m, r = left[0] + right[0], (left[1] + right[1]) / (left[0] + right[0])
-        d_mass = left[2] + right[2] + MASS_REMAINDER
-        d_moment = left[3] + right[3] + MOMENT_REMAINDER
+        m = left[0] + right[0]
+        r = (std_pdf(b) - std_pdf(a)) / m
+        d_mass = left[1] + right[1] + MASS_REMAINDER
+        # T's rounding: (c^2/4 + 5/2) eps per phi(a) + phi(b), c = 12.
+        d_moment = MOMENT_REMAINDER + (12.0**2 / 4 + 2.5) * eps * (std_pdf(a) + std_pdf(b))
         result = centroid_quadrature(params, hole, shift)
         s = (std_pdf(a) * abs(a - r) + std_pdf(b) * abs(b - r)) / m
         rounding = eps * (
