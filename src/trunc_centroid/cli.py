@@ -16,9 +16,9 @@ Exit codes: 0 success, 1 domain/computation error (sigma <= 0, bad hole,
 deep truncation for oracle or sampler, a centroid or a draw beyond the
 float range, a sweep too large for memory, a sample, a sweep grid or a
 random sweep of 2^53 points or more, a random sweep over a range whose
-width overflows, a derivative sweep that meets a support mass of 0), 2
-usage error (an unknown option or an --output that cannot be written
-included).
+width overflows, a derivative sweep that meets a support mass of 0, a
+stdout that its reader closed), 2 usage error (an unknown option or an
+--output that cannot be written included).
 
 JSON output is strict: a non-finite float (an unused CSV cell, an
 untestable ratio, the Monte Carlo support mass) is written as null.
@@ -36,7 +36,9 @@ the --flag=value spelling to survive argument parsing.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
+import os
 import sys
 
 from .centroid import centroid_exterior, shift_comparison
@@ -429,4 +431,16 @@ def run(argv=None) -> int:
 
 
 def entrypoint() -> None:
-    raise SystemExit(run())
+    try:
+        code = run()
+        if sys.stdout is not None:  # None when the process started without fd 1
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout.  As in the signal module's "Note on
+        # SIGPIPE", devnull takes its place so the final flush cannot raise.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    # Finalization need not collect what lives to the exit, such as the
+    # ~22 k objects numpy's import leaves tracked; run() leaves the GC alone.
+    gc.freeze()
+    raise SystemExit(code)

@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, output formats, determinism, console script."""
 
+import gc
 import json
 import os
 import resource
@@ -747,19 +748,19 @@ def test_parser_builds():
     assert args.sigma == 2.0
 
 
-def _console_script(*args: str, **options) -> subprocess.CompletedProcess:
-    # The console script's entry point, run as `python -m trunc_centroid`
-    # in a fresh process so that no install is needed; the package is
-    # found through the same sys.path as this test run.
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+def _python(*args: str, env=None, **options) -> subprocess.CompletedProcess:
+    # A fresh interpreter that finds the package through the same sys.path
+    # as this test run, so that no install is needed.
+    env = dict(os.environ if env is None else env, PYTHONPATH=os.pathsep.join(sys.path))
+    options = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **options}
     return subprocess.run(
-        [sys.executable, "-m", "trunc_centroid", *args],
-        capture_output=True,
-        text=True,
-        timeout=60,
-        env=env,
-        **options,
+        [sys.executable, *args], text=True, timeout=60, env=env, **options
     )
+
+
+def _console_script(*args: str, **options) -> subprocess.CompletedProcess:
+    # The console script's entry point, run as `python -m trunc_centroid`.
+    return _python("-m", "trunc_centroid", *args, **options)
 
 
 def test_console_script_help():
@@ -774,3 +775,71 @@ def test_console_script_centroid():
     payload = json.loads(proc.stdout)
     expected = centroid_exterior(REF_PARAMS, REF_HOLE, 0.0).value
     assert payload["results"][0]["value"] == expected
+
+
+def test_console_script_freezes_the_gc_before_teardown():
+    # The entry point freezes what is alive when run() returns, so the
+    # interpreter's finalization collections skip it; an atexit probe runs
+    # after that point and before those collections.
+    probe = (
+        "import atexit, gc, runpy, sys\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count(), file=sys.stderr))\n"
+        "runpy.run_module('trunc_centroid', run_name='__main__', alter_sys=True)\n"
+    )
+    proc = _python("-c", probe, "centroid", *REF)
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("closed_form: value=")
+    word, count = proc.stderr.split()
+    assert word == "frozen" and int(count) > 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["centroid", *REF, "--method", "all", "--n=100", "--seed=1"],
+        ["compare", *REF, "--shift=2"],
+        ["verify", "--check", "certificate"],
+        ["sample", *REF, "--n=100", "--seed=1"],
+        ["figure"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_in_process_run_leaves_the_gc_alone(argv, capsys):
+    # Only the console entry point freezes: a library caller of run() keeps
+    # collecting the objects it makes afterwards.
+    assert run(argv) == 0
+    capsys.readouterr()
+    assert gc.get_freeze_count() == 0
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["write", "final_flush"])
+def test_closed_stdout_exits_one_without_traceback(buffered):
+    # The reader end is closed before the child starts, so its first write
+    # to stdout fails.  The figure's 100 kB CSV outgrows any stdout buffer
+    # and fails in _emit; the centroid's one line, buffered, fails at the
+    # entry point's flush, not at the interpreter's final flush (which
+    # would print "Exception ignored" and exit 120).
+    env = dict(os.environ)
+    if buffered:
+        env.pop("PYTHONUNBUFFERED", None)
+    argv = ["centroid", *REF] if buffered else ["figure"]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _console_script(*argv, env=env, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
+
+
+def test_output_file_without_stdout_exits_zero(tmp_path):
+    # A process started with fd 1 closed has sys.stdout None; a result sent
+    # to --output never needs it.
+    target = tmp_path / "c.txt"
+    proc = _console_script("centroid", *REF, "--output", str(target), stdout=None,
+                           preexec_fn=lambda: os.close(1))
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert target.read_text(encoding="utf-8").startswith("closed_form: value=")
