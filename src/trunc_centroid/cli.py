@@ -17,7 +17,8 @@ deep truncation for oracle or sampler, a centroid or a draw beyond the
 float range, a sweep too large for memory, a sample, a sweep grid or a
 random sweep of 2^53 points or more, a random sweep over a range whose
 width overflows, a derivative sweep that meets a support mass of 0, a
-stdout that its reader closed), 2 usage error (an unknown option or an
+stdout that its reader closed, even mid-write, or that was closed when
+the process started), 2 usage error (an unknown option or an
 --output that cannot be written included).
 
 JSON output is strict: a non-finite float (an unused CSV cell, an
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import io
 import math
 import os
 import sys
@@ -189,7 +191,18 @@ def _emit(fmt, output, payload: dict, csv, lines: list[str], indent: int | None 
     else:
         text = _csv(*csv)
     if output == "-":
-        sys.stdout.write(text)
+        if sys.stdout is None:  # the process started without fd 1
+            raise TruncCentroidError("stdout is closed: write to a file with --output")
+        raw = getattr(sys.stdout, "buffer", None)
+        if isinstance(raw, io.FileIO):
+            # Unbuffered (python -u): the text layer drops what a short
+            # write leaves, so finish the write here; a reader that closed
+            # the pipe mid-write fails the next one.
+            data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+            while data:
+                data = data[os.write(raw.fileno(), data):]
+        else:
+            sys.stdout.write(text)
         return 0
     try:
         with open(output, "w", encoding="utf-8", newline="\n") as fh:

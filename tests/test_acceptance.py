@@ -11,7 +11,7 @@ import io
 import math
 import time
 
-import numpy as np
+import pytest
 
 from trunc_centroid.centroid import (
     centroid_exterior,
@@ -27,18 +27,8 @@ from trunc_centroid.figure import (
     reference_figure,
 )
 from trunc_centroid.model import ExcludedInterval, GaussianParams
-from trunc_centroid.philox import CounterStream
 from trunc_centroid.quadrature import ABS_TOL, centroid_quadrature
-from trunc_centroid.sampler import monte_carlo_centroid, sample_exterior
 from trunc_centroid.special import std_cdf, std_pdf, std_tail
-from trunc_centroid.verification import (
-    SweepSpec,
-    _quotient_slope_from,
-    verify_bounds,
-    verify_certificate_positive,
-    verify_derivative,
-    verify_monotonicity,
-)
 
 STD = GaussianParams(0.0, 1.0)
 SEED = 20240817
@@ -98,6 +88,9 @@ def test_02_closed_form_matches_quadrature_oracle():
         quad = centroid_quadrature(STD, hole, h).value
         worst = max(worst, abs(closed - quad) / max(1.0, abs(closed)))
     # 500 seeded location/scale rescalings of grid configurations
+    pytest.importorskip("numpy")
+    from trunc_centroid.philox import CounterStream
+
     stream = CounterStream(SEED, stream=11)
     picks = stream.take(500)
     mus = -10.0 + 20.0 * stream.take(500)
@@ -123,6 +116,10 @@ def test_02_closed_form_matches_quadrature_oracle():
 
 
 def test_03_shift_monotonicity_random_sweep():
+    pytest.importorskip("numpy")
+    from trunc_centroid.philox import CounterStream
+    from trunc_centroid.verification import SweepSpec, verify_monotonicity
+
     t0 = time.perf_counter()
     spec = SweepSpec(
         l_range=(-5.0, 5.0, 0.5),
@@ -163,6 +160,9 @@ def test_03_shift_monotonicity_random_sweep():
 
 
 def test_04_slope_certificate_positive_grid():
+    pytest.importorskip("numpy")
+    from trunc_centroid.verification import verify_certificate_positive
+
     t0 = time.perf_counter()
     report = verify_certificate_positive()
     elapsed = time.perf_counter() - t0
@@ -183,6 +183,9 @@ def test_04_slope_certificate_positive_grid():
 
 
 def test_05_tail_bound_suite_strict():
+    pytest.importorskip("numpy")
+    from trunc_centroid.verification import verify_bounds
+
     t0 = time.perf_counter()
     report = verify_bounds()
     elapsed = time.perf_counter() - t0
@@ -201,6 +204,9 @@ def test_05_tail_bound_suite_strict():
 
 
 def test_06_analytic_slope_against_finite_differences():
+    pytest.importorskip("numpy")
+    from trunc_centroid.verification import _quotient_slope_from, verify_derivative
+
     t0 = time.perf_counter()
     eps = 1e-5
     max_rel = 0.0
@@ -255,6 +261,9 @@ def test_07_symmetric_hole_centroid_vanishes():
 
 
 def test_08_monte_carlo_agrees_with_closed_form():
+    np = pytest.importorskip("numpy")
+    from trunc_centroid.sampler import monte_carlo_centroid, sample_exterior
+
     t0 = time.perf_counter()
     n = 10**6
     detail = []
@@ -282,6 +291,9 @@ def test_08_monte_carlo_agrees_with_closed_form():
 
 
 def test_09_translation_and_scale_equivariance():
+    pytest.importorskip("numpy")
+    from trunc_centroid.philox import CounterStream
+
     stream = CounterStream(SEED, stream=13)
     n = 1000
     mus = -5.0 + 10.0 * stream.take(n)

@@ -9,7 +9,6 @@ evidence, not tautology.
 import math
 import random
 
-import numpy as np
 import pytest
 
 from trunc_centroid.centroid import (
@@ -24,12 +23,6 @@ from trunc_centroid.errors import DomainError, IntervalError, ParameterError
 from trunc_centroid.model import ExcludedInterval, GaussianParams, Method
 from trunc_centroid.quadrature import _integrate, centroid_quadrature
 from trunc_centroid.special import std_cdf, std_pdf, std_tail
-from trunc_centroid.verification import (
-    _quotient_slope_from,
-    std_cdf_array,
-    std_pdf_array,
-    std_tail_array,
-)
 
 REF_PARAMS = GaussianParams(mu=1.0, sigma=2.0)
 REF_HOLE = ExcludedInterval(lower=-1.0, upper=4.0)
@@ -50,6 +43,9 @@ def _ray_means(params, hole, shift):
 
 def _quotient_form(h, l, u):
     """The sweeps' quotient-rule slope at one point."""
+    pytest.importorskip("numpy")
+    from trunc_centroid.verification import _quotient_slope_from
+
     ru, rl = u - h, l - h
     return _quotient_slope_from(ru, rl, std_pdf(ru), std_pdf(rl), std_tail(ru) + std_cdf(rl))
 
@@ -232,6 +228,10 @@ def test_deep_truncation_branch():
     )
     assert result.warnings == ("deep_truncation", "low_support_mass")
     assert result.value == value
+    # Such a hole still moves its centroid with the shift.
+    moved = shift_comparison(GaussianParams(0.0, 1.0), ExcludedInterval(-40.0, 41.0), 1.0)
+    assert moved.delta > 0.0
+    assert moved.base.warnings == moved.shifted.warnings == result.warnings
 
 
 def test_direct_branch_survives_down_to_floor():
@@ -257,6 +257,7 @@ def test_direct_branch_survives_down_to_floor():
         (-93.36, -BIG, BIG, -BIG),
         (93.36, -BIG, BIG, BIG),
         (1.0, -1.7e308, 1.7e308, 1.7e308),
+        (0.0, -1e10, 5e9, 5e9),  # a far hole keeps its centroid
     ],
 )
 def test_extreme_points_stay_finite(h, l, u, centroid):
@@ -374,6 +375,9 @@ def test_tail_means_reference_values():
 def test_array_helpers_match_scalar_functions():
     # The certificate helper is shared by slope_certificate and the sweeps,
     # and gives floats and arrays the same bits.
+    np = pytest.importorskip("numpy")
+    from trunc_centroid import verification as v
+
     rng = random.Random(8)
     holes = [sorted((rng.uniform(-9.0, 9.0), rng.uniform(-9.0, 9.0))) for _ in range(4000)]
     shifts = [rng.uniform(-3.0, 3.0) for _ in holes]
@@ -381,10 +385,10 @@ def test_array_helpers_match_scalar_functions():
     u = np.array([b for _, b in holes])
     h = np.array(shifts)
     ru, rl = u - h, l - h
-    f_ru, f_rl = std_pdf_array(ru), std_pdf_array(rl)
-    m = std_tail_array(ru) + std_cdf_array(rl)
+    f_ru, f_rl = v.std_pdf_array(ru), v.std_pdf_array(rl)
+    m = v.std_tail_array(ru) + v.std_cdf_array(rl)
     certificate = _certificate_from(ru, rl, f_ru, f_rl, m)
     assert certificate.tolist() == [slope_certificate(a, b) for a, b in zip(ru, rl)]
-    assert _quotient_slope_from(ru, rl, f_ru, f_rl, m).tolist() == [
+    assert v._quotient_slope_from(ru, rl, f_ru, f_rl, m).tolist() == [
         _quotient_form(s, a, b) for s, (a, b) in zip(shifts, holes)
     ]

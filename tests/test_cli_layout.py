@@ -140,6 +140,7 @@ def test_compare_layout(capsys):
 
 
 def test_verify_layout(capsys):
+    pytest.importorskip("numpy")
     from trunc_centroid import verification as v
 
     grid = ["--l-range", "-1", "1", "1", "--u-range", "-1", "1", "1"]
@@ -260,6 +261,7 @@ NUMBER = r"-?\d[\d.e+-]*|nan"
     ids=["sample", "centroid_all"],
 )
 def test_seeded_command_layout(argv, header, keys, line, capsys):
+    pytest.importorskip("numpy")
     payload = json.loads(_stdout([*argv, "--format", "json"], capsys))
     for key, order in keys.items():
         assert list(payload[key] if key else payload) == order

@@ -16,7 +16,6 @@ import pytest
 from trunc_centroid import centroid_exterior, centroid_quadrature, shift_comparison
 from trunc_centroid.errors import TruncCentroidError
 from trunc_centroid.model import ExcludedInterval, GaussianParams
-from trunc_centroid.sampler import monte_carlo_centroid, sample_exterior
 
 BIG = 1.7976931348623157e308
 NAMED = ("h_hat", "l_hat", "u_hat", "mu + shift", "centroid", "exterior mass")
@@ -64,6 +63,9 @@ def _comparison(params, hole, shift):
 
 
 def _sampled(params, hole, shift):
+    pytest.importorskip("numpy")
+    from trunc_centroid.sampler import monte_carlo_centroid, sample_exterior
+
     batch = sample_exterior(params, hole, shift, 4, 7)
     estimate = monte_carlo_centroid(batch)
     return [*batch.values.tolist(), estimate.mean, estimate.std_error]
@@ -96,6 +98,9 @@ def test_overflowing_edge_distance_has_exact_tail():
     assert shift_comparison(params, hole, -1.7e308).delta == -1.7e308 - (
         centroid_exterior(params, hole, 0.0).value
     )
+    pytest.importorskip("numpy")
+    from trunc_centroid.sampler import monte_carlo_centroid, sample_exterior
+
     batch = sample_exterior(params, ExcludedInterval(1.7e308, 1.75e308), -1.7e308, 10, 1)
     assert (batch.values == -1.7e308).all()
     estimate = monte_carlo_centroid(batch)
@@ -107,14 +112,17 @@ def test_overflowing_centroid_and_draws_are_named():
     params, hole = GaussianParams(1e308, 1e300), ExcludedInterval(-1e307, 1e307)
     with pytest.raises(TruncCentroidError, match="centroid overflows"):
         centroid_exterior(params, hole, 1e308)
-    with pytest.raises(TruncCentroidError, match="mu \\+ shift must be finite"):
-        sample_exterior(params, hole, 1e308, 10, 1)
-    with pytest.raises(TruncCentroidError, match="draws overflow"):
-        sample_exterior(GaussianParams(BIG, 1e300), hole, 0.0, 10, 1)
     # The centroid jumps from the upper edge to the lower one.
     wide = ExcludedInterval(-1.7e308, 1.7e308)
     with pytest.raises(TruncCentroidError, match="moves by more than"):
         shift_comparison(GaussianParams(1e300, 1.0), wide, -2e300)
+    pytest.importorskip("numpy")
+    from trunc_centroid.sampler import sample_exterior
+
+    with pytest.raises(TruncCentroidError, match="mu \\+ shift must be finite"):
+        sample_exterior(params, hole, 1e308, 10, 1)
+    with pytest.raises(TruncCentroidError, match="draws overflow"):
+        sample_exterior(GaussianParams(BIG, 1e300), hole, 0.0, 10, 1)
 
 
 def test_small_centroid_of_a_huge_mu_keeps_its_digits():

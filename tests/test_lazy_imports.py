@@ -10,7 +10,6 @@ import sys
 import pytest
 
 import trunc_centroid as tc
-from trunc_centroid import sampler, verification
 
 REF = ["--mu=1", "--sigma=2", "--lower=-1", "--upper=4", "--shift=2"]
 
@@ -91,6 +90,7 @@ def test_closed_form_commands_do_not_import_numpy(tmp_path):
     ids=["sample", "verify", "method_all"],
 )
 def test_array_commands_import_numpy(argv):
+    pytest.importorskip("numpy")
     _, code, loaded = _probe(argv)[-1]
     assert code == 0
     # numpy may import inspect and dataclasses for itself.
@@ -98,6 +98,9 @@ def test_array_commands_import_numpy(argv):
 
 
 def test_lazy_names_resolve():
+    pytest.importorskip("numpy")
+    from trunc_centroid import sampler, verification
+
     for name in tc.__all__:
         assert getattr(tc, name) is not None, name
     assert tc.sample_exterior is sampler.sample_exterior

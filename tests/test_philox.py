@@ -8,8 +8,9 @@ for that.  A live cross-check against numpy runs as well, so a numpy
 behavior change would show up as a disagreement between the two tests.
 """
 
-import numpy as np
 import pytest
+
+np = pytest.importorskip("numpy")
 from numpy.random import Philox
 from philox_reference import philox4x64_block
 

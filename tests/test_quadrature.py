@@ -418,6 +418,24 @@ def test_reflected_problems_give_opposite_centroids():
 # The sha256 of the reprs of (value, support_mass, abs_error_bound,
 # warnings), or "declined", one line a problem of _seeded_problems(30).
 ORACLE_DIGEST = "e33892b62bf81bb318c03db14b5a53664cd82ab5c21a4123dc265384245b6b57"
+# The reprs of (value, support_mass, abs_error_bound) of six problems
+# (mu, sigma, lower, upper, shift).  The last four are two reflected
+# pairs, whose values are exactly opposite; the fifth's left ray and the
+# sixth's right ray are empty.
+ORACLE_PINS = {
+    (1.0, 2.0, -1.0, 4.0, 2.0):
+        ("4.799489607594113", "0.33128767067416615", "4.5349113882293426e-14"),
+    (0.0, 1.0, -3.0, 2.0, 0.0):
+        ("2.0563923838588605", "0.0241000299798093", "4.5839933353052946e-14"),
+    (0.0, 1.0, 0.9, 1.4, 0.0):
+        ("-0.12976272335816968", "0.8966965338870118", "5.947723605342307e-15"),
+    (0.0, 1.0, -1.4, -0.9, 0.0):
+        ("0.12976272335816968", "0.8966965338870118", "5.947723605342307e-15"),
+    (0.0, 1.0, -20.0, 0.5, 0.0):
+        ("1.1410777703680646", "0.30853753872598694", "2.7543756526871468e-14"),
+    (0.0, 1.0, -0.5, 20.0, 0.0):
+        ("-1.1410777703680646", "0.30853753872598694", "2.7543756526871468e-14"),
+}
 
 
 def test_oracle_bits_are_pinned():
@@ -435,6 +453,9 @@ def test_oracle_bits_are_pinned():
         lines.append("declined" if fields is None else repr(fields))
     assert one_side > 200 and past > 200 and 100 < lines.count("declined") < 200
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == ORACLE_DIGEST
+    for (mu, sigma, lower, upper, shift), pinned in ORACLE_PINS.items():
+        r = _answer(mu, sigma, (lower, upper), shift)
+        assert (repr(r.value), repr(r.support_mass), repr(r.abs_error_bound)) == pinned
 
 
 def test_full_window_estimates_well_below_tolerance():

@@ -2,9 +2,9 @@
 
 import math
 
-import numpy as np
 import pytest
 
+import trunc_centroid
 from trunc_centroid.errors import DomainError, IntervalError, ParameterError
 from trunc_centroid.model import (
     CentroidResult,
@@ -13,12 +13,19 @@ from trunc_centroid.model import (
     Method,
     ShiftComparison,
 )
-from trunc_centroid.sampler import MonteCarloEstimate, SampleBatch
-from trunc_centroid.verification import CheckRecord, SweepSpec, VerificationReport
 
 RANGE = (-1.0, 1.0, 0.5)
 RESULT = CentroidResult(1.5, Method.CLOSED_FORM, 0.25)
-ROW = CheckRecord("bounds", 1.0, math.nan, math.nan, 2.0, 1.0, 1.0)
+ROW = ("bounds", 1.0, math.nan, math.nan, 2.0, 1.0, 1.0)
+
+
+def _record(name):
+    """The record type called name; the package loads the sampler's and
+    the sweeps' types, with numpy, on first access."""
+    if name not in vars(trunc_centroid):
+        pytest.importorskip("numpy")
+    return getattr(trunc_centroid, name)
+
 
 # A factory per record type: each call builds a new, equal record.
 FACTORIES = {
@@ -28,11 +35,15 @@ FACTORIES = {
         1.5, Method.QUADRATURE, 0.25, ("low_support_mass",), 1e-13
     ),
     "ShiftComparison": lambda: ShiftComparison(RESULT, RESULT, 0.0, 0.0),
-    "SweepSpec": lambda: SweepSpec(RANGE, RANGE, RANGE, "random", 10, 3),
-    "CheckRecord": lambda: CheckRecord("bounds", 1.0, math.nan, math.nan, 2.0, 1.0, 1.0),
-    "VerificationReport": lambda: VerificationReport("bounds", 1, (), (), 1.0, ROW),
-    "SampleBatch": lambda: SampleBatch(np.array([1.0, 2.0]), 7, 1.0),
-    "MonteCarloEstimate": lambda: MonteCarloEstimate(1.5, 0.5, 2),
+    "SweepSpec": lambda: _record("SweepSpec")(RANGE, RANGE, RANGE, "random", 10, 3),
+    "CheckRecord": lambda: _record("CheckRecord")(*ROW),
+    "VerificationReport": lambda: _record("VerificationReport")(
+        "bounds", 1, (), (), 1.0, _record("CheckRecord")(*ROW)
+    ),
+    "SampleBatch": lambda: _record("SampleBatch")(
+        pytest.importorskip("numpy").array([1.0, 2.0]), 7, 1.0
+    ),
+    "MonteCarloEstimate": lambda: _record("MonteCarloEstimate")(1.5, 0.5, 2),
 }
 VALUE_RECORDS = [name for name in FACTORIES if name != "SampleBatch"]
 
@@ -68,9 +79,9 @@ REPRS = {
 # Valid keyword arguments for the three validated types, then invalid
 # ones with the error their constructor raises.
 VALID = {
-    "GaussianParams": (GaussianParams, {"mu": 1, "sigma": 2}),
-    "ExcludedInterval": (ExcludedInterval, {"lower": -1, "upper": 4}),
-    "SweepSpec": (SweepSpec, {"l_range": RANGE, "u_range": RANGE, "h_range": RANGE}),
+    "GaussianParams": {"mu": 1, "sigma": 2},
+    "ExcludedInterval": {"lower": -1, "upper": 4},
+    "SweepSpec": {"l_range": RANGE, "u_range": RANGE, "h_range": RANGE},
 }
 INVALID = [
     ("GaussianParams", {"sigma": -1.0}, ParameterError),
@@ -127,7 +138,7 @@ def test_validated_types_convert_to_float():
 
 @pytest.mark.parametrize("name, bad, error", INVALID)
 def test_replace_checks_like_the_constructor(name, bad, error):
-    cls, kwargs = VALID[name]
+    cls, kwargs = _record(name), VALID[name]
     with pytest.raises(error):
         cls(**{**kwargs, **bad})
     with pytest.raises(error):
@@ -137,7 +148,7 @@ def test_replace_checks_like_the_constructor(name, bad, error):
 def test_replace_keeps_valid_records():
     assert GaussianParams(0, 1)._replace(sigma=3) == GaussianParams(0.0, 3.0)
     assert type(GaussianParams(0, 1)._replace(sigma=3).sigma) is float
-    spec = SweepSpec(RANGE, RANGE, RANGE)
+    spec = _record("SweepSpec")(RANGE, RANGE, RANGE)
     assert spec._replace(mode="random", n_random=5).n_random == 5
     assert (spec.mode, spec.n_random, spec.seed) == ("grid", 0, 0)
 

@@ -3,8 +3,9 @@
 import math
 from statistics import NormalDist
 
-import numpy as np
 import pytest
+
+np = pytest.importorskip("numpy")
 from philox_reference import philox4x64_block
 
 from trunc_centroid import philox, sampler

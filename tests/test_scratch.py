@@ -9,14 +9,16 @@ import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
-import numpy as np
 import pytest
 
+np = pytest.importorskip("numpy")
+
 from trunc_centroid import philox, sampler, verification
+from trunc_centroid.centroid import centroid_exterior
 from trunc_centroid.errors import DomainError
 from trunc_centroid.model import ExcludedInterval, GaussianParams
 from trunc_centroid.philox import CHUNK_BLOCKS, SCRATCH_ITEMS, CounterStream, philox4x64
-from trunc_centroid.sampler import _inv_std_cdf, sample_exterior
+from trunc_centroid.sampler import _inv_std_cdf, monte_carlo_centroid, sample_exterior
 
 STD = GaussianParams(0.0, 1.0)
 # Exterior mass 0.06: the central branch and the near tail both take
@@ -115,6 +117,36 @@ def test_threads_reproduce_the_serial_batches():
     concurrent = _on_four_threads(_batches, range(4))
     for got, expected in zip(concurrent, serial):
         assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+
+
+# Seed-7 estimates of N(0, 1) outside four holes, pinned to the reprs of
+# their mean and standard error: the seed-to-samples mapping is a
+# contract.  A chunk is 16 384 draws, so the batches span two chunks and
+# the 40 000-draw one three.
+SEED_7 = {
+    (20_000, -0.5, 0.5): ("-0.019296399394471198", "0.008829484931516595"),
+    (20_000, -2.5, 3.0): ("-1.7573794949409842", "0.016521378550208146"),
+    (20_000, -20.0, 20.0): ("-0.35085530091345135", "0.14175311874552027"),
+    (40_000, -2.5, 3.0): ("-1.7335175794225794", "0.011789084261578693"),
+}
+
+
+def _seed_7_estimate(case):
+    n, lower, upper = case
+    hole = ExcludedInterval(lower, upper)
+    batch = sample_exterior(STD, hole, 0.0, n, 7)
+    estimate = monte_carlo_centroid(batch)
+    # One Philox word gives one draw at every mass, and the mean lies
+    # within 5 standard errors of the closed form.
+    assert batch.acceptance_rate == 1.0
+    assert abs(estimate.mean - centroid_exterior(STD, hole, 0.0).value) < 5 * estimate.std_error
+    return repr(estimate.mean), repr(estimate.std_error)
+
+
+def test_seed_7_estimates_are_pinned_in_every_thread():
+    pinned = list(SEED_7.values())
+    assert [_seed_7_estimate(case) for case in SEED_7] == pinned
+    assert _on_four_threads(_seed_7_estimate, SEED_7) == pinned
 
 
 def test_threads_reproduce_the_serial_sweeps():

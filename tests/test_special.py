@@ -8,7 +8,6 @@ import math
 import random
 from decimal import Decimal, localcontext
 
-import numpy as np
 import pytest
 
 from trunc_centroid.errors import DomainError
@@ -21,7 +20,6 @@ from trunc_centroid.special import (
     std_pdf,
     std_tail,
 )
-from trunc_centroid.verification import std_cdf_array, std_pdf_array, std_tail_array
 
 GRID = [x * 0.25 for x in range(-32, 33)]
 
@@ -184,6 +182,9 @@ def test_nonfinite_inputs_rejected(func):
 
 
 def test_array_twins_match_scalars_bit_for_bit():
+    np = pytest.importorskip("numpy")
+    from trunc_centroid.verification import std_cdf_array, std_pdf_array, std_tail_array
+
     rng = random.Random(20)
     # Moderate values, the subnormal range near |x| = 38, and past underflow.
     xs = [rng.uniform(-10.0, 10.0) for _ in range(3000)]

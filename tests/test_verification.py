@@ -4,8 +4,9 @@ import math
 import sys
 import tracemalloc
 
-import numpy as np
 import pytest
+
+np = pytest.importorskip("numpy")
 
 from trunc_centroid import verification
 from trunc_centroid.centroid import centroid_exterior

@@ -18,6 +18,8 @@ import hashlib
 
 import pytest
 
+pytest.importorskip("numpy")
+
 from trunc_centroid.cli import _csv
 from trunc_centroid.verification import (
     DEFAULT_BOUNDS_SPEC,
