@@ -191,9 +191,10 @@ def std_exterior_centroid_slope(shift: float, lower: float, upper: float) -> flo
     t = e * rb / ra
     if not t:
         return _tail_variance(a, ra)
-    spread = 1.0 / ra + 1.0 / rb
+    # spread / (1 + t) first: spread squared overflows where the variance does not.
+    q = (1.0 / ra + 1.0 / rb) / (1.0 + t)
     within = (_tail_variance(a, ra) + t * _tail_variance(b, rb)) / (1.0 + t)
-    return within + t * spread * spread / ((1.0 + t) * (1.0 + t))
+    return within + t * q * q
 
 
 def shift_comparison(

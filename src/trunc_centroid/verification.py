@@ -151,11 +151,6 @@ def std_pdf_array(x: np.ndarray) -> np.ndarray:
     return INV_SQRT_2PI * _elementwise(math.exp, -0.5 * (x * x))
 
 
-def std_cdf_array(x: np.ndarray) -> np.ndarray:
-    """std_cdf at every element of x."""
-    return 0.5 * _elementwise(math.erfc, -x * INV_SQRT2)
-
-
 def std_tail_array(x: np.ndarray) -> np.ndarray:
     """std_tail at every element of x."""
     return 0.5 * _elementwise(math.erfc, x * INV_SQRT2)
@@ -281,7 +276,7 @@ def _densities(shift, lower, upper):
     std_cdf and std_pdf at lower - shift."""
     ru = upper - shift
     rl = lower - shift
-    return std_tail_array(ru), std_pdf_array(ru), std_cdf_array(rl), std_pdf_array(rl)
+    return std_tail_array(ru), std_pdf_array(ru), std_tail_array(-rl), std_pdf_array(rl)
 
 
 def _centroids(shift, tail_ru, f_ru, cdf_rl, f_rl):
@@ -377,7 +372,7 @@ def verify_certificate_positive(spec: SweepSpec = DEFAULT_CERTIFICATE_SPEC) -> V
         return [_Check("certificate_positive", True, x1, x2, math.nan, value, 0.0, value)]
 
     with np.errstate(all="ignore"):
-        libm = std_tail_array(x1), std_cdf_array(x2), std_pdf_array(x1), std_pdf_array(x2)
+        libm = std_tail_array(x1), std_tail_array(-x2), std_pdf_array(x1), std_pdf_array(x2)
         return _report("certificate_positive", _tiled(tile, x1, x2, *libm))
 
 
@@ -393,7 +388,7 @@ def verify_bounds(spec: SweepSpec = DEFAULT_BOUNDS_SPEC) -> VerificationReport:
     with np.errstate(all="ignore"):
         f = std_pdf_array(x)
         tail = std_tail_array(x)
-        cdf = std_cdf_array(x)
+        cdf = std_tail_array(-x)
         root = np.sqrt(x * x + 4.0)
         # The right-hand sides are the paper's forms (sqrt(x*x + 4) -/+ x) / 4
         # of the bounds that mills_lower_bound_tail and _cdf evaluate.
@@ -410,7 +405,7 @@ def verify_bounds(spec: SweepSpec = DEFAULT_BOUNDS_SPEC) -> VerificationReport:
             rhs = root1 * f1 + np.sqrt(x2 * x2 + 4.0) * f2
             return [_Check("summed_bound", True, x1, x2, nan, lhs, rhs, lhs - rhs)]
 
-        axes = x, f, tail, root, x2, std_pdf_array(x2), std_cdf_array(x2)
+        axes = x, f, tail, root, x2, std_pdf_array(x2), std_tail_array(-x2)
         return _report("bounds", itertools.chain(checks, _tiled(summed, *axes)))
 
 

@@ -274,6 +274,13 @@ def test_deep_slope_positive():
         assert std_exterior_centroid_slope(h, l, u) > 0.0
 
 
+@pytest.mark.parametrize("e", [7.5e153, 1e154, 1.3e154])
+def test_slope_of_a_wide_hole_does_not_overflow(e):
+    # The exterior variance of hole (-e, e) at shift 0 is about e*e + 2,
+    # finite although the spread of the tail means squared, (2e)**2, is not.
+    assert math.isclose(std_exterior_centroid_slope(0.0, -e, e), e * e, rel_tol=1e-15)
+
+
 def test_hole_a_few_ulps_wide_far_from_zero():
     # (l + u)/2 rounds by 8, half of h - l: e = exp(-384) needs the
     # double-double h - (l + u)/2 renormalized, or its first-order
@@ -386,7 +393,7 @@ def test_array_helpers_match_scalar_functions():
     h = np.array(shifts)
     ru, rl = u - h, l - h
     f_ru, f_rl = v.std_pdf_array(ru), v.std_pdf_array(rl)
-    m = v.std_tail_array(ru) + v.std_cdf_array(rl)
+    m = v.std_tail_array(ru) + v.std_tail_array(-rl)
     certificate = _certificate_from(ru, rl, f_ru, f_rl, m)
     assert certificate.tolist() == [slope_certificate(a, b) for a, b in zip(ru, rl)]
     assert v._quotient_slope_from(ru, rl, f_ru, f_rl, m).tolist() == [

@@ -104,7 +104,21 @@ def test_deep_truncation_exit_code(capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_range_whose_point_count_overflows_exit_code(capsys):
+def _capped(*argv: str) -> subprocess.CompletedProcess:
+    # The console script with a timeout and 1 GiB of address space, so a
+    # grid or a batch that is built after all fails fast.
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    return _console_script(*argv, preexec_fn=cap)
+
+
+def _assert_refused(argv: list[str], message: str) -> None:
+    proc = _capped(*argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {message}\n"), argv
+
+
+def test_range_whose_point_count_overflows_exit_code():
     # 1e300 / 1e-300 steps overflow to inf.  Counts of 2^53 or more, which
     # numpy would refuse with a ValueError, are refused before any draw, and
     # so is a range whose width overflows (1e308 is written in fixed point,
@@ -132,26 +146,33 @@ def test_range_whose_point_count_overflows_exit_code(capsys):
          " 38.5 or more from the shift"),
     ]
     for argv, message in cases:
-        assert run(argv) == 1, argv
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: {message}\n"
-
-
-def _cap_address_space():
-    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        _assert_refused(argv, message)
 
 
 def test_range_of_2_53_points_or_more_exit_code():
-    # 1e200 points are refused before any is built.  The process runs with
-    # a timeout and 1 GiB of address space, so a grid that is built after
-    # all fails fast.
+    # 1e200 points are refused before any is built.
     pytest.importorskip("numpy")
-    proc = _console_script("verify", "--check", "monotonicity", "--h-range", "0", "1", "1e-200",
-                           preexec_fn=_cap_address_space)
-    assert proc.returncode == 1
-    assert proc.stdout == ""
-    assert proc.stderr == "error: range (0.0, 1.0, 1e-200) has too many points to grid\n"
+    _assert_refused(["verify", "--check", "monotonicity", "--h-range", "0", "1", "1e-200"],
+                    "range (0.0, 1.0, 1e-200) has too many points to grid")
+
+
+@pytest.mark.parametrize(
+    "check, line",
+    [
+        ("certificate", "certificate_positive: checks=64016001 violations=0"),
+        ("bounds", "bounds: checks=64048005 violations=0"),
+    ],
+)
+def test_fine_sweep_grid_runs_in_bounded_memory(check, line):
+    # A grid runs in tiles of rows, so its memory does not grow with the
+    # plane: 8001 x 8001 points (488 MiB a float64 plane) pass under the
+    # cap.  The bounds checks run their 1-D checks over the x1 column and
+    # their summed form over the plane.
+    pytest.importorskip("numpy")
+    proc = _capped("verify", "--check", check, "--l-range", "-8", "8", "0.002",
+                   "--u-range", "-8", "8", "0.002")
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+    assert proc.stdout.startswith(line + " untestable=0 ") and proc.stdout.endswith(" PASS\n")
 
 
 @pytest.mark.parametrize("method", ["closed_form", "quadrature"])

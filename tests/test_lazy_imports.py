@@ -18,7 +18,8 @@ REF = ["--mu=1", "--sigma=2", "--lower=-1", "--upper=4", "--shift=2"]
 # never needed: their import cost and memory), dataclasses and inspect
 # (about 10 ms of import, which the records do not need) and json (about
 # 3 ms, which only JSON output needs) have been imported by then.  The
-# probe itself imports json only after the last step.
+# probe itself imports json only after the last step.  It runs with -S, so
+# that no site hook of the environment imports any of them first.
 _PROBE = """
 import ast, contextlib, io, sys
 def loaded():
@@ -29,6 +30,7 @@ steps = [["import trunc_centroid", 0, loaded()]]
 missing = sorted(set(trunc_centroid.__all__) - set(dir(trunc_centroid)))
 steps.append([f"dir() misses {missing}", 0 if not missing else 1, loaded()])
 from trunc_centroid.cli import run
+steps.append(["from trunc_centroid.cli import run", 0, loaded()])
 for argv in ast.literal_eval(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = run(argv)
@@ -41,7 +43,7 @@ print(json.dumps(steps))
 def _probe(*argvs: list[str]) -> list:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     proc = subprocess.run(
-        [sys.executable, "-c", _PROBE, json.dumps(argvs)],
+        [sys.executable, "-S", "-c", _PROBE, json.dumps(argvs)],
         capture_output=True,
         text=True,
         timeout=60,
