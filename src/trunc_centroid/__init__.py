@@ -26,7 +26,6 @@ from .errors import (
     DomainError,
     IntervalError,
     ParameterError,
-    ToleranceNotMetError,
     TruncCentroidError,
 )
 from .model import (
@@ -82,7 +81,6 @@ __all__ = [
     "SampleBatch",
     "ShiftComparison",
     "SweepSpec",
-    "ToleranceNotMetError",
     "TruncCentroidError",
     "VerificationReport",
     "centroid_exterior",

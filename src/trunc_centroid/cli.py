@@ -18,7 +18,8 @@ float range, a sweep too large for memory, a sample, a sweep grid or a
 random sweep of 2^53 points or more, a random sweep over a range whose
 width overflows, a derivative sweep that meets a support mass of 0, a
 stdout that its reader closed, even mid-write, or that was closed when
-the process started), 2 usage error (an unknown option or an
+the process started, a command that needs numpy where it is not
+installed), 2 usage error (an unknown option or an
 --output that cannot be written included).
 
 JSON output is strict: a non-finite float (an unused CSV cell, an
@@ -26,8 +27,8 @@ untestable ratio, the Monte Carlo support mass) is written as null.
 
 --sigma is the scale (standard deviation), never the variance: the
 reference example with variance 4 is spelled --sigma 2.  The quadrature
-oracle takes no flags: its window and tolerances are constants of the
-quadrature module.
+oracle takes no flags: its window and panels are fixed in the quadrature
+module.
 
 Randomized commands take their randomness only from --seed; there is no
 wall-clock fallback.  Negative numbers in scientific notation may need
@@ -440,6 +441,11 @@ def run(argv=None) -> int:
         return 1
     except MemoryError as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 1
+    except ModuleNotFoundError as exc:
+        if exc.name != "numpy":
+            raise
+        print(f"error: {args.command} needs numpy, which is not installed", file=sys.stderr)
         return 1
 
 

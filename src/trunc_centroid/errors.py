@@ -72,7 +72,3 @@ class IntervalError(TruncCentroidError):
 class DeepTruncationError(TruncCentroidError):
     """The support carries too little probability mass for the requested
     method to produce a trustworthy answer."""
-
-
-class ToleranceNotMetError(TruncCentroidError):
-    """Quadrature could not meet its error tolerances."""

@@ -191,8 +191,8 @@ def test_overflowing_centroid_exit_code(method, capsys):
 @pytest.mark.parametrize("method", ["closed_form", "quadrature", "monte_carlo"])
 @pytest.mark.parametrize("flag", ["--abs-tol=0", "--rel-tol=-1e-12", "--abs-tol=x"])
 def test_malformed_tolerance_is_usage_error(method, flag, capsys):
-    # The oracle's tolerances are no options, so any spelling of them is
-    # an unrecognized argument, whichever method runs, and no traceback.
+    # The oracle has no tolerances to set, so any spelling of one is an
+    # unrecognized argument, whichever method runs, and no traceback.
     argv = ["centroid", *REF, "--method", method, "--n=10", "--seed=1", flag]
     assert run(argv) == 2
     err = capsys.readouterr().err
@@ -204,8 +204,8 @@ def test_malformed_tolerance_is_usage_error(method, flag, capsys):
     ["--tail-cutoff=12", "--max-subdivisions=60", "--abs-tol=1e-13", "--rel-tol=1e-12"],
 )
 def test_fixed_oracle_settings_are_not_flags(flag, capsys):
-    # The oracle's window and tolerances are module constants, and its
-    # fixed panels have no split budget, so none of these is an option.
+    # The oracle's window is a module constant, and its fixed panels have
+    # no split budget and no tolerances, so none of these is an option.
     assert run(["centroid", *REF, "--method", "quadrature", flag]) == 2
     assert "unrecognized arguments" in capsys.readouterr().err
     assert run(["centroid", "--help"]) == 0
@@ -869,6 +869,30 @@ def test_console_script_freezes_the_gc_before_teardown():
     assert proc.stdout.startswith("closed_form: value=")
     word, count = proc.stderr.split()
     assert word == "frozen" and int(count) > 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", *REF, "--n=10", "--seed=1"],
+        ["verify", "--check", "certificate"],
+        ["centroid", *REF, "--method", "monte_carlo", "--n=10", "--seed=1"],
+        ["centroid", *REF, "--method", "all", "--n=10", "--seed=1", "--format", "json"],
+    ],
+    ids=["sample", "verify", "centroid-monte_carlo", "centroid-all"],
+)
+def test_command_without_numpy_says_so(argv):
+    # A None in sys.modules makes `import numpy` fail as on an interpreter
+    # without it, whether or not numpy is installed.
+    probe = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from trunc_centroid.cli import entrypoint\n"
+        "entrypoint()\n"
+    )
+    proc = _python("-c", probe, *argv)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"error: {argv[0]} needs numpy, which is not installed\n"
 
 
 @pytest.mark.parametrize(

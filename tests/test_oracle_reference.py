@@ -25,8 +25,10 @@ TABLE = json.loads(
 
 # Caps on abs_error_bound / max(sigma, |centroid|): (median over the
 # regime's answers, maximum over the answers without low_support_mass).
-# The maximum grows as the exterior mass shrinks, because ABS_TOL bounds
-# the mass error absolutely; offset problems are scaled by |centroid| >> sigma.
+# The maximum grows as the exterior mass shrinks, because the bound carries
+# the mass's error estimates, which shrink more slowly than the mass (8e-12
+# of it at 5e-11, 1e-14 at 6e-3); offset problems are scaled by
+# |centroid| >> sigma.
 CAPS = {
     "moderate": (1e-12, 1e-9),
     "wide": (1e-12, 1e-7),
