@@ -112,8 +112,10 @@ def _offset(h: float, l: float, u: float):
 def std_exterior_centroid(shift: float, lower: float, upper: float) -> float:
     """Centroid of the shift-translated standard normal outside (lower, upper).
 
-    Strictly increasing in `shift` for any fixed hole; the verification
-    sweeps exercise that claim.
+    The exact function is strictly increasing in `shift` for any fixed
+    hole; the verification sweeps exercise that claim.  The float result
+    need not be: two shifts closer than the centroid's rounding can give
+    equal values or values in the wrong order.
     """
     shift, lower, upper = _check_point(shift, lower, upper)
     sign, near, offset = _offset(shift, lower, upper)
@@ -202,8 +204,12 @@ def shift_comparison(
 ) -> ShiftComparison:
     """Centroid before and after translating the density by `shift`.
 
-    delta carries the sign of the shift: translating the density toward
-    either ray drags the conditional expectation the same way.
+    The exact delta carries the sign of the shift: translating the density
+    toward either ray drags the conditional expectation the same way.  The
+    float delta can be 0 or have the wrong sign where it lies within the
+    two centroids' rounding: `compare --mu 0.1865150373949822 --sigma 1
+    --lower=-2.9412845306127644 --upper 0.5980417398300539 --shift
+    2.252225287591326e-16` prints `delta: -2.2204460492503131e-16`.
     """
     base = centroid_exterior(params, hole, 0.0)
     shifted = centroid_exterior(params, hole, shift)

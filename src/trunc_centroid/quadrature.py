@@ -10,24 +10,41 @@ antiderivative of t * phi(t), so the rays [-c, a] and [b, c] have moment
 T = phi(b) - phi(a), their phi(+-c) terms cancelling.  The mass is cut
 at every integer inside each ray; phi is even, so the left ray runs as
 its mirror [-a, c], both rays climb one ladder of panels to c and a
-shared panel is evaluated once.  A panel is QUADPACK's Gauss-Kronrod
-7-15 rule (Piessens et al., 1983) for phi, evaluated inline once per
-node, with its rescaled |K15 - G7| ** 1.5 error estimate, its sums in
-one fixed order, so its bits do not depend on how sum() rounds.  It sums
-mirror node pairs, and a mirrored panel's nodes are its nodes negated in
-reverse order, so the mirror keeps its bits; fsum rounds each column
-once, in any order.  phi > 0, so the rounding floor's sum of w |y| is
-|sum of w y|: one abs, not 15.
+shared panel is evaluated once.  A panel is the 15-point Kronrod rule
+(K15) for phi, evaluated inline and summed over mirror node pairs in one
+fixed order: its bits do not depend on how sum() rounds, and a mirrored
+panel, its nodes negated in reverse order, keeps them; fsum rounds once.
+
+K15 is exact to degree 22 with positive weights, so on [-1, 1] it misses
+by at most 4 times the distance to the degree-22 Chebyshev truncation,
+2 M rho^-22 / (rho - 1) for |integrand| <= M on the Bernstein ellipse
+E_rho (Trefethen, ATAP, 2013, Thm 8.2).  Around the unit panel [k, k +
+1], E_rho reaches down to real part k + 1/2 - a_rho/2 and out to
+imaginary part b_rho/2, a_rho, b_rho = (rho +- 1/rho) / 2, so M =
+phi(max(0, k + 1/2 - a_rho/2)) exp(b_rho^2 / 8); times the half-width
+1/2, the panel misses by U_k = 4 M rho^-22 / (rho - 1), minimised over
+rho.  A panel [a, b] inside [k, k + 1] has its ellipse inside that one,
+so it misses by (b - a) U_k.
+
+Rounding (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
+ch. 3; to first order, u = eps/2, F = max(|a|, |b|)) adds a relative
+error to each node value.  The center and half-width round by u |center|
+and u half, which moves the panel's ends and nodes by up to u F; the
+abscissa, its product with half <= 1/2 and the sum move a node by up to
+u (F + 1) more; a move d of t moves phi(t) by |t| d, relative.  t * t,
+exp, the constant and the product add u (F^2/2 + 4), as for T below;
+the weights and the half-width u each; the ten roundings of a term in
+the K15 sum and its scaling 10 u; the rays' fsum and sum 2 u.  All terms
+are positive, so a panel is within (b - a) U_k + (1.25 F^2 + 0.5 F + 9)
+eps * value of the mass between its cuts, its ends' shift included (a
+panel under 2^-1021 long rounds more, but holds under 1e-308).
 
 The result maps back once: mass m, capped at 1, and centroid loc +
 sigma * r, r = T / m; a centroid beyond the float range is a DomainError.
 The window leaves out at most 2 phi(c) / c = 3.6e-33 of mass and 2 phi(c)
-= 4.3e-32 of |moment|.  With Dm the summed estimates plus 3.6e-33, the
-oracle has one rule: it answers where m > Dm, with abs_error_bound below,
-which carries Dm, and declines with DeepTruncationError where m <= Dm.
-Every ray is [x, c] cut at the integers, so its estimate depends on x
-alone; scanned over x it peaks at 1.11e-14, so no ray needs a tolerance
-of its own (tests/test_quadrature.py holds it to 1.2e-14).
+= 4.3e-32 of |moment|.  With Dm the summed panel bounds plus 3.6e-33, the
+oracle answers where m > Dm, with abs_error_bound below, which carries
+Dm, and declines with DeepTruncationError where m <= Dm.
 
 T rounds in its two phi and one subtraction.  In INV_SQRT_2PI * exp(-0.5
 * (e * e)), e * e rounds by eps/2 of itself, which exp turns into e^2/4
@@ -44,12 +61,9 @@ the bound on |value - exact centroid|, is
         + (1 + S) * (|loc| + sigma * max(|a|, |b|)))
 
 with S = sum of phi(e) * |e - r| / m over e = a, b, the ratio's
-sensitivity to the edges.  The first term carries the mass's integration
-error and T's rounding, the second the rounding of loc, of the edges and
-of the map back.  A panel's nodes come from its rounded center and
-half-width, so the mass is integrated between ends a little off the
-cuts, while T is taken at the edges themselves.  That rounding of the
-mass is left to the edge term, eps * (1 + S) * sigma * max(|a|, |b|).
+sensitivity to the edges.  The first term carries the mass's error
+bound and T's rounding, the second the rounding of loc, of the edges and
+of the map back.
 """
 
 from __future__ import annotations
@@ -63,26 +77,13 @@ from .model import LOW_MASS_FLOOR, LOW_SUPPORT_MASS
 from .model import CentroidResult, ExcludedInterval, GaussianParams, Method
 from .special import INV_SQRT_2PI, std_pdf
 
-# 15-point Kronrod abscissae on [0, 1); even indices interleave the
-# 7-point Gauss rule whose nodes are xgk[1], xgk[3], xgk[5] and 0.
-_XGK = (
-    0.9914553711208126, 0.9491079123427585, 0.8648644233597691,
-    0.7415311855993944, 0.5860872354676911, 0.4058451513773972,
-    0.2077849550078985, 0.0,
-)
-_WGK = (
-    0.022935322010529224, 0.06309209262997855, 0.10479001032225018,
-    0.14065325971552592, 0.1690047266392679, 0.19035057806478542,
-    0.2044329400752989, 0.20948214108472782,
-)
-_WG = (
-    0.12948496616886969, 0.2797053914892766, 0.3818300505051189,
-    0.4179591836734694,
-)
-
+# 15-point Kronrod abscissae on [0, 1) and their weights.
+_XGK = (0.9914553711208126, 0.9491079123427585, 0.8648644233597691, 0.7415311855993944,
+        0.5860872354676911, 0.4058451513773972, 0.2077849550078985, 0.0)
+_WGK = (0.022935322010529224, 0.06309209262997855, 0.10479001032225018, 0.14065325971552592,
+        0.1690047266392679, 0.19035057806478542, 0.2044329400752989, 0.20948214108472782)
 # The 15 nodes on [-1, 1] in ascending order.
 _NODES = tuple(-x for x in _XGK[:7]) + _XGK[7:] + _XGK[6::-1]
-
 _EPS = 2.220446049250313e-16
 
 # The window [-c, c] in sigmas.
@@ -92,46 +93,36 @@ MOMENT_REMAINDER = 2.0 * std_pdf(TAIL_CUTOFF_SIGMAS)
 MASS_REMAINDER = MOMENT_REMAINDER / TAIL_CUTOFF_SIGMAS
 # The rounding of T, per phi(a) + phi(b): (c^2/4 + 5/2) eps.
 _MOMENT_ROUNDING = (0.25 * TAIL_CUTOFF_SIGMAS**2 + 2.5) * _EPS
+# U_k, k = 0..11: K15's error on the unit panel [k, k + 1], rounded up.
+_UNIT_BOUNDS = (4.86e-25,) * 5 + (3.11e-25, 3.76e-26, 9.67e-28, 6.1e-30, 1.04e-32, 5e-36, 7.26e-40)
 
 
-def _rule(ys: list, half: float) -> tuple[float, float]:
-    """K15 integral and QUADPACK error estimate from 15 node values of one
-    sign, a zero counting for either: the rounding floor's sum of w |y| is
-    then |sum of w y|, summed in the same order.  Mirror nodes are summed
-    in pairs, so for an even integrand a panel mirrored about 0 gives the
-    same bits."""
+def _rule(ys: list, half: float) -> float:
+    """K15 integral from 15 node values.  Mirror nodes are summed in pairs,
+    so for an even integrand a panel mirrored about 0 gives the same bits."""
     y0, y1, y2, y3, y4, y5, y6, y7, y8, y9, y10, y11, y12, y13, y14 = ys
     w0, w1, w2, w3, w4, w5, w6, w7 = _WGK
     p0, p1, p2, p3 = y0 + y14, y1 + y13, y2 + y12, y3 + y11
     p4, p5, p6 = y4 + y10, y5 + y9, y6 + y8
     resk = w7 * y7 + (w0 * p0 + w1 * p1 + w2 * p2 + w3 * p3 + w4 * p4 + w5 * p5 + w6 * p6)
-    resg = _WG[3] * y7 + _WG[0] * p1 + _WG[1] * p3 + _WG[2] * p5
-    m = 0.5 * resk
-    resabs = abs(w7 * y7 + w0 * p0 + w1 * p1 + w2 * p2 + w3 * p3 + w4 * p4 + w5 * p5 + w6 * p6)
-    resasc = (w7 * abs(y7 - m) + w0 * (abs(y0 - m) + abs(y14 - m))
-              + w1 * (abs(y1 - m) + abs(y13 - m)) + w2 * (abs(y2 - m) + abs(y12 - m))
-              + w3 * (abs(y3 - m) + abs(y11 - m)) + w4 * (abs(y4 - m) + abs(y10 - m))
-              + w5 * (abs(y5 - m) + abs(y9 - m)) + w6 * (abs(y6 - m) + abs(y8 - m)))
-    err = abs((resk - resg) * half)
-    resasc *= half
-    if resasc != 0.0 and err != 0.0:
-        scale = (200.0 * err / resasc) ** 1.5
-        err = resasc * scale if scale < 1.0 else resasc
-    floor = 50.0 * _EPS * resabs * half
-    return resk * half, floor if floor > err else err
+    return resk * half
 
 
 def _kronrod_panel(a: float, b: float) -> tuple[float, float]:
-    """The 7-15 rule for phi on [a, b], phi evaluated once per node with
-    the bits of special.std_pdf: (integral, error estimate)."""
+    """K15 for phi on [a, b], inside a unit panel of the window, phi with the
+    bits of special.std_pdf: (integral, error bound).  a and b have one
+    sign, so max(a, -b) and max(-a, b) are the nearer and farther |end|."""
     center = 0.5 * (a + b)
     half = 0.5 * (b - a)
     ts = [center + half * x for x in _NODES]
-    return _rule([INV_SQRT_2PI * exp(-0.5 * (t * t)) for t in ts], half)
+    value = _rule([INV_SQRT_2PI * exp(-0.5 * (t * t)) for t in ts], half)
+    far = max(-a, b)
+    rounding = (1.25 * far * far + 0.5 * far + 9.0) * _EPS * value
+    return value, (b - a) * _UNIT_BOUNDS[int(max(a, -b))] + rounding
 
 
 def _integrate(a: float, b: float, panels: dict | None = None) -> tuple[float, float]:
-    """Composite 7-15 rule for phi over [a, b]: (integral, error estimate),
+    """Composite K15 rule for phi over [a, b]: (integral, error bound),
     each the fsum of its panels'.  [a, b] is cut at every integer strictly
     inside it, one panel a piece, taken by its ends from `panels` or
     evaluated and stored there."""
@@ -157,8 +148,7 @@ def centroid_quadrature(
     panels: dict = {}  # both rays end at c on the same cuts and share panels
     left = _integrate(-edges[0], cut, panels)  # [-c, a] as its mirror [-a, c]
     right = _integrate(edges[1], cut, panels)
-    # The rounded panels can sum past 1.
-    mass = min(left[0] + right[0], 1.0)
+    mass = min(left[0] + right[0], 1.0)  # the rounded panels can sum past 1
     d_mass = left[1] + right[1] + MASS_REMAINDER
     if not mass > d_mass:
         raise DeepTruncationError(

@@ -25,15 +25,14 @@ TABLE = json.loads(
 
 # Caps on abs_error_bound / max(sigma, |centroid|): (median over the
 # regime's answers, maximum over the answers without low_support_mass).
-# The maximum grows as the exterior mass shrinks, because the bound carries
-# the mass's error estimates, which shrink more slowly than the mass (8e-12
-# of it at 5e-11, 1e-14 at 6e-3); offset problems are scaled by
-# |centroid| >> sigma.
+# The mass's bound is a priori, mostly rounding of at most 195 eps of the
+# mass, so the maximum, 4.0e-14 here, no longer grows as the mass shrinks;
+# offset problems are scaled by |centroid| >> sigma.
 CAPS = {
-    "moderate": (1e-12, 1e-9),
-    "wide": (1e-12, 1e-7),
+    "moderate": (1e-12, 1e-13),
+    "wide": (1e-12, 1e-13),
     "degenerate": (1e-12, 1e-12),
-    "scale": (1e-12, 1e-8),
+    "scale": (1e-12, 1e-13),
     "offset": (1e-14, 1e-13),
 }
 

@@ -4,13 +4,15 @@ The integrator is the package's ground truth, so it gets checked against
 things it cannot share with the closed form: polynomial exactness of the
 panel rule, analytically known tail masses (from the erfc-based module,
 whose own tests pin it to an independent high-precision reference), and
-its own reported error estimates.
+100-digit masses that each panel's a priori error bound must contain.
 """
 
 import hashlib
 import math
 import random
 from decimal import Decimal, localcontext
+from fractions import Fraction
+from functools import lru_cache
 from operator import add, mul
 
 import pytest
@@ -21,7 +23,7 @@ from trunc_centroid.errors import DeepTruncationError, DomainError
 from trunc_centroid.model import ExcludedInterval, GaussianParams, Method
 from trunc_centroid.quadrature import (
     _NODES,
-    _WG,
+    _UNIT_BOUNDS,
     _WGK,
     _integrate,
     _kronrod_panel,
@@ -47,32 +49,26 @@ def _phi(ts):
     return [std_pdf(t) for t in ts]
 
 
-def _one_sign(ys):
-    """Whether the values have one sign, a zero counting for either."""
-    return all(y >= 0.0 for y in ys) or all(y <= 0.0 for y in ys)
+@lru_cache(maxsize=None)
+def _centered_cdf(x):
+    """Phi(x) - 1/2 for a float x at 100 digits: phi(x) times x + x^3/3 +
+    x^5/15 + ..., the sum of x^(2n+1) / (2n+1)!!, all of whose terms are
+    summed."""
+    with localcontext() as ctx:
+        ctx.prec = 100
+        x = Decimal(x)
+        term = total = x
+        n = 1
+        while abs(term) > Decimal("1e-100"):
+            term *= x * x / (2 * n + 1)
+            total += term
+            n += 1
+        return INV_SQRT_2PI * (-(x * x) / 2).exp() * total
 
 
 def _exact_mass(a, b):
-    """Phi(b) - Phi(a) for floats a and b, computed at 100 digits: Phi(x) -
-    1/2 is phi(x) times x + x^3/3 + x^5/15 + ..., the sum of x^(2n+1) /
-    (2n+1)!!, all of whose terms are summed."""
-    with localcontext() as ctx:
-        ctx.prec = 100
-
-        def pdf(x):
-            return INV_SQRT_2PI * (-(x * x) / 2).exp()
-
-        def centered_cdf(x):
-            term = total = x
-            n = 1
-            while abs(term) > Decimal("1e-100"):
-                term *= x * x / (2 * n + 1)
-                total += term
-                n += 1
-            return pdf(x) * total
-
-        a, b = Decimal(a), Decimal(b)
-        return float(centered_cdf(b) - centered_cdf(a))
+    """Phi(b) - Phi(a) for floats a and b, to 100 digits, as a Fraction."""
+    return Fraction(_centered_cdf(b)) - Fraction(_centered_cdf(a))
 
 
 def _rays(params, hole, shift):
@@ -98,30 +94,15 @@ def _first_moment(params, hole, shift):
 
 
 def _loop_rule(ys, half):
-    """The 7-15 rule as a loop over the mirror pairs: the reference whose
-    bits the straight-line quadrature._rule keeps.  The weighted pair sum
-    starts from 0 and adds left to right, as sum() does up to Python 3.11
-    (3.12's sum() of floats is compensated), so the reference is the same
-    on every interpreter."""
-    lo = ys[:7]
-    hi = ys[:7:-1]
-    pairs = list(map(add, lo, hi))
+    """K15 as a loop over the mirror pairs: the reference whose bits the
+    straight-line quadrature._rule keeps.  The weighted pair sum starts
+    from 0 and adds left to right, as sum() does up to Python 3.11 (3.12's
+    sum() of floats is compensated), so the reference is the same on every
+    interpreter."""
     total = 0
-    for term in map(mul, _WGK, pairs):
+    for term in map(mul, _WGK, map(add, ys[:7], ys[:7:-1])):
         total += term
-    resk = _WGK[7] * ys[7] + total
-    resg = _WG[3] * ys[7] + _WG[0] * pairs[1] + _WG[1] * pairs[3] + _WG[2] * pairs[5]
-    mean = 0.5 * resk
-    resabs = _WGK[7] * abs(ys[7])
-    resasc = _WGK[7] * abs(ys[7] - mean)
-    for w, y_lo, y_hi in zip(_WGK, lo, hi):
-        resabs += w * (abs(y_lo) + abs(y_hi))
-        resasc += w * (abs(y_lo - mean) + abs(y_hi - mean))
-    err = abs((resk - resg) * half)
-    resasc *= half
-    if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    return resk * half, max(err, 50.0 * EPS * resabs * half)
+    return (_WGK[7] * ys[7] + total) * half
 
 
 def _seeded_panels():
@@ -142,13 +123,7 @@ def _seeded_panels():
     "func, panels",
     [
         (_phi, _seeded_panels()),
-        # The rule takes values of one sign, so the cubic, whose roots are 0
-        # and +-sqrt(1/2), is fed only panels between its roots, where t
-        # times it has one sign too.
-        (
-            lambda ts: [4.0 * t**3 - 2.0 * t for t in ts],
-            [(-3.5, -0.75), (-0.7, 0.0), (0.1, 0.7), (0.75, 2.0)],
-        ),
+        (lambda ts: [4.0 * t**3 - 2.0 * t for t in ts], [(-3.5, 2.0), (-0.7, 0.7), (0.1, 0.75)]),
         (
             lambda ts: [abs(t - 0.123456) ** 0.5 for t in ts],
             [(x, x + 1.0) for x in range(-4, 9)],
@@ -157,14 +132,13 @@ def _seeded_panels():
     ids=["phi", "sign_changing_cubic", "rough"],
 )
 def test_rule_keeps_the_bits_of_the_loop(func, panels):
-    # The integrand, and t times it as a second input of one sign, on the
-    # nodes _kronrod_panel forms.
+    # The integrand, and t times it as a second input, on the nodes
+    # _kronrod_panel forms.
     for a, b in panels:
         center, half = 0.5 * (a + b), 0.5 * (b - a)
         ts = [center + half * x for x in _NODES]
         fs = func(ts)
         for ys in (fs, list(map(mul, ts, fs))):
-            assert _one_sign(ys), (a, b)
             assert _rule(ys, half) == _loop_rule(ys, half), (a, b)
 
 
@@ -213,38 +187,14 @@ def _answer(mu, sigma, hole, shift):
         return None
 
 
-def test_every_panel_hands_the_rule_one_sign(monkeypatch):
-    # The rule's rounding floor sums w * y and takes one abs, which is the
-    # sum of w * |y| only for values of one sign.  phi > 0 on the window,
-    # so each panel hands the rule 15 positive values, and there the rule
-    # keeps the loop's bits.
-    edges = _ray_edges(29)
-    # What _integrate hands the rule, one call a panel.
-    seen = []
-
-    def rule(ys, half):
-        seen.append((ys, half))
-        return _rule(ys, half)
-
-    monkeypatch.setattr(quadrature, "_rule", rule)
-    for e in edges:
-        _integrate(-12.0, e)
-        _integrate(e, 12.0)
-    assert len(seen) > 2 * len(edges)
-    for ys, half in seen:
-        assert all(y > 0.0 for y in ys), ys
-        assert _rule(ys, half) == _loop_rule(ys, half), ys
-
-
 def test_weights_sum_to_interval_length():
     assert math.isclose(2.0 * sum(_WGK[:7]) + _WGK[7], 2.0, rel_tol=1e-14)
-    assert math.isclose(2.0 * sum(_WG[:3]) + _WG[3], 2.0, rel_tol=1e-14)
 
 
 def _rule_of(poly, a, b):
     """The rule's integral of poly over [a, b], from its node values."""
     center, half = 0.5 * (a + b), 0.5 * (b - a)
-    return _rule([poly(center + half * x) for x in _NODES], half)[0]
+    return _rule([poly(center + half * x) for x in _NODES], half)
 
 
 def test_panel_exact_on_polynomials():
@@ -252,11 +202,8 @@ def test_panel_exact_on_polynomials():
     for degree in (3, 8, 13, 20):
         value = _rule_of(lambda t: t**degree, 0.0, 1.0)
         assert math.isclose(value, 1.0 / (degree + 1), rel_tol=1e-13)
-    # The rule takes values of one sign, so the cubic over (-1, 2) is summed
-    # over the pieces between its roots 0 and +-sqrt(1/2).
-    root = math.sqrt(0.5)
-    pieces = [(-1.0, -root), (-root, 0.0), (0.0, root), (root, 2.0)]
-    value = sum(_rule_of(lambda t: 4.0 * t**3 - 2.0 * t, a, b) for a, b in pieces)
+    # Values of either sign: the cubic changes sign twice on (-1, 2).
+    value = _rule_of(lambda t: 4.0 * t**3 - 2.0 * t, -1.0, 2.0)
     assert math.isclose(value, (2.0**4 - 1.0) - (4.0 - 1.0), rel_tol=1e-13)
     # The panel integrates phi on its nodes.
     value, _ = _kronrod_panel(0.0, 1.0)
@@ -265,7 +212,7 @@ def test_panel_exact_on_polynomials():
 
 def test_panel_mirror_is_exact():
     # Node values are summed in mirror pairs: a panel reflected about 0
-    # gives the same mass and error.
+    # gives the same mass and bound.
     for a, b in ((0.3, 2.9), (1.0, 12.0), (0.0, 4.1)):
         assert _kronrod_panel(-b, -a) == _kronrod_panel(a, b)
 
@@ -279,46 +226,18 @@ def test_integrate_known_gaussian_masses():
 
 
 def test_integrate_error_estimate_is_honest():
-    # On seeded rays in the window the estimates cover the distance to the
-    # exact integrals, and never fall below the rounding floor, 50 eps of
-    # the integral's magnitude.  The edges lie on a grid of 1/64, so every
-    # panel's center and half-width are exact and its ends are the cuts:
-    # the rounding of the ends is abs_error_bound's edge term, not these
-    # estimates'.
+    # On seeded intervals in the window the summed panel bounds cover the
+    # distance to the exact integrals, fsum's rounding included.
     rng = random.Random(13)
     for _ in range(200):
-        a, b = sorted(rng.randrange(-768, 769) / 64 for _ in range(2))
-        if a == b:
-            continue
+        a, b = sorted(rng.uniform(-12.0, 12.0) for _ in range(2))
         value, err = _integrate(a, b)
-        mass = _exact_mass(a, b)
-        assert abs(value - mass) <= err, (a, b)
-        assert err >= 50.0 * EPS * value * (1.0 - 1e-12), (a, b)
+        assert abs(Fraction(value) - _exact_mass(a, b)) <= err, (a, b)
 
 
 def test_integrate_empty_interval():
     assert _integrate(1.0, 1.0) == (0.0, 0.0)
     assert _integrate(2.0, 1.0) == (0.0, 0.0)
-
-
-def test_integrate_rough_integrand_misses_tolerance(monkeypatch):
-    # A square-root kink inside a unit panel is beyond its 7-15 rule: the
-    # composite rule's estimate says so, far past an absolute 1e-13 and a
-    # relative 1e-12, and the oracle's answer carries it in its bound.
-    # The density is made rough through its exp: |0.1 - t * t / 2| ** 0.5
-    # kinks at t = +-sqrt(0.2), inside the panels (-1, 0) and (0, 1), and
-    # stays >= 0.  phi itself gives bounds below 2e-14 on these holes.
-    monkeypatch.setattr(quadrature, "exp", lambda u: abs(u + 0.1) ** 0.5)
-    value, err = _integrate(-4.0, 9.0)
-    assert err > max(1e-13, 1e-12 * value)
-    result = centroid_quadrature(STD, ExcludedInterval(-20.0, -4.0), 0.0)
-    assert result.abs_error_bound > 0.01
-    # The left ray runs mirrored, so reflected holes give opposite values
-    # and equal bounds.
-    left = centroid_quadrature(STD, ExcludedInterval(0.5, 13.0), 0.0)
-    right = centroid_quadrature(STD, ExcludedInterval(-13.0, -0.5), 0.0)
-    assert left.value == -right.value
-    assert left.abs_error_bound == right.abs_error_bound > 0.01
 
 
 @pytest.mark.parametrize(
@@ -411,24 +330,24 @@ def test_reflected_problems_give_opposite_centroids():
 
 # The sha256 of the reprs of (value, support_mass, abs_error_bound,
 # warnings), or "declined", one line a problem of _seeded_problems(30).
-ORACLE_DIGEST = "e33892b62bf81bb318c03db14b5a53664cd82ab5c21a4123dc265384245b6b57"
+ORACLE_DIGEST = "17aab398f40f579ec3607e2c2e4c1f57166df1ef892bca1856892a57570ae496"
 # The reprs of (value, support_mass, abs_error_bound) of six problems
 # (mu, sigma, lower, upper, shift).  The last four are two reflected
 # pairs, whose values are exactly opposite; the fifth's left ray and the
 # sixth's right ray are empty.
 ORACLE_PINS = {
     (1.0, 2.0, -1.0, 4.0, 2.0):
-        ("4.799489607594113", "0.33128767067416615", "4.5349113882293426e-14"),
+        ("4.799489607594113", "0.33128767067416615", "3.099725589341384e-14"),
     (0.0, 1.0, -3.0, 2.0, 0.0):
-        ("2.0563923838588605", "0.0241000299798093", "4.5839933353052946e-14"),
+        ("2.0563923838588605", "0.0241000299798093", "3.342523561120936e-14"),
     (0.0, 1.0, 0.9, 1.4, 0.0):
-        ("-0.12976272335816968", "0.8966965338870118", "5.947723605342307e-15"),
+        ("-0.12976272335816968", "0.8966965338870118", "4.857275650505273e-15"),
     (0.0, 1.0, -1.4, -0.9, 0.0):
-        ("0.12976272335816968", "0.8966965338870118", "5.947723605342307e-15"),
+        ("0.12976272335816968", "0.8966965338870118", "4.857275650505273e-15"),
     (0.0, 1.0, -20.0, 0.5, 0.0):
-        ("1.1410777703680646", "0.30853753872598694", "2.7543756526871468e-14"),
+        ("1.1410777703680646", "0.30853753872598694", "1.828930538631351e-14"),
     (0.0, 1.0, -0.5, 20.0, 0.0):
-        ("-1.1410777703680646", "0.30853753872598694", "2.7543756526871468e-14"),
+        ("-1.1410777703680646", "0.30853753872598694", "1.828930538631351e-14"),
 }
 
 
@@ -453,34 +372,65 @@ def test_oracle_bits_are_pinned():
 
 
 def test_full_window_estimates_well_below_tolerance():
-    # 24 unit panels: each estimate is the rounding floor, so the window's
-    # sum is 50 eps times the integral of phi.
+    # 24 unit panels, each bounded by (b - a) U_k plus (1.25 F^2 + 0.5 F + 9)
+    # eps of its value, F its farther |end|: 12.4 eps of the window's mass.
     _, err = _integrate(-12.0, 12.0)
-    assert err < 1e-13 / 5.0
-    assert math.isclose(err, 50.0 * EPS, rel_tol=1e-4)
+    terms = []
+    for k in range(-12, 12):
+        far = max(abs(k), abs(k + 1))
+        value = _kronrod_panel(k, k + 1.0)[0]
+        terms.append(_UNIT_BOUNDS[far - 1] + (1.25 * far * far + 0.5 * far + 9.0) * EPS * value)
+    assert math.isclose(err, math.fsum(terms), rel_tol=1e-14)
+    assert 12.3 * EPS < err < 12.5 * EPS
 
 
-def test_every_ray_estimate_is_pinned():
+def _unit_bound(k, rho):
+    """4 M rho^-22 / (rho - 1), M bounding |phi| on the Bernstein ellipse
+    E_rho of the unit panel [k, k + 1], with a, b its semi-axes times 2."""
+    a, b = (rho + 1.0 / rho) / 2.0, (rho - 1.0 / rho) / 2.0
+    m = std_pdf(max(0.0, k + 0.5 - a / 2.0)) * math.exp(b * b / 8.0)
+    return 4.0 * m / rho**22 / (rho - 1.0)
+
+
+def test_unit_bounds_are_minimised_over_rho():
+    # Each constant is the least bound over rho on a grid of 1/64, rounded
+    # up in its third digit.
+    rhos = [1.0 + j / 64.0 for j in range(1, 64 * 30)]
+    assert len(_UNIT_BOUNDS) == 12
+    for k, bound in enumerate(_UNIT_BOUNDS):
+        least = min(_unit_bound(k, rho) for rho in rhos)
+        assert least <= bound <= 1.01 * least, k
+
+
+def test_every_panel_bound_contains_its_error():
     # Every ray the oracle integrates is [x, 12] cut at the integers, so its
-    # summed estimate depends on x alone.  Scanned at every integer, its 52
-    # dyadic neighbours on each side (the nearest round onto it) and 2 000
-    # seeded x, the estimates stay at the full window's 1.11e-14: a rule or
-    # ladder that could miss an absolute 1e-13 fails here.  Panels two
-    # sigmas wide reach 5.7e-12, and the rule without its ** 1.5 1.4e-12.
+    # panels are the 24 unit panels and one [x, ceil x] per start x.  Each
+    # distinct panel's bound contains the distance to its 100-digit mass
+    # between its float ends.  The seeded starts have all their bits random,
+    # so many round the first panel's center or half-width, whose nodes then
+    # span ends a little off x and the cut: the bound covers that shift too.
     rng = random.Random(20261020)
-    xs = [n + s * 2.0**-k for n in range(-12, 13) for s in (1, -1) for k in range(1, 53)]
-    xs = [x for x in xs if -12.0 <= x <= 12.0] + [float(n) for n in range(-12, 13)]
-    xs += [rng.uniform(-12.0, 12.0) for _ in range(2000)]
-    panels: dict = {}  # shared as in centroid_quadrature: the bits are the same
-    worst = max(_integrate(x, 12.0, panels)[1] for x in xs)
-    assert len(xs) == 4527
-    assert 1.11e-14 < worst <= 1.2e-14
+    starts = [float(k) for k in range(-12, 12)]
+    starts += [rng.randrange(-12, 12) + rng.random() for _ in range(600)]
+    panels: dict = {}  # shared as in centroid_quadrature
+    for x in starts:
+        _integrate(x, 12.0, panels)
+    moved, worst = 0, Fraction(0)
+    for (a, b), (value, bound) in panels.items():
+        center, half = Fraction(0.5 * (a + b)), Fraction(0.5 * (b - a))
+        moved += (center - half, center + half) != (a, b)
+        error = abs(Fraction(value) - _exact_mass(a, b))
+        assert error <= Fraction(bound), (a, b)
+        worst = max(worst, error / Fraction(bound))
+    assert len(panels) == 624 and moved > 200
+    # Not vacuous: somewhere the error reaches a tenth of the bound.
+    assert worst > 0.1
 
 
 def test_seeded_holes_meet_the_tolerances():
     # 20 000 seeded edge pairs, the window's edges included: each is
     # answered with a finite bound, or declined where the window's mass m
-    # does not exceed its error bound Dm, the summed estimates plus the
+    # does not exceed its error bound Dm, the summed panel bounds plus the
     # mass beyond the window.  That is where the hole covers the whole
     # window, and where it leaves only a sliver of it (12 holes here).
     rng = random.Random(20261018)
