@@ -20,7 +20,9 @@ width overflows, a derivative sweep that meets a support mass of 0, a
 stdout that its reader closed, even mid-write, or that was closed when
 the process started, a command that needs numpy where it is not
 installed), 2 usage error (an unknown option or an
---output that cannot be written included).
+--output that cannot be written included).  Usage errors come first: a
+command checks its flags before it builds the problem or computes
+anything, so a bad flag and a bad sigma together exit 2.
 
 JSON output is strict: a non-finite float (an unused CSV cell, an
 untestable ratio, the Monte Carlo support mass) is written as null.
@@ -47,7 +49,7 @@ import sys
 from .centroid import centroid_exterior, shift_comparison
 from .errors import DomainError, TruncCentroidError
 from .figure import reference_figure
-from .model import ExcludedInterval, GaussianParams
+from .model import CentroidResult, ExcludedInterval, GaussianParams, Method
 from .quadrature import centroid_quadrature
 
 # sampler and verification import numpy, so the commands that need them
@@ -113,16 +115,18 @@ def build_parser() -> argparse.ArgumentParser:
     _add_problem_flags(p)
     p.add_argument(
         "--method",
-        choices=("closed_form", "quadrature", "monte_carlo", "all"),
-        default="closed_form",
+        choices=(*(m.value for m in Method), "all"),
+        default=Method.CLOSED_FORM.value,
     )
     p.add_argument("--n", type=int, help="sample count (monte_carlo)")
     p.add_argument("--seed", type=int, help="RNG seed (monte_carlo)")
     _add_output_flags(p)
+    p.set_defaults(handler=_cmd_centroid)
 
     p = sub.add_parser("compare", help="base vs shifted centroid")
     _add_problem_flags(p, shift_required=True)
     _add_output_flags(p)
+    p.set_defaults(handler=_cmd_compare)
 
     p = sub.add_parser("verify", help="inequality sweeps")
     p.add_argument(
@@ -144,15 +148,18 @@ def build_parser() -> argparse.ArgumentParser:
             + (" (certificate and bounds ignore it, but still check it)" if ignored else ""),
         )
     _add_output_flags(p)
+    p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("sample", help="seeded exterior draws + estimate")
     _add_problem_flags(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     _add_output_flags(p)
+    p.set_defaults(handler=_cmd_sample)
 
     p = sub.add_parser("figure", help="reference-example CSV")
     _add_output_flags(p)
+    p.set_defaults(handler=_cmd_figure)
 
     return parser
 
@@ -214,13 +221,22 @@ def _emit(fmt, output, payload: dict, csv, lines: list[str], indent: int | None 
     return 0
 
 
-def _result_dict(result) -> dict:
+def _result_dict(result: CentroidResult, **stats) -> dict:
     return {
         "method": result.method.value,
         "value": result.value,
         "support_mass": result.support_mass,
         "warnings": list(result.warnings),
+        **stats,
     }
+
+
+def _check_draws(args) -> None:
+    """The usage rules of --n and --seed, checked before the problem is built."""
+    if args.n is None or args.seed is None:
+        raise _UsageError("--method monte_carlo requires --n and --seed")
+    if args.n < 2:
+        raise _UsageError("--n must be >= 2")
 
 
 def _monte_carlo(args, params: GaussianParams, hole: ExcludedInterval) -> dict:
@@ -229,38 +245,22 @@ def _monte_carlo(args, params: GaussianParams, hole: ExcludedInterval) -> dict:
 
     batch = sample_exterior(params, hole, args.shift, args.n, args.seed)
     estimate = monte_carlo_centroid(batch)
-    return {
-        "method": "monte_carlo",
-        "value": estimate.mean,
-        "support_mass": math.nan,
-        "warnings": [],
-        "std_error": estimate.std_error,
-        "n": estimate.n,
-        "seed": batch.seed,
-        "acceptance_rate": batch.acceptance_rate,
-    }
+    result = CentroidResult(estimate.mean, Method.MONTE_CARLO, math.nan)
+    return _result_dict(result, std_error=estimate.std_error, n=estimate.n, seed=batch.seed,
+                        acceptance_rate=batch.acceptance_rate)
 
 
 def _cmd_centroid(args) -> int:
+    wanted = list(Method) if args.method == "all" else [Method(args.method)]
+    if Method.MONTE_CARLO in wanted:
+        _check_draws(args)
     params, hole = _problem(args)
-    wanted = (
-        ("closed_form", "quadrature", "monte_carlo")
-        if args.method == "all"
-        else (args.method,)
-    )
-    if "monte_carlo" in wanted:
-        if args.n is None or args.seed is None:
-            raise _UsageError("--method monte_carlo requires --n and --seed")
-        if args.n < 2:
-            raise _UsageError("--n must be >= 2 for monte_carlo")
-    results = []
-    for method in wanted:
-        if method == "closed_form":
-            results.append(_result_dict(centroid_exterior(params, hole, args.shift)))
-        elif method == "quadrature":
-            results.append(_result_dict(centroid_quadrature(params, hole, args.shift)))
-        else:
-            results.append(_monte_carlo(args, params, hole))
+    solvers = {
+        Method.CLOSED_FORM: lambda: _result_dict(centroid_exterior(params, hole, args.shift)),
+        Method.QUADRATURE: lambda: _result_dict(centroid_quadrature(params, hole, args.shift)),
+        Method.MONTE_CARLO: lambda: _monte_carlo(args, params, hole),
+    }
+    results = [solvers[method]() for method in wanted]
     # With --method all, results[0] is the closed form.
     discrepancies = {
         f"closed_form_vs_{r['method']}": abs(results[0]["value"] - r["value"])
@@ -381,8 +381,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    if args.n < 2:
-        raise _UsageError("--n must be >= 2")
+    _check_draws(args)
     r = _monte_carlo(args, *_problem(args))
     payload = {
         "command": "sample",
@@ -416,15 +415,6 @@ def _cmd_figure(args) -> int:
     return _emit(args.fmt, "-", payload, (line, []), [line], indent=None)
 
 
-_COMMANDS = {
-    "centroid": _cmd_centroid,
-    "compare": _cmd_compare,
-    "verify": _cmd_verify,
-    "sample": _cmd_sample,
-    "figure": _cmd_figure,
-}
-
-
 def run(argv=None) -> int:
     parser = build_parser()
     try:
@@ -432,7 +422,7 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -81,7 +81,8 @@ class CentroidResult(NamedTuple):
     method: Method
     support_mass: float
     warnings: tuple[str, ...] = ()
-    # Certified bound on |value - exact centroid|, where the method has one.
+    # A priori bound on |value - exact centroid|, to first order in eps,
+    # where the method has one (derived in the quadrature module docstring).
     abs_error_bound: float | None = None
 
 

@@ -3,7 +3,6 @@
 import gc
 import json
 import os
-import resource
 import subprocess
 import sys
 from importlib.util import find_spec
@@ -90,6 +89,25 @@ def test_sample_needs_two_draws(capsys):
     capsys.readouterr()
 
 
+def test_usage_error_comes_before_the_problem(capsys):
+    # A bad --n or --seed is reported first, as a usage error, whatever
+    # else is wrong with the problem: the flags are checked before it is built.
+    cases = [
+        ["centroid", "--mu=1", "--sigma=-2", "--lower=-1", "--upper=4", "--method", "all",
+         "--n=1", "--seed=1"],
+        ["sample", "--mu=0", "--sigma=-1", "--lower=-1", "--upper=1", "--n=1", "--seed=1"],
+        ["centroid", "--mu=1", "--sigma=2", "--lower=4", "--upper=4", "--method",
+         "monte_carlo", "--n=10"],
+        ["centroid", "--mu=1.79e308", "--sigma=1e306", "--lower=-1e308", "--upper=1.79e308",
+         "--method", "all", "--n=1", "--seed=1"],
+    ]
+    for argv in cases:
+        assert run(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err.startswith("usage error: ") and captured.err.count("\n") == 1, argv
+
+
 def test_deep_truncation_exit_code(capsys):
     argv = ["--mu=0", "--sigma=1", "--lower=-40", "--upper=41"]
     assert run(["centroid", *argv, "--method", "quadrature"]) == 1
@@ -107,6 +125,8 @@ def test_deep_truncation_exit_code(capsys):
 def _capped(*argv: str) -> subprocess.CompletedProcess:
     # The console script with a timeout and 1 GiB of address space, so a
     # grid or a batch that is built after all fails fast.
+    resource = pytest.importorskip("resource")
+
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
@@ -584,10 +604,10 @@ def test_bare_out_of_memory_says_so(monkeypatch, capsys):
     # A MemoryError raised without a message still names its cause.
     from trunc_centroid import cli
 
-    def bare(args):
+    def bare():
         raise MemoryError()
 
-    monkeypatch.setitem(cli._COMMANDS, "figure", bare)
+    monkeypatch.setattr(cli, "reference_figure", bare)
     assert run(["figure"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
