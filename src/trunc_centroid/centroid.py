@@ -23,8 +23,8 @@ centroid, or a shift of it, beyond the float range is a DomainError.
 The shift is the natural parameter of the exterior law, so the slope is
 that law's variance.  slope_certificate is the paper's form of the same
 slope's numerator; the verification sweeps test its positivity.
-A result carries `low_support_mass` below an exterior mass of 1e-12 and
-`deep_truncation` below 1e-300.
+A result carries `low_support_mass` below an exterior mass of 1e-12
+(model.LOW_MASS_FLOOR), as the oracle's results do.
 """
 
 from __future__ import annotations
@@ -36,9 +36,6 @@ from .model import LOW_MASS_FLOOR, LOW_SUPPORT_MASS  # re-exported here
 from .model import CentroidResult, ExcludedInterval, GaussianParams, Method, ShiftComparison
 from .special import _TABLE_FROM, _mills, _r1, _tail, _tail_variance, _two_prod, std_pdf
 
-# Support mass below which a result carries the deep_truncation flag.
-DEEP_MASS_FLOOR = 1e-300
-DEEP_TRUNCATION = "deep_truncation"
 # exp(-x) is 0.0 from x of about 745 up.
 _EXP_CAP = 800.0
 # Dekker's product splits its factors, which overflows from about 2**996.
@@ -139,9 +136,6 @@ def centroid_exterior(
     )
     # u - h or h - l may overflow; their tails are then exactly 0 or 1.
     mass = _tail(u - h) + _tail(h - l)
-    flags = [DEEP_TRUNCATION] if mass < DEEP_MASS_FLOOR else []
-    if mass < LOW_MASS_FLOOR:
-        flags.append(LOW_SUPPORT_MASS)
     sign, near, offset = _offset(h, l, u)
     origin, base = ((hole.upper if sign > 0.0 else hole.lower), 0.0) if near else (mu, h)
     value = origin + sigma * (base + sign * offset)
@@ -153,7 +147,7 @@ def centroid_exterior(
         value=value,
         method=Method.CLOSED_FORM,
         support_mass=mass,
-        warnings=tuple(flags),
+        warnings=(LOW_SUPPORT_MASS,) if mass < LOW_MASS_FLOOR else (),
     )
 
 

@@ -218,7 +218,7 @@ def test_slope_matches_finite_difference():
         assert math.isclose(analytic, fd, rel_tol=1e-7)
 
 
-def test_deep_truncation_branch():
+def test_underflowed_mass_keeps_its_centroid():
     # mass ~ 3.7e-350: both tails underflow, the ratio to the density at
     # the nearer edge does not.
     value = std_exterior_centroid(0.0, -40.0, 41.0)
@@ -226,7 +226,7 @@ def test_deep_truncation_branch():
     result = centroid_exterior(
         GaussianParams(0.0, 1.0), ExcludedInterval(-40.0, 41.0), 0.0
     )
-    assert result.warnings == ("deep_truncation", "low_support_mass")
+    assert result.warnings == ("low_support_mass",)
     assert result.value == value
     # Such a hole still moves its centroid with the shift.
     moved = shift_comparison(GaussianParams(0.0, 1.0), ExcludedInterval(-40.0, 41.0), 1.0)
@@ -234,8 +234,8 @@ def test_deep_truncation_branch():
     assert moved.base.warnings == moved.shifted.warnings == result.warnings
 
 
-def test_direct_branch_survives_down_to_floor():
-    # mass ~ 5.7e-300 is above the deep-truncation floor: flagged low only.
+def test_mass_near_underflow_is_kept_and_flagged():
+    # mass ~ 5.7e-300 does not underflow: support_mass keeps it.
     value = std_exterior_centroid(-2.0, -39.0, 39.0)
     assert math.isclose(value, -39.02698768612699, rel_tol=1e-12)
     result = centroid_exterior(

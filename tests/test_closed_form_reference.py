@@ -20,7 +20,13 @@ from pathlib import Path
 
 import pytest
 
-from trunc_centroid.centroid import std_exterior_centroid, std_exterior_centroid_slope
+from trunc_centroid.centroid import (
+    centroid_exterior,
+    std_exterior_centroid,
+    std_exterior_centroid_slope,
+)
+from trunc_centroid.model import ExcludedInterval, GaussianParams
+from trunc_centroid.special import std_tail
 
 TABLE = json.loads(
     (Path(__file__).parent / "data" / "closed_form_reference.json").read_text(
@@ -66,3 +72,8 @@ def test_closed_form_within_bounds(regime):
         scale = max(slope, Fraction(sys.float_info.min))
         error = abs(Fraction(value) - slope)
         assert error <= Fraction(max_rel) * scale, (p, float(error / scale))
+        # On N(0, 1) the closed form flags exactly the masses below 1e-12.
+        h, l, u = point
+        mass = std_tail(u - h) + std_tail(h - l)
+        result = centroid_exterior(GaussianParams(0.0, 1.0), ExcludedInterval(l, u), h)
+        assert result.warnings == (("low_support_mass",) if mass < 1e-12 else ()), p

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from trunc_centroid.centroid import centroid_exterior
 from trunc_centroid.errors import DeepTruncationError
 from trunc_centroid.model import ExcludedInterval, GaussianParams, LOW_SUPPORT_MASS
 from trunc_centroid.quadrature import MASS_REMAINDER, centroid_quadrature
@@ -37,10 +38,13 @@ CAPS = {
 }
 
 
-def _solve(p):
+def _problem(p):
     params = GaussianParams(p["mu"], p["sigma"])
-    hole = ExcludedInterval(p["lower"], p["upper"])
-    return centroid_quadrature(params, hole, p["shift"])
+    return params, ExcludedInterval(p["lower"], p["upper"]), p["shift"]
+
+
+def _solve(p):
+    return centroid_quadrature(*_problem(p))
 
 
 def test_table_covers_every_regime():
@@ -61,6 +65,8 @@ def test_error_within_bound(regime):
             # Declined only where the window holds no mass at all.
             assert Fraction(p["mass"]) < Fraction(MASS_REMAINDER)
             continue
+        # The closed form flags thin support by the oracle's rule.
+        assert centroid_exterior(*_problem(p)).warnings == result.warnings, p
         bound = result.abs_error_bound
         assert math.isfinite(bound) or float(p["mass"]) < 1e-9
         if math.isfinite(bound):

@@ -556,7 +556,7 @@ def test_overflowing_centroid_is_a_domain_error():
             solve(params, hole, 0.0)
 
 
-def test_remainders_below_abs_tol():
+def test_window_remainders_below_1e_13():
     # What the window leaves out is below an absolute 1e-13.
     assert MASS_REMAINDER < MOMENT_REMAINDER < 1e-13
 

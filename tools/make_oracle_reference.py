@@ -65,7 +65,7 @@ SCALES = (1e-300, 1e-150, 1e-20, 1e20, 1e200, 1e307)
 CLOSED_FORM_OUT = OUT.parent / "closed_form_reference.json"
 CLOSED_FORM_SEED = 11
 CLOSED_FORM_PER_REGIME = 100
-# (edge bound, shift bound) of the standardized point.
+# (edge bound, shift bound) of the standardized point; _problem reads them too.
 CLOSED_FORM_REGIMES = {
     "moderate": (5.0, 3.0),
     "wide": (30.0, 10.0),
@@ -76,18 +76,16 @@ FAR_HOLES = ((-1e5, 5e4), (-1e8, 5e7), (-1e10, 5e9), (-1e160, 5e159))
 
 
 def _problem(rng: random.Random, regime: str) -> dict:
-    edge, shift_bound = {"wide": (30.0, 10.0)}.get(regime, (5.0, 3.0))
     if regime == "degenerate":
+        edge, shift_bound = CLOSED_FORM_REGIMES["moderate"]
         l = rng.uniform(-edge, edge)
         u = l + 10.0 ** rng.uniform(-12.0, -3.0)
+        h = rng.uniform(-shift_bound, shift_bound)
     else:
         # One edge uniform, the other a uniform fraction of the way to the
         # far bound, as in the benchmark's oracle problems.
-        l = rng.uniform(-edge, edge)
-        u = rng.uniform(l, edge)
-        if not u > l:
-            u = l + 1e-3
-    h = rng.uniform(-shift_bound, shift_bound)
+        point = _point(rng, "wide" if regime == "wide" else "moderate")
+        h, l, u = point["shift"], point["lower"], point["upper"]
     t_mu = rng.uniform(-1.0, 1.0)
     if regime == "scale":
         sigma = rng.choice(SCALES) * 2.0 ** rng.uniform(-1.0, 0.0)
