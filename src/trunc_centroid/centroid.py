@@ -18,13 +18,13 @@ from the nearer edge (u, or l mirrored), with lam = 1/R = x + r1 fitted:
 
 in observable units the observable edge + sigma (centroid - edge), which
 keeps a small centroid of a huge mu; below 4 mu + sigma * centroid.  A
-centroid, or a shift of it, beyond the float range is a DomainError.
+centroid, or a shift of it, beyond the float range is a DomainError; as
+for every method, model._result raises the first and sets the
+`low_support_mass` flag below an exterior mass of 1e-12.
 
 The shift is the natural parameter of the exterior law, so the slope is
 that law's variance.  slope_certificate is the paper's form of the same
 slope's numerator; the verification sweeps test its positivity.
-A result carries `low_support_mass` below an exterior mass of 1e-12
-(model.LOW_MASS_FLOOR), as the oracle's results do.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError, IntervalError, require_finite
-from .model import LOW_MASS_FLOOR, LOW_SUPPORT_MASS  # re-exported here
-from .model import CentroidResult, ExcludedInterval, GaussianParams, Method, ShiftComparison
+from .model import CentroidResult, ExcludedInterval, GaussianParams, Method
+from .model import ShiftComparison, _result
 from .special import _TABLE_FROM, _mills, _r1, _tail, _tail_variance, _two_prod, std_pdf
 
 # exp(-x) is 0.0 from x of about 745 up.
@@ -131,24 +131,13 @@ def centroid_exterior(
         (x - mu) / sigma if math.isfinite(x - mu) else x / sigma - mu / sigma
         for x in (hole.lower, hole.upper)
     )
-    h, l, u = _check_point(
-        require_finite(shift, "shift") / sigma, l, u, ("h_hat", "l_hat", "u_hat")
-    )
+    shift = require_finite(shift, "shift")
+    h, l, u = _check_point(shift / sigma, l, u, ("h_hat", "l_hat", "u_hat"))
     # u - h or h - l may overflow; their tails are then exactly 0 or 1.
     mass = _tail(u - h) + _tail(h - l)
     sign, near, offset = _offset(h, l, u)
     origin, base = ((hole.upper if sign > 0.0 else hole.lower), 0.0) if near else (mu, h)
-    value = origin + sigma * (base + sign * offset)
-    if math.isinf(value):
-        raise DomainError(
-            f"the centroid overflows the float range, mu + shift = {mu + shift!r}"
-        )
-    return CentroidResult(
-        value=value,
-        method=Method.CLOSED_FORM,
-        support_mass=mass,
-        warnings=(LOW_SUPPORT_MASS,) if mass < LOW_MASS_FLOOR else (),
-    )
+    return _result(origin + sigma * (base + sign * offset), Method.CLOSED_FORM, mass, mu + shift)
 
 
 def _certificate_from(x1, x2, f1, f2, m):

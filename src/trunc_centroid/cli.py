@@ -22,10 +22,13 @@ the process started, a command that needs numpy where it is not
 installed), 2 usage error (an unknown option or an
 --output that cannot be written included).  Usage errors come first: a
 command checks its flags before it builds the problem or computes
-anything, so a bad flag and a bad sigma together exit 2.
+anything, so a bad flag and a bad sigma together exit 2.  centroid
+--method all stops at the first method that declines: exit 1, one error:
+line, nothing on stdout; where only the oracle declines, --method
+closed_form and --method monte_carlo still answer.
 
 JSON output is strict: a non-finite float (an unused CSV cell, an
-untestable ratio, the Monte Carlo support mass) is written as null.
+untestable ratio) is written as null.
 
 --sigma is the scale (standard deviation), never the variance: the
 reference example with variance 4 is spelled --sigma 2.  The quadrature
@@ -49,7 +52,7 @@ import sys
 from .centroid import centroid_exterior, shift_comparison
 from .errors import DomainError, TruncCentroidError
 from .figure import reference_figure
-from .model import CentroidResult, ExcludedInterval, GaussianParams, Method
+from .model import CentroidResult, ExcludedInterval, GaussianParams, Method, _result
 from .quadrature import centroid_quadrature
 
 # sampler and verification import numpy, so the commands that need them
@@ -245,7 +248,7 @@ def _monte_carlo(args, params: GaussianParams, hole: ExcludedInterval) -> dict:
 
     batch = sample_exterior(params, hole, args.shift, args.n, args.seed)
     estimate = monte_carlo_centroid(batch)
-    result = CentroidResult(estimate.mean, Method.MONTE_CARLO, math.nan)
+    result = _result(estimate.mean, Method.MONTE_CARLO, batch.support_mass, params.mu + args.shift)
     return _result_dict(result, std_error=estimate.std_error, n=estimate.n, seed=batch.seed,
                         acceptance_rate=batch.acceptance_rate)
 

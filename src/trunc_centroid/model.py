@@ -16,7 +16,7 @@ import enum
 import math
 from typing import NamedTuple
 
-from .errors import IntervalError, ParameterError, _float, _quote, require_finite
+from .errors import DomainError, IntervalError, ParameterError, _float, _quote, require_finite
 
 
 class Method(str, enum.Enum):
@@ -84,6 +84,15 @@ class CentroidResult(NamedTuple):
     # A priori bound on |value - exact centroid|, to first order in eps,
     # where the method has one (derived in the quadrature module docstring).
     abs_error_bound: float | None = None
+
+
+def _result(value, method, mass, loc, abs_error_bound=None) -> CentroidResult:
+    """The result of every method: a DomainError where value overflowed,
+    and the LOW_SUPPORT_MASS flag below an exterior mass of LOW_MASS_FLOOR."""
+    if math.isinf(value):
+        raise DomainError(f"the centroid overflows the float range, mu + shift = {loc!r}")
+    flags = (LOW_SUPPORT_MASS,) if mass < LOW_MASS_FLOOR else ()
+    return CentroidResult(value, method, mass, flags, abs_error_bound)
 
 
 class ShiftComparison(NamedTuple):

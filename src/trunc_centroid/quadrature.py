@@ -40,7 +40,8 @@ eps * value of the mass between its cuts, its ends' shift included (a
 panel under 2^-1021 long rounds more, but holds under 1e-308).
 
 The result maps back once: mass m, capped at 1, and centroid loc +
-sigma * r, r = T / m; a centroid beyond the float range is a DomainError.
+sigma * r, r = T / m; as for every method, model._result makes a centroid
+beyond the float range a DomainError and flags a mass below 1e-12.
 The window leaves out at most 2 phi(c) / c = 3.6e-33 of mass and 2 phi(c)
 = 4.3e-32 of |moment|.  With Dm the summed panel bounds plus 3.6e-33, the
 oracle answers where m > Dm, with abs_error_bound below, which carries
@@ -71,10 +72,8 @@ from __future__ import annotations
 import math
 from math import exp
 
-from .errors import DeepTruncationError, DomainError
-from .errors import _float, require_finite
-from .model import LOW_MASS_FLOOR, LOW_SUPPORT_MASS
-from .model import CentroidResult, ExcludedInterval, GaussianParams, Method
+from .errors import DeepTruncationError, _float, require_finite
+from .model import CentroidResult, ExcludedInterval, GaussianParams, Method, _result
 from .special import INV_SQRT_2PI, std_pdf
 
 # 15-point Kronrod abscissae on [0, 1) and their weights.
@@ -159,17 +158,9 @@ def centroid_quadrature(
         )
     ratio = (pdfs[1] - pdfs[0]) / mass
     value = loc + sigma * ratio
-    if math.isinf(value):
-        raise DomainError(f"the centroid overflows the float range, mu + shift = {loc!r}")
     d_moment = MOMENT_REMAINDER + _MOMENT_ROUNDING * (pdfs[0] + pdfs[1])
     spread = (d_moment + abs(ratio) * d_mass) / (mass - d_mass)
     sensitivity = sum(p * abs(e - ratio) for e, p in zip(edges, pdfs)) / mass
     inputs = abs(loc) + sigma * max(map(abs, edges))
     rounding = abs(value) + sigma * abs(ratio) + (1.0 + sensitivity) * inputs
-    return CentroidResult(
-        value=value,
-        method=Method.QUADRATURE,
-        support_mass=mass,
-        warnings=(LOW_SUPPORT_MASS,) if mass < LOW_MASS_FLOOR else (),
-        abs_error_bound=sigma * spread + _EPS * rounding,
-    )
+    return _result(value, Method.QUADRATURE, mass, loc, sigma * spread + _EPS * rounding)

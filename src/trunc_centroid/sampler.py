@@ -90,6 +90,8 @@ class SampleBatch(NamedTuple):
     seed: int
     # Every word gives a draw, so this is 1.0; the CLI reports it.
     acceptance_rate: float
+    # The exterior mass, capped at 1, that the draws were scaled by.
+    support_mass: float
 
     # values is an array, so a batch equals and hashes as itself only.
     __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
@@ -150,7 +152,7 @@ def sample_exterior(
                 f"draws overflow the float range, mu + shift = {loc!r}, "
                 f"sigma = {params.sigma!r}"
             )
-    return SampleBatch(values=values, seed=seed, acceptance_rate=1.0)
+    return SampleBatch(values=values, seed=seed, acceptance_rate=1.0, support_mass=mass)
 
 
 def _horner(coefficients: tuple, r: np.ndarray, out: np.ndarray) -> np.ndarray:

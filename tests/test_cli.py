@@ -2,6 +2,7 @@
 
 import gc
 import json
+import math
 import os
 import subprocess
 import sys
@@ -120,6 +121,15 @@ def test_deep_truncation_exit_code(capsys):
     pytest.importorskip("numpy")
     assert run(["sample", *argv, "--n", "10", "--seed", "1"]) == 1
     assert "error" in capsys.readouterr().err
+    # --method all stops at the first method that declines, here the oracle;
+    # the closed form and the sampler each still answer.
+    deep = ["centroid", "--mu=0", "--sigma=1", "--lower=-30", "--upper=30", "--n=100", "--seed=1"]
+    assert run([*deep, "--method", "all"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: the support mass inside the window")
+    for method in ("closed_form", "monte_carlo"):
+        assert run([*deep, "--method", method]) == 0, method
 
 
 def _capped(*argv: str) -> subprocess.CompletedProcess:
@@ -395,6 +405,18 @@ def test_centroid_method_all(capsys):
     mc = payload["results"][2]
     assert disc["closed_form_vs_monte_carlo"] < 4.0 * mc["std_error"]
     assert mc["n"] == 20000
+    # The three methods flag thin support by one rule: an exterior mass of
+    # 6.4e-14 (hole +-7.5) is below 1e-12, one of 2.6e-12 (+-7) is not.  The
+    # Monte Carlo mass is the sampler's.
+    from trunc_centroid.sampler import sample_exterior
+
+    for edge, flagged in ((7.5, True), (7.0, False)):
+        problem = ["--mu=0", "--sigma=1", f"--lower={-edge}", f"--upper={edge}"]
+        assert run(["centroid", *problem, "--method", "all", "--n=100", "--seed=1"]) == 0
+        lines = capsys.readouterr().out.splitlines()[:3]
+        assert [line.endswith(" warnings=low_support_mass") for line in lines] == [flagged] * 3
+        batch = sample_exterior(GaussianParams(0, 1), ExcludedInterval(-edge, edge), 0.0, 100, 1)
+        assert f" support_mass={_g17(batch.support_mass)} " in lines[2]
 
 
 def test_centroid_csv_matches_json(capsys):
@@ -746,7 +768,8 @@ def test_json_output_is_strict(argv, capsys):
     assert run(argv) == 0
     payload = _strict_json(capsys.readouterr().out)
     if argv[0] == "centroid":
-        assert payload["results"][2]["support_mass"] is None
+        closed, _, sampled = (r["support_mass"] for r in payload["results"])
+        assert math.isclose(sampled, closed, rel_tol=1e-12)
     elif argv[0] == "sample":
         assert payload["acceptance_rate"] == 1
     else:

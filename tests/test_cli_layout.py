@@ -253,7 +253,7 @@ NUMBER = r"-?\d[\d.e+-]*|nan"
             },
             rf"closed_form: value=({NUMBER}) support_mass=({NUMBER})\n"
             rf"quadrature: value=({NUMBER}) support_mass=({NUMBER})\n"
-            rf"monte_carlo: value=({NUMBER}) support_mass=nan std_error=({NUMBER})\n"
+            rf"monte_carlo: value=({NUMBER}) support_mass=({NUMBER}) std_error=({NUMBER})\n"
             rf"closed_form_vs_quadrature=({NUMBER})\n"
             rf"closed_form_vs_monte_carlo=({NUMBER})",
         ),

@@ -144,3 +144,27 @@ def test_numpy_is_imported_at_the_top_of_three_modules_only():
     assert sorted(found) == ["philox.py", "sampler.py", "verification.py"]
     for name, imports in found.items():
         assert all(at_top for at_top, _ in imports), (name, imports)
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    # __init__ imports names to re-export them; __future__'s annotations
+    # is a switch, not a name.
+    package = pathlib.Path(tc.__file__).parent
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {
+            alias.asname or alias.name.split(".")[0]: node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [
+            (path.name, line, name)
+            for name, line in imported.items()
+            if name not in used | {"annotations"}
+        ]
+    assert unused == []

@@ -9,7 +9,9 @@ whose own tests pin it to an independent high-precision reference), and
 
 import hashlib
 import math
+import pathlib
 import random
+import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
@@ -17,7 +19,7 @@ from operator import add, mul
 
 import pytest
 
-from trunc_centroid import centroid, model, quadrature
+from trunc_centroid import model, quadrature
 from trunc_centroid.centroid import centroid_exterior
 from trunc_centroid.errors import DeepTruncationError, DomainError
 from trunc_centroid.model import ExcludedInterval, GaussianParams, Method
@@ -655,9 +657,12 @@ def test_abs_error_bound_formula():
 
 
 def test_low_mass_flag_defined_once():
-    assert quadrature.LOW_SUPPORT_MASS is model.LOW_SUPPORT_MASS
-    assert centroid.LOW_SUPPORT_MASS is model.LOW_SUPPORT_MASS
-    assert quadrature.LOW_MASS_FLOOR is model.LOW_MASS_FLOOR is centroid.LOW_MASS_FLOOR
+    # model._result builds the result of every method: the flag, its floor,
+    # the overflow's message and the result's constructor live there alone.
+    package = pathlib.Path(model.__file__).parent
+    for text in ("LOW_SUPPORT_MASS", "LOW_MASS_FLOOR", "centroid overflows", r"CentroidResult\("):
+        users = [p.name for p in package.glob("*.py") if re.search(rf"\b{text}", p.read_text())]
+        assert users == ["model.py"], text
 
 
 def test_non_finite_location_rejected():

@@ -41,7 +41,7 @@ FACTORIES = {
         "bounds", 1, (), (), 1.0, _record("CheckRecord")(*ROW)
     ),
     "SampleBatch": lambda: _record("SampleBatch")(
-        pytest.importorskip("numpy").array([1.0, 2.0]), 7, 1.0
+        pytest.importorskip("numpy").array([1.0, 2.0]), 7, 1.0, 0.5
     ),
     "MonteCarloEstimate": lambda: _record("MonteCarloEstimate")(1.5, 0.5, 2),
 }
@@ -72,7 +72,9 @@ REPRS = {
         "min_margin=1.0, min_margin_record=CheckRecord(check='bounds', x1=1.0, "
         "x2=nan, h=nan, lhs=2.0, rhs=1.0, margin=1.0))"
     ),
-    "SampleBatch": "SampleBatch(values=array([1., 2.]), seed=7, acceptance_rate=1.0)",
+    "SampleBatch": (
+        "SampleBatch(values=array([1., 2.]), seed=7, acceptance_rate=1.0, support_mass=0.5)"
+    ),
     "MonteCarloEstimate": "MonteCarloEstimate(mean=1.5, std_error=0.5, n=2)",
 }
 
