@@ -23,13 +23,16 @@ Phi^-1 writes each run of draws (philox._runs) into its slice of the
 batch.  The run's words, uniforms, tail probabilities and masks, and
 Phi^-1's branch arrays, are taken from the calling thread's scratch
 (philox.py), so in steady state a call allocates only the draws it
-returns and each run's block counters (8 bytes a block).  No result is a
-view into the scratch, and threads sample concurrently from stacks of
-their own, so a batch has the same bits in any thread.
+returns, its two-entry sign table, each run's block counters (8 bytes a
+block) and the index arrays and negated mask of each mixed branch mask
+of Phi^-1 (9 bytes an element).  No step runs a masked ufunc loop or a
+masked scatter: on a mixed mask those cost 15-40 plain passes.  No
+result is a view into the scratch, and threads sample concurrently from
+stacks of their own, so a batch has the same bits in any thread.
 
 A draw beyond the float range is a DomainError.  The estimate handed
 back by monte_carlo_centroid is the plain sample mean with its standard
-error, summed in units of the largest |draw| where plain sums overflow;
+error, summed in units of the largest |draw| where plain sums are not finite;
 the test suite checks it against the closed form at 4 standard errors.
 """
 
@@ -127,6 +130,7 @@ def sample_exterior(
             f"probabilities cannot be inverted"
         )
     values = np.empty(n, dtype=np.float64)
+    factors = np.array((-params.sigma, params.sigma))
     for x, words in _runs(seed, _STREAM, 0, values):
         # The words are spent, and their buffer takes the tail
         # probability p = where(go_left, u, 1 - u) * mass.
@@ -135,12 +139,11 @@ def sample_exterior(
         p *= mass
         u *= mass
         go_left = np.less_equal(u, left, out=take(x.shape, bool))
-        np.copyto(p, u, where=go_left)
-        # x = loc + where(go_left, sigma, -sigma) * z; -(-sigma * z) is
-        # sigma * z exactly.
+        np.putmask(p, go_left, u)
+        # x = loc + factors[go_left] * z, the sign table looked up into u's
+        # buffer (mode="wrap" skips a buffered range check on 0s and 1s).
         _inv_std_cdf(p, x)
-        x *= -params.sigma
-        np.negative(x, out=x, where=go_left)
+        x *= np.take(factors, go_left.view(np.uint8), out=u, mode="wrap")
         x += loc
         # Rounding in Phi^-1 or in loc + sigma*z may land a hair inside.
         inside = np.greater(x, hole.lower, out=take(x.shape, bool))
@@ -168,20 +171,20 @@ def _horner(coefficients: tuple, r: np.ndarray, out: np.ndarray) -> np.ndarray:
 def _piecewise(mask: np.ndarray, x: np.ndarray, out: np.ndarray, on_true, on_false) -> None:
     """on_true(x[mask]) and on_false(x[~mask]) into out, all 1-D.
 
-    A side that takes every element is handed x and out themselves, and
-    an empty side is skipped: only a mixed mask gathers, with np.compress
-    into scratch, and scatters from scratch with np.place.  The mask is
-    left as it was.
+    A side that takes every element is handed x and out themselves; a
+    mixed mask gathers each side into scratch with np.take, by the indices
+    np.nonzero returns, and scatters it back by index.  The mask is left
+    as it was.
     """
     count = np.count_nonzero(mask)
     if count in (0, mask.size):
         (on_true if count else on_false)(x, out)
         return
     gathered, results = take(x.shape), take(x.shape)
-    for branch, size in ((on_true, count), (on_false, mask.size - count)):
-        branch(np.compress(mask, x, out=gathered[:size]), results[:size])
-        np.place(out, mask, results[:size])
-        np.logical_not(mask, out=mask)
+    for branch, (index,) in ((on_true, mask.nonzero()), (on_false, (~mask).nonzero())):
+        size = index.size
+        branch(np.take(x, index, out=gathered[:size], mode="wrap"), results[:size])
+        out[index] = results[:size]
 
 
 def _inv_std_cdf(p: np.ndarray, out: np.ndarray) -> None:
@@ -223,20 +226,25 @@ def _rational(coefficients: tuple, origin: float, r: np.ndarray, z: np.ndarray) 
     z /= _horner(coefficients[1], r, take(r.shape))
 
 
-@np.errstate(over="ignore")
+@np.errstate(over="ignore", invalid="ignore")  # sums of huge draws: rescaled
 def monte_carlo_centroid(batch: SampleBatch) -> MonteCarloEstimate:
     """Sample mean of a batch with its standard error."""
     n = int(batch.values.size)
     if n < 2:
         raise ParameterError(f"standard error needs n >= 2, got n = {n}")
     values, scale = batch.values, 1.0
-    mean = float(np.mean(values))
-    spread = float(np.std(values, ddof=1))
-    if math.isinf(mean) or math.isinf(spread):
-        # The sums overflow: take them in units of the largest |draw|.
+    mean, spread = _mean_and_spread(values)
+    if not (math.isfinite(mean) and math.isfinite(spread)):
+        # The sums overflow or meet inf - inf: redo them in units of the largest |draw|.
         scale = float(np.max(np.abs(values)))
-        mean = float(np.mean(values / scale))
-        spread = float(np.std(values / scale, ddof=1))
-    return MonteCarloEstimate(
-        mean=scale * mean, std_error=scale * (spread / math.sqrt(n)), n=n
-    )
+        mean, spread = _mean_and_spread(values / scale)
+    return MonteCarloEstimate(scale * mean, scale * (spread / math.sqrt(n)), n)
+
+
+def _mean_and_spread(values: np.ndarray) -> tuple[float, float]:
+    """np.mean and np.std(ddof=1) of the 1-D values: numpy's passes, so its bits."""
+    n = values.size
+    mean = np.add.reduce(values) / n
+    deviations = np.subtract(values, mean)
+    np.square(deviations, out=deviations)
+    return float(mean), math.sqrt(np.add.reduce(deviations) / (n - 1))

@@ -896,6 +896,19 @@ def test_console_script_centroid():
     assert payload["results"][0]["value"] == expected
 
 
+def test_console_script_sample_of_huge_draws_is_finite_and_quiet():
+    # The draws' pairwise sums meet inf + (-inf); the estimate is rescaled
+    # and numpy warns of nothing.
+    pytest.importorskip("numpy")
+    argv = ["--mu=0", "--sigma=5e306", "--lower=-2.5e306", "--upper=2.5e306"]
+    proc = _console_script("sample", *argv, "--n=12500", "--seed=7", "--format", "json")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    estimate = json.loads(proc.stdout)["estimate"]
+    closed = centroid_exterior(GaussianParams(0.0, 5e306), ExcludedInterval(-2.5e306, 2.5e306), 0.0)
+    assert math.isfinite(estimate["mean"]) and 0.0 < estimate["std_error"] < math.inf
+    assert abs(estimate["mean"] - closed.value) < 4.0 * estimate["std_error"]
+
+
 def test_console_script_freezes_the_gc_before_teardown():
     # The entry point freezes what is alive when run() returns, so the
     # interpreter's finalization collections skip it; an atexit probe runs

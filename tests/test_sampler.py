@@ -394,3 +394,88 @@ def test_twenty_sigma_hole_stays_outside_and_agrees():
     estimate = monte_carlo_centroid(batch)
     closed = centroid_exterior(STD, hole, 0.0).value
     assert abs(estimate.mean - closed) < 4.0 * estimate.std_error
+
+
+# Draws near the float range whose pairwise sums meet inf + (-inf).
+HUGE_PARAMS = GaussianParams(0.0, 5e306)
+HUGE_HOLE = ExcludedInterval(-2.5e306, 2.5e306)
+
+
+def test_huge_draws_of_both_signs_give_a_finite_estimate():
+    batch = sample_exterior(HUGE_PARAMS, HUGE_HOLE, 0.0, 12_500, seed=7)
+    assert np.isfinite(batch.values).all()
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(np.add.reduce(batch.values))
+    estimate = monte_carlo_centroid(batch)
+    assert math.isfinite(estimate.mean) and 0.0 < estimate.std_error < math.inf
+    closed = centroid_exterior(HUGE_PARAMS, HUGE_HOLE, 0.0).value
+    assert abs(estimate.mean - closed) < 4.0 * estimate.std_error
+
+
+def _batch(values):
+    return sampler.SampleBatch(values=values, seed=0, acceptance_rate=1.0, support_mass=1.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 9, 127, 128, 129, 1_250, 12_500, 16_385, 20_000])
+def test_statistics_keep_numpys_bits(n):
+    rng = np.random.default_rng(n)
+    for offset in (1e-5, -1.0, 3e2, 1e5):
+        for scale in (1e-5, 1.0, 1e5):
+            values = offset + scale * rng.standard_normal(n)
+            estimate = monte_carlo_centroid(_batch(values))
+            expected_se = float(np.std(values, ddof=1)) / math.sqrt(n)
+            assert estimate.mean.hex() == float(np.mean(values)).hex()
+            assert estimate.std_error.hex() == expected_se.hex()
+            assert estimate.n == n
+
+
+@pytest.mark.parametrize("sign", [1.0, "mixed"])
+def test_rescaled_statistics_keep_numpys_bits(sign):
+    # Sums that overflow, or that meet inf + (-inf), are taken in units of
+    # the largest |draw|, with numpy's bits on the scaled draws.
+    rng = np.random.default_rng(17)
+    values = rng.uniform(1e307, 1.7e308, 3_000)
+    if sign == "mixed":
+        values *= rng.choice([-1.0, 1.0], values.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(np.mean(values))
+    scale = float(np.max(np.abs(values)))
+    estimate = monte_carlo_centroid(_batch(values))
+    expected_se = scale * (float(np.std(values / scale, ddof=1)) / math.sqrt(values.size))
+    assert estimate.mean.hex() == (scale * float(np.mean(values / scale))).hex()
+    assert estimate.std_error.hex() == expected_se.hex()
+
+
+def _double(x, out):
+    np.multiply(x, 2.0, out=out)
+
+
+def _root(x, out):
+    np.sqrt(x, out=out)
+
+
+@pytest.mark.parametrize(
+    "mask",
+    [
+        np.random.default_rng(3).random(5_000) < 0.3,  # mixed
+        np.random.default_rng(4).random(20_000) < 0.9,  # mixed, past the scratch cap
+        np.ones(700, bool),
+        np.zeros(700, bool),
+        np.ones(1, bool),
+        np.zeros(1, bool),
+    ],
+    ids=["mixed", "mixed-past-cap", "all-true", "all-false", "one-true", "one-false"],
+)
+@pytest.mark.parametrize("branches", [(_double, _root), (sampler._inv_central, sampler._inv_tail)])
+def test_piecewise_matches_a_plain_select(mask, branches):
+    on_true, on_false = branches
+    x = np.random.default_rng(mask.size).uniform(0.01, 0.99, mask.size)
+    mask_before, x_before = mask.copy(), x.copy()
+    true_all, false_all, out = np.empty(x.size), np.empty(x.size), np.full(x.size, np.nan)
+    with scratch():
+        on_true(x, true_all)
+        on_false(x, false_all)
+        sampler._piecewise(mask, x, out, on_true, on_false)
+    expected = np.where(mask, true_all, false_all)
+    assert out.tobytes() == expected.tobytes()
+    assert np.array_equal(mask, mask_before) and x.tobytes() == x_before.tobytes()
